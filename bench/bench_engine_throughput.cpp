@@ -385,18 +385,20 @@ DecodeReport run_decode_wide(Scheme scheme, int bursts, int repeats) {
 
 // Per-ISA kernel section: every registered kernel variant (the
 // portable "swar" reference, AVX2, AVX-512, NEON where compiled in)
-// measured on the four hot paths it can serve — narrow x8 fixed-scheme
-// encode, wide x64 byte-group encode, x8 decode, wide x64 decode — all
-// through the public set_kernel dispatch, same payload, same threaded
-// states. Ratios are reported against the portable reference measured
-// in the same process; tools/bench_compare.py holds the SIMD encode
-// ratios to a hard 1.5x floor (and everything to >= 1x) on hardware
-// that has the ISA, and records a skipped-isa status where CI does not.
+// measured on the five hot paths it can serve — narrow x8 fixed-scheme
+// encode, wide x64 byte-group encode, wide x64 OPT trellis encode, x8
+// decode, wide x64 decode — all through the public set_kernel dispatch,
+// same payload, same threaded states. Ratios are reported against the
+// portable reference measured in the same process;
+// tools/bench_compare.py holds the SIMD fixed-scheme encode ratios to a
+// hard 1.5x floor (and the fixed paths to >= 1x) on hardware that has
+// the ISA, and records a skipped-isa status where CI does not.
 struct KernelCaseReport {
   const engine::KernelVariant* variant = nullptr;
   bool available = false;
   double encode_x8 = 0;      // mega-bursts/s, narrow x8 BL8 ACDC
   double encode_wide_x64 = 0;  // mega-bursts/s, wide x64 BL8 ACDC
+  double encode_opt_wide_x64 = 0;  // mega-bursts/s, wide x64 BL8 OPT
   double decode_x8 = 0;
   double decode_wide_x64 = 0;
 };
@@ -449,7 +451,8 @@ struct KernelWorkload {
 };
 
 KernelCaseReport run_kernel(const engine::KernelVariant& k,
-                            const KernelWorkload& wl, int repeats) {
+                            const KernelWorkload& wl, int repeats,
+                            int opt_repeats) {
   KernelCaseReport rep;
   rep.variant = &k;
   rep.available = engine::isa_available(k.isa());
@@ -458,6 +461,8 @@ KernelCaseReport run_kernel(const engine::KernelVariant& k,
   const auto bursts = static_cast<double>(wl.narrow_masks.size());
   engine::BatchEncoder enc(Scheme::kAcDc);
   enc.set_kernel(k);
+  engine::BatchEncoder opt(Scheme::kOpt);
+  opt.set_kernel(k);
   engine::BatchDecoder dec;
   dec.set_kernel(k);
 
@@ -494,6 +499,26 @@ KernelCaseReport run_kernel(const engine::KernelVariant& k,
       if (sink == 42) std::puts("");
       rep.encode_wide_x64 =
           std::max(rep.encode_wide_x64, bursts * repeats / dt / 1e6);
+    }
+    {
+      // Same x64 payload under OPT: the whole-burst trellis where the
+      // variant serves it, the portable per-group trellis otherwise.
+      std::vector<BusState> states(
+          static_cast<std::size_t>(wl.wide_cfg.groups()));
+      std::int64_t sink = 0;
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int r = 0; r < opt_repeats; ++r) {
+        for (int g = 0; g < wl.wide_cfg.groups(); ++g)
+          states[static_cast<std::size_t>(g)] =
+              BusState::all_ones(wl.wide_cfg.group_config(g));
+        const BurstStats s =
+            opt.encode_packed_wide(wl.wide_payload, wl.wide_cfg, states);
+        sink += s.zeros + s.transitions;
+      }
+      const double dt = seconds_since(t0);
+      if (sink == 42) std::puts("");
+      rep.encode_opt_wide_x64 =
+          std::max(rep.encode_opt_wide_x64, bursts * opt_repeats / dt / 1e6);
     }
     {
       std::vector<std::uint8_t> out(wl.narrow_tx.size());
@@ -791,10 +816,12 @@ int main(int argc, char** argv) {
     const KernelWorkload wl(bursts_per_lane);
     const int repeats = static_cast<int>(
         std::max<std::int64_t>(8, 2'000'000 / bursts_per_lane));
+    // The portable trellis runs ~100x slower than the fixed schemes.
+    const int opt_repeats = std::max(1, repeats / 32);
     KernelCaseReport swar_rep;
     std::vector<KernelCaseReport> reports;
     for (const engine::KernelVariant* k : engine::registered_kernels()) {
-      reports.push_back(run_kernel(*k, wl, repeats));
+      reports.push_back(run_kernel(*k, wl, repeats, opt_repeats));
       if (k == &engine::portable_kernel()) swar_rep = reports.back();
     }
     const auto ratio = [](double cur, double ref) {
@@ -809,18 +836,22 @@ int main(int argc, char** argv) {
           "\"selected\": %s,\n"
           "     \"encode_x8_mbursts_per_s\": %.2f, "
           "\"encode_wide_x64_mbursts_per_s\": %.2f, "
+          "\"encode_opt_wide_x64_mbursts_per_s\": %.2f, "
           "\"decode_x8_mbursts_per_s\": %.2f, "
           "\"decode_wide_x64_mbursts_per_s\": %.2f,\n"
           "     \"encode_x8_vs_swar\": %.2f, "
-          "\"encode_wide_x64_vs_swar\": %.2f, \"decode_x8_vs_swar\": %.2f, "
+          "\"encode_wide_x64_vs_swar\": %.2f, "
+          "\"encode_opt_wide_x64_vs_swar\": %.2f, "
+          "\"decode_x8_vs_swar\": %.2f, "
           "\"decode_wide_x64_vs_swar\": %.2f}",
           first ? "" : ",\n",
           std::string(r.variant->name()).c_str(),
           std::string(engine::isa_name(r.variant->isa())).c_str(),
           r.available ? "true" : "false", selected ? "true" : "false",
-          r.encode_x8, r.encode_wide_x64, r.decode_x8, r.decode_wide_x64,
-          ratio(r.encode_x8, swar_rep.encode_x8),
+          r.encode_x8, r.encode_wide_x64, r.encode_opt_wide_x64, r.decode_x8,
+          r.decode_wide_x64, ratio(r.encode_x8, swar_rep.encode_x8),
           ratio(r.encode_wide_x64, swar_rep.encode_wide_x64),
+          ratio(r.encode_opt_wide_x64, swar_rep.encode_opt_wide_x64),
           ratio(r.decode_x8, swar_rep.decode_x8),
           ratio(r.decode_wide_x64, swar_rep.decode_wide_x64));
       first = false;

@@ -1,6 +1,6 @@
 // libFuzzer target: differential encode -> decode round trip. The
-// input bytes pick a scheme, geometry, kernel variant and payload; the
-// properties under test are
+// input bytes pick a scheme, OPT weights, geometry, kernel variant and
+// payload; the properties under test are
 //   decode(apply(payload, encode(payload))) == payload   (identity)
 // for the engine kernels at every geometry the bytes can reach,
 // bit-exact parity of the drawn kernel variant against the portable
@@ -27,6 +27,12 @@ constexpr Scheme kSchemes[] = {Scheme::kRaw,  Scheme::kDc,
                                Scheme::kAc,   Scheme::kAcDc,
                                Scheme::kOpt,  Scheme::kOptFixed};
 
+/// OPT weight pairs: the figures' crossover pair, the hardware's unit
+/// pair, and (0.3, 0.7), on which an FMA-contracted trellis diverges.
+/// Selector 3 takes a convex pair from the next payload byte instead.
+constexpr CostWeights kWeights[] = {
+    {0.56, 0.44}, {1.0, 1.0}, {0.3, 0.7}};
+
 [[noreturn]] void fail(const char* what) {
   std::fprintf(stderr, "fuzz_roundtrip_diff: %s\n", what);
   std::abort();
@@ -47,6 +53,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size < 4) return 0;
   const Scheme scheme = kSchemes[data[0] % 6];
+  const int weights_pick = data[0] / 6 % 4;
   const bool wide = (data[3] & 1) != 0;
   const bool reset = (data[3] & 2) != 0;
   const engine::KernelVariant& variant = draw_kernel(data[3] >> 2);
@@ -54,16 +61,25 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const int bl = 1 + data[2] % 64;
   data += 4;
   size -= 4;
+  CostWeights w;
+  if (weights_pick < 3) {
+    w = kWeights[weights_pick];
+  } else {
+    if (size == 0) return 0;
+    w = CostWeights::ac_dc_tradeoff(data[0] / 255.0);
+    ++data;
+    --size;
+  }
 
-  engine::BatchEncoder engine(scheme, CostWeights{0.56, 0.44});
+  engine::BatchEncoder engine(scheme, w);
   engine.set_kernel(variant);
-  engine::BatchEncoder swar(scheme, CostWeights{0.56, 0.44});
+  engine::BatchEncoder swar(scheme, w);
   swar.set_kernel(engine::portable_kernel());
   engine::BatchDecoder decoder;
   decoder.set_kernel(variant);
   engine::BatchDecoder swar_decoder;
   swar_decoder.set_kernel(engine::portable_kernel());
-  const auto scalar = make_encoder(scheme, CostWeights{0.56, 0.44});
+  const auto scalar = make_encoder(scheme, w);
 
   if (!wide) {
     const BusConfig cfg{width, bl};

@@ -1,10 +1,11 @@
 // Public kernel-selection surface over the engine's kernel registry.
 //
-// The engine ships several implementations of its hot fixed-scheme
-// paths — the portable SWAR/bit-plane reference plus runtime-dispatched
-// SIMD variants (AVX2, AVX-512, NEON) compiled into every binary and
-// gated on CPUID at startup. Sessions pick one automatically; this
-// header is the introspection and override surface:
+// The engine ships several implementations of its hot paths (the
+// fixed-scheme encode, the x64 OPT trellis, decode) — the portable
+// reference plus runtime-dispatched SIMD variants (AVX2, AVX-512, NEON)
+// compiled into every binary and gated on CPUID at startup. Sessions
+// pick one automatically; this header is the introspection and override
+// surface:
 //
 //   for (const KernelInfo& k : dbi::available_kernels())
 //     std::cout << k.name << " (" << k.isa << ")\n";

@@ -75,7 +75,8 @@ Session::Session(const SessionSpec& spec)
       kernel.isa() != engine::KernelIsa::kPortable &&
       !spec_.resolved_policy().adaptive()) {
     const KernelReport rep = kernel_report();
-    if (rep.fixed_encode != kernel.name() && rep.decode != kernel.name())
+    if (rep.fixed_encode != kernel.name() && rep.trellis != kernel.name() &&
+        rep.decode != kernel.name())
       throw std::invalid_argument(
           "SessionSpec: kernel '" + spec_.kernel +
           "' supports no path of scheme " + std::string(engine_.name()) +
@@ -154,7 +155,8 @@ KernelReport Session::kernel_report() const {
   // Which encode kernels this scheme/geometry exercises: full byte
   // groups take the packed fixed kernels, a narrow non-8 width or a
   // wide remainder group takes the bit-plane kernel, OPT schemes the
-  // trellis, and kExhaustive bypasses the engine kernels entirely.
+  // trellis (OPT on x64 through the variant's whole-burst entry), and
+  // kExhaustive bypasses the engine kernels entirely.
   const bool has_byte_group = wide ? width >= 8 : width == 8;
   const bool has_narrow_group = wide ? width % 8 != 0 : width != 8;
   const auto rule = engine::fixed8_rule(spec_.scheme);
@@ -170,7 +172,12 @@ KernelReport Session::kernel_report() const {
              spec_.scheme == Scheme::kOptFixed) {
     rep.fixed_encode = "n/a";
     rep.planar_encode = "n/a";
-    rep.trellis = engine::portable_kernel().name();
+    rep.trellis = spec_.scheme == Scheme::kOpt && wide &&
+                          engine::trellis_wide8_geometry(
+                              spec_.geometry.wide_bus()) &&
+                          k.supports_trellis_wide8(bl)
+                      ? k.name()
+                      : engine::portable_kernel().name();
   } else {  // kExhaustive: the scalar ablation encoder
     rep.fixed_encode = "n/a";
     rep.planar_encode = "n/a";
@@ -582,13 +589,6 @@ StreamStats Session::run_decode(Source& source, Sink& sink) {
 }
 
 StreamStats Session::run_roundtrip(Source& source, Sink& sink) {
-  engine::StreamEncodeOptions so;
-  so.lanes = spec_.lanes;
-  so.reset_state_per_burst =
-      spec_.state_policy == StatePolicy::kResetPerBurst;
-  so.pool = pool();
-  so.obs = obs_;
-
   const bool pass_payload = sink.wants_payload();
   const bool pass_results = sink.wants_results();
   const int groups = spec_.geometry.groups();
@@ -602,10 +602,26 @@ StreamStats Session::run_roundtrip(Source& source, Sink& sink) {
   const dbi::WideBusConfig wide_cfg =
       wide ? spec_.geometry.wide_bus() : dbi::WideBusConfig{};
 
-  auto enc = wide ? std::make_unique<engine::StreamEncoder>(engine_, wide_cfg,
-                                                            so)
-                  : std::make_unique<engine::StreamEncoder>(engine_,
-                                                            narrow_cfg, so);
+  // Every run starts from all-ones line state and zero totals, but the
+  // encoder and the wire / mask buffers outlive it: their allocations
+  // are reused instead of faulting in fresh pages on every call.
+  if (roundtrip_enc_) {
+    roundtrip_enc_->reset();
+  } else {
+    engine::StreamEncodeOptions so;
+    so.lanes = spec_.lanes;
+    so.reset_state_per_burst =
+        spec_.state_policy == StatePolicy::kResetPerBurst;
+    so.pool = pool();
+    so.obs = obs_;
+    roundtrip_enc_ =
+        wide ? std::make_unique<engine::StreamEncoder>(engine_, wide_cfg, so)
+             : std::make_unique<engine::StreamEncoder>(engine_, narrow_cfg,
+                                                       so);
+  }
+  engine::StreamEncoder* enc = roundtrip_enc_.get();
+  std::vector<std::uint8_t>& wire = roundtrip_wire_;
+  std::vector<std::uint64_t>& masks = roundtrip_masks_;
 
   // Compares one round-tripped burst's group against the original and
   // returns the beat mask of the differing beats (narrow groups span
@@ -634,8 +650,6 @@ StreamStats Session::run_roundtrip(Source& source, Sink& sink) {
       spec_.lanes > 1 ? static_cast<std::int64_t>(kAccumBlockBursts)
                       : std::numeric_limits<std::int64_t>::max();
 
-  std::vector<std::uint8_t> wire;
-  std::vector<std::uint64_t> masks;
   std::int64_t first_burst = 0;   // sink- and verify-facing, continuous
   std::int64_t stream_burst = 0;  // lane phase within the current stream
   while (const auto c = source.next()) {

@@ -291,6 +291,11 @@ class Session {
   // in-place encoder.
   std::vector<dbi::BusState> lane_states_;
   std::unique_ptr<engine::StreamEncoder> wide_writer_;
+  // kRoundTrip runs: the encoder and wire / mask scratch, reused across
+  // runs (reset at the start of each).
+  std::unique_ptr<engine::StreamEncoder> roundtrip_enc_;
+  std::vector<std::uint8_t> roundtrip_wire_;
+  std::vector<std::uint64_t> roundtrip_masks_;
   StreamStats stats_;
   select::SelectionReport selection_;  // latest adaptive run's outcome
 };

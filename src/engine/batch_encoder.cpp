@@ -1,6 +1,5 @@
 #include "engine/batch_encoder.hpp"
 
-#include <bit>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -21,16 +20,19 @@ using dbi::BusState;
 using dbi::Scheme;
 using dbi::Word;
 
-// The SWAR and bit-plane fixed-scheme kernels live in
-// kernels_portable.hpp (shared with the registry's "swar" variant and
-// the SIMD variant TUs); this TU keeps the trellis kernel, the generic
-// mask accounting, and the dispatch glue.
+// The SWAR, bit-plane and trellis kernels live in kernels_portable.hpp
+// (shared with the registry's "swar" variant and the SIMD variant TUs);
+// this TU keeps the dispatch glue.
 using kernels::encode_fixed8;
 using kernels::encode_planar;
 using kernels::encode_raw8;
+using kernels::encode_trellis;
 using kernels::PlanarRule;
 using kernels::StridedBeats;
 using kernels::WordBeats;
+
+/// OPT (Fixed)'s hardware coefficients (Fig. 5: alpha = beta = 1).
+constexpr dbi::IntCostWeights kFixedWeights{1, 1};
 
 /// Lower-case hex of a beat word, for geometry diagnostics.
 std::string to_hex(Word w) {
@@ -43,87 +45,20 @@ std::string to_hex(Word w) {
   return out;
 }
 
-// -------------------------------------------------- flat trellis kernel
-//
-// Allocation-free Viterbi over the two-state trellis (see
-// core/trellis.cpp for the reference DP): both path metrics live in
-// registers and the predecessor decisions in two 64-bit masks, so a
-// burst costs zero heap traffic. Floating-point operation order matches
-// the reference solver exactly — (cur + dc) + alpha * trans — so the
-// result is bit-identical even on tie-prone weights.
-
-template <typename CostT, typename Beats, typename WeightsT>
-std::uint64_t trellis_mask_flat(const Beats& words, const BusConfig& cfg,
-                                const Beat& prev, const WeightsT& w) {
-  const int n = words.size();
-  const Word m = cfg.dq_mask();
-  const auto alpha = static_cast<CostT>(w.alpha);
-  const auto beta = static_cast<CostT>(w.beta);
-
-  std::uint64_t pred0 = 0;  // bit i: predecessor state of (beat i, state 0)
-  std::uint64_t pred1 = 0;  // bit i: predecessor state of (beat i, state 1)
-
-  const Word w0 = words[0] & m;
-  const int z0 = cfg.width - std::popcount(w0);
-  CostT c0 = beta * static_cast<CostT>(z0) +
-             alpha * static_cast<CostT>(std::popcount((prev.dq ^ w0) & m) +
-                                        (prev.dbi != true ? 1 : 0));
-  CostT c1 =
-      beta * static_cast<CostT>(cfg.width - z0 + 1) +
-      alpha * static_cast<CostT>(std::popcount((prev.dq ^ ~w0) & m) +
-                                 (prev.dbi != false ? 1 : 0));
-
-  for (int i = 1; i < n; ++i) {
-    const Word wc = words[i] & m;
-    const Word wp = words[i - 1] & m;
-    const int h = std::popcount(wp ^ wc);
-    const int ones = std::popcount(wc);
-    const CostT dc0 = beta * static_cast<CostT>(cfg.width - ones);
-    const CostT dc1 = beta * static_cast<CostT>(ones + 1);
-    // Same-state edges keep the DBI value (h raw transitions); opposite
-    // edges see the complemented predecessor plus the DBI toggle.
-    const CostT t_same = alpha * static_cast<CostT>(h);
-    const CostT t_diff = alpha * static_cast<CostT>(cfg.width - h + 1);
-
-    const CostT a0 = (c0 + dc0) + t_same;  // p=0 -> s=0
-    const CostT b0 = (c1 + dc0) + t_diff;  // p=1 -> s=0
-    const CostT a1 = (c0 + dc1) + t_diff;  // p=0 -> s=1
-    const CostT b1 = (c1 + dc1) + t_same;  // p=1 -> s=1
-    // Ties keep the non-inverted predecessor, like the Fig. 5 comparators.
-    if (b0 < a0) pred0 |= std::uint64_t{1} << i;
-    if (b1 < a1) pred1 |= std::uint64_t{1} << i;
-    c0 = b0 < a0 ? b0 : a0;
-    c1 = b1 < a1 ? b1 : a1;
-  }
-
-  std::uint64_t mask = 0;
-  int s = (c1 < c0) ? 1 : 0;
-  for (int i = n - 1; i >= 0; --i) {
-    if (s) mask |= std::uint64_t{1} << i;
-    s = static_cast<int>(((s ? pred1 : pred0) >> i) & 1);
-  }
-  return mask;
-}
-
-/// Stats + state update for an arbitrary (width, mask) pair; the
-/// generic twin of the packed chunk accounting in the fixed kernels.
-template <typename Beats>
-BurstStats apply_mask(const Beats& words, const BusConfig& cfg,
-                      std::uint64_t mask, BusState& state) {
-  const Word dq_mask = cfg.dq_mask();
-  Beat last = state.last;
-  BurstStats stats;
-  for (int i = 0; i < words.size(); ++i) {
-    const bool inv = (mask >> i) & 1U;
-    const Word x = inv ? (~words[i] & dq_mask) : (words[i] & dq_mask);
-    const bool dbi = !inv;
-    stats.zeros += cfg.width - std::popcount(x) + (dbi ? 0 : 1);
-    stats.transitions += std::popcount((last.dq ^ x) & dq_mask) +
-                         (last.dbi != dbi ? 1 : 0);
-    last = Beat{x, dbi};
-  }
-  state.last = last;
-  return stats;
+/// Whole bursts in a packed wide payload; throws naming `what` when the
+/// payload is not a multiple of the packed wide burst.
+std::size_t wide_burst_count(const char* what,
+                             std::span<const std::uint8_t> bytes,
+                             const dbi::WideBusConfig& cfg) {
+  const auto burst_bytes = static_cast<std::size_t>(cfg.bytes_per_burst());
+  if (bytes.size() % burst_bytes != 0)
+    throw std::invalid_argument(
+        std::string(what) + ": payload of " + std::to_string(bytes.size()) +
+        " bytes is not a multiple of the " + std::to_string(burst_bytes) +
+        "-byte packed wide burst (width " + std::to_string(cfg.width) +
+        ", " + std::to_string(cfg.groups()) + " groups, burst_length " +
+        std::to_string(cfg.burst_length) + ")");
+  return bytes.size() / burst_bytes;
 }
 
 }  // namespace
@@ -161,20 +96,11 @@ BurstResult BatchEncoder::encode_span(std::span<const Word> words,
       if (cfg.width == 8)
         return encode_fixed8(Fixed8Rule::kAcDc, WordBeats{words}, state);
       return encode_planar(PlanarRule::kAcDc, WordBeats{words}, cfg, state);
-    case Scheme::kOpt: {
-      BurstResult r;
-      r.invert_mask = trellis_mask_flat<double>(WordBeats{words}, cfg,
-                                                state.last, weights_);
-      r.stats = apply_mask(WordBeats{words}, cfg, r.invert_mask, state);
-      return r;
-    }
-    case Scheme::kOptFixed: {
-      BurstResult r;
-      r.invert_mask = trellis_mask_flat<std::int64_t>(
-          WordBeats{words}, cfg, state.last, dbi::IntCostWeights{1, 1});
-      r.stats = apply_mask(WordBeats{words}, cfg, r.invert_mask, state);
-      return r;
-    }
+    case Scheme::kOpt:
+      return encode_trellis<double>(WordBeats{words}, cfg, weights_, state);
+    case Scheme::kOptFixed:
+      return encode_trellis<std::int64_t>(WordBeats{words}, cfg,
+                                          kFixedWeights, state);
     default:
       break;
   }
@@ -242,15 +168,11 @@ BurstStats BatchEncoder::encode_packed(std::span<const std::uint8_t> bytes,
     }
     for (std::size_t i = 0; i < n; ++i, p += burst_bytes) {
       const kernels::ByteBeats beats{p, ibl};
-      BurstResult r;
-      if (scheme_ == Scheme::kOpt) {
-        r.invert_mask =
-            trellis_mask_flat<double>(beats, cfg, state.last, weights_);
-      } else {  // kOptFixed
-        r.invert_mask = trellis_mask_flat<std::int64_t>(
-            beats, cfg, state.last, dbi::IntCostWeights{1, 1});
-      }
-      r.stats = apply_mask(beats, cfg, r.invert_mask, state);
+      const BurstResult r =
+          scheme_ == Scheme::kOpt
+              ? encode_trellis<double>(beats, cfg, weights_, state)
+              : encode_trellis<std::int64_t>(beats, cfg, kFixedWeights,
+                                             state);
       totals += r.stats;
       if (results) results[i] = r;
     }
@@ -291,14 +213,8 @@ BurstStats BatchEncoder::encode_packed_group(
         " outside [0, " + std::to_string(groups) + ") of the width-" +
         std::to_string(cfg.width) + " bus");
   const auto burst_bytes = static_cast<std::size_t>(cfg.bytes_per_burst());
-  if (bytes.size() % burst_bytes != 0)
-    throw std::invalid_argument(
-        "BatchEncoder::encode_packed_group: payload of " +
-        std::to_string(bytes.size()) + " bytes is not a multiple of the " +
-        std::to_string(burst_bytes) + "-byte packed wide burst (width " +
-        std::to_string(cfg.width) + ", " + std::to_string(groups) +
-        " groups, burst_length " + std::to_string(cfg.burst_length) + ")");
-  const std::size_t n = bytes.size() / burst_bytes;
+  const std::size_t n =
+      wide_burst_count("BatchEncoder::encode_packed_group", bytes, cfg);
   const int bl = cfg.burst_length;
   const int gw = cfg.group_width(group);
   const BusConfig gcfg = cfg.group_config(group);
@@ -354,14 +270,10 @@ BurstStats BatchEncoder::encode_packed_group(
                     : encode_planar(PlanarRule::kAcDc, beats, gcfg, state);
         break;
       case Scheme::kOpt:
-        r.invert_mask =
-            trellis_mask_flat<double>(beats, gcfg, state.last, weights_);
-        r.stats = apply_mask(beats, gcfg, r.invert_mask, state);
+        r = encode_trellis<double>(beats, gcfg, weights_, state);
         break;
       case Scheme::kOptFixed:
-        r.invert_mask = trellis_mask_flat<std::int64_t>(
-            beats, gcfg, state.last, dbi::IntCostWeights{1, 1});
-        r.stats = apply_mask(beats, gcfg, r.invert_mask, state);
+        r = encode_trellis<std::int64_t>(beats, gcfg, kFixedWeights, state);
         break;
       default: {  // kExhaustive: materialise the group burst, scalar twin
         Burst data(gcfg);
@@ -389,6 +301,19 @@ BurstStats BatchEncoder::encode_packed_wide(std::span<const std::uint8_t> bytes,
         "BatchEncoder::encode_packed_wide: got " +
         std::to_string(states.size()) + " group states, width " +
         std::to_string(cfg.width) + " needs " + std::to_string(groups));
+  // OPT on eight full byte groups: one whole-burst trellis call, which
+  // the selected variant serves with all groups in one vector (the
+  // portable reference, outside its envelope, group by group).
+  if (scheme_ == Scheme::kOpt && trellis_wide8_geometry(cfg)) {
+    const std::size_t n =
+        wide_burst_count("BatchEncoder::encode_packed_wide", bytes, cfg);
+    const KernelVariant& k = kernel_->supports_trellis_wide8(cfg.burst_length)
+                                 ? *kernel_
+                                 : portable_kernel();
+    if (obs_) obs_->count_encode_dispatch(k, &k != kernel_);
+    return k.encode_trellis_wide8(bytes.data(), n, cfg.burst_length, weights_,
+                                  states.data(), results);
+  }
   BurstStats totals;
   for (int g = 0; g < groups; ++g)
     totals += encode_packed_group(
@@ -410,16 +335,23 @@ void BatchEncoder::encode_wide_lanes(const dbi::WideBusConfig& cfg,
           "BatchEncoder::encode_wide_lanes: lane needs " +
           std::to_string(groups) + " group states, got " +
           std::to_string(t.states.size()));
-  const auto units = static_cast<int>(lanes.size()) * groups;
-  // Every (lane, group) unit writes its own slot; totals reduce after
-  // the pool drained, so the run stays barrier- and atomic-free.
+  // One unit per (lane, group), or per lane when all groups of a burst
+  // advance together in one vector.
+  const int per_lane = encodes_whole_bursts(cfg) ? 1 : groups;
+  const auto units = static_cast<int>(lanes.size()) * per_lane;
+  // Every unit writes its own slot; totals reduce after the pool
+  // drained, so the run stays barrier- and atomic-free.
   std::vector<BurstStats> unit_totals(static_cast<std::size_t>(units));
-  auto run_unit = [this, &cfg, lanes, groups, &unit_totals](int u) {
-    WideLaneTask& t = lanes[static_cast<std::size_t>(u / groups)];
-    const int g = u % groups;
-    unit_totals[static_cast<std::size_t>(u)] = encode_packed_group(
-        t.bytes, cfg, g, t.states[static_cast<std::size_t>(g)],
-        t.results ? t.results + g : nullptr, static_cast<std::size_t>(groups));
+  auto run_unit = [this, &cfg, lanes, groups, per_lane, &unit_totals](int u) {
+    WideLaneTask& t = lanes[static_cast<std::size_t>(u / per_lane)];
+    const int g = u % per_lane;
+    unit_totals[static_cast<std::size_t>(u)] =
+        per_lane == 1
+            ? encode_packed_wide(t.bytes, cfg, t.states, t.results)
+            : encode_packed_group(t.bytes, cfg, g,
+                                  t.states[static_cast<std::size_t>(g)],
+                                  t.results ? t.results + g : nullptr,
+                                  static_cast<std::size_t>(groups));
   };
   if (pool) {
     pool->run(units, run_unit);
@@ -428,11 +360,17 @@ void BatchEncoder::encode_wide_lanes(const dbi::WideBusConfig& cfg,
   }
   for (std::size_t l = 0; l < lanes.size(); ++l) {
     lanes[l].totals = BurstStats{};
-    for (int g = 0; g < groups; ++g)
+    for (int g = 0; g < per_lane; ++g)
       lanes[l].totals +=
-          unit_totals[l * static_cast<std::size_t>(groups) +
+          unit_totals[l * static_cast<std::size_t>(per_lane) +
                       static_cast<std::size_t>(g)];
   }
+}
+
+bool BatchEncoder::encodes_whole_bursts(const dbi::WideBusConfig& cfg) const {
+  return scheme_ == Scheme::kOpt && trellis_wide8_geometry(cfg) &&
+         kernel_->isa() != KernelIsa::kPortable &&
+         kernel_->supports_trellis_wide8(cfg.burst_length);
 }
 
 BurstStats BatchEncoder::encode_lane(std::span<const Burst> bursts,

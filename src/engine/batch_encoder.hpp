@@ -18,7 +18,10 @@
 //   * OPT / OPT (Fixed) run through a flat, allocation-free trellis
 //     kernel that keeps both path metrics in registers and the
 //     predecessor bits in two 64-bit masks, instead of rebuilding
-//     vector-backed trellis state per burst.
+//     vector-backed trellis state per burst. OPT on an x64 bus (eight
+//     full byte groups) goes through the kernel registry's whole-burst
+//     trellis entry, which a SIMD variant serves with the eight groups
+//     as eight vector lanes.
 //   * Only the exhaustive-search ablation falls back to the scalar
 //     encoder; every Scheme is supported and bit-exact at every width.
 //
@@ -29,7 +32,9 @@
 // g's bytes read at stride groups(), zero widening pass), threading one
 // BusState per group. encode_wide_lanes shards (lane, group) units
 // across a ShardPool, so a single wide lane still parallelises
-// groups()-way.
+// groups()-way — except where the whole-burst SIMD trellis encodes all
+// groups of a burst at once (encodes_whole_bursts), which shards by
+// lane.
 //
 // Results are compact BurstResult records (inversion mask + stats), not
 // EncodedBursts: callers that need the physical beats call
@@ -86,13 +91,14 @@ class BatchEncoder {
   [[nodiscard]] dbi::Scheme scheme() const { return scheme_; }
   [[nodiscard]] std::string_view name() const;
 
-  /// The kernel variant serving this encoder's hot width-8 fixed-scheme
-  /// paths (encode_packed / encode_packed_group full byte groups).
-  /// Defaults to the registry's auto selection (CPUID detection plus
-  /// the DBI_KERNEL environment override); geometries outside the
-  /// variant's envelope fall back to the portable "swar" reference, so
-  /// results are bit-exact under every variant. The bit-plane and
-  /// trellis paths always run the portable kernels.
+  /// The kernel variant serving this encoder's hot paths: the width-8
+  /// fixed schemes (encode_packed / encode_packed_group full byte
+  /// groups) and OPT on x64 (encode_packed_wide). Defaults to the
+  /// registry's auto selection (CPUID detection plus the DBI_KERNEL
+  /// environment override); geometries outside the variant's envelope
+  /// fall back to the portable "swar" reference, so results are
+  /// bit-exact under every variant. The bit-plane paths and the
+  /// per-group trellis always run the portable kernels.
   void set_kernel(const KernelVariant& kernel) { kernel_ = &kernel; }
   [[nodiscard]] const KernelVariant& kernel() const { return *kernel_; }
 
@@ -149,7 +155,8 @@ class BatchEncoder {
   /// mmap'd wide chunks replay with no widening pass. When `results` is
   /// non-null it must hold bursts * cfg.groups() slots; burst i's group
   /// g is written to results[i * cfg.groups() + g]. Returns the summed
-  /// stats of all groups.
+  /// stats of all groups. OPT on eight full groups dispatches to the
+  /// kernel variant's whole-burst trellis (encode_trellis_wide8).
   dbi::BurstStats encode_packed_wide(std::span<const std::uint8_t> bytes,
                                      const dbi::WideBusConfig& cfg,
                                      std::span<dbi::BusState> states,
@@ -168,12 +175,19 @@ class BatchEncoder {
   /// Encodes many independent wide lanes, sharding at group
   /// granularity: unit (lane l, group g) runs on worker
   /// (l * cfg.groups() + g) % pool->workers() (deterministic), so even
-  /// a single x64 lane spreads across cfg.groups() workers. Without a
-  /// pool, units run serially in index order; results are identical
-  /// either way.
+  /// a single x64 lane spreads across cfg.groups() workers. When
+  /// encodes_whole_bursts(cfg), lane l is one unit on worker
+  /// l % pool->workers(). Without a pool, units run serially in index
+  /// order; results are identical either way.
   void encode_wide_lanes(const dbi::WideBusConfig& cfg,
                          std::span<WideLaneTask> lanes,
                          ShardPool* pool = nullptr) const;
+
+  /// True when encode_packed_wide hands `cfg` to the selected variant's
+  /// SIMD whole-burst trellis (OPT, eight full byte groups, burst length
+  /// in its envelope): every group of a burst advances in one vector,
+  /// so a lane is the natural shard unit, not a (lane, group) pair.
+  [[nodiscard]] bool encodes_whole_bursts(const dbi::WideBusConfig& cfg) const;
 
   /// Encodes many independent lanes. With a pool, lane i runs on worker
   /// i % pool->workers() (deterministic, work-stealing-free); without

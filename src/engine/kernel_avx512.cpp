@@ -18,6 +18,10 @@
 //     bytes with vpmovm2b, 64 transmitted bytes per step.
 //   * decode_wide8: burst_length % 8 == 0 — the 8x8 mask-tile transpose
 //     feeds vpmovm2b directly, one zmm per 8 wide beats.
+//   * encode_trellis_wide8: OPT on x64 at burst_length % 8 == 0 — the
+//     eight byte groups of a beat are the eight double lanes of a zmm,
+//     so one vector step advances every group's Viterbi by a beat (see
+//     the trellis section below for why it stays bit-exact).
 //
 // Bit-exactness vs the SWAR reference is structural: the flags computed
 // here are the same per-byte popcount thresholds, the prefix XOR is the
@@ -30,6 +34,7 @@
 #include <immintrin.h>
 
 #include <bit>
+#include <cstddef>
 #include <cstring>
 
 #include "engine/kernels_portable.hpp"
@@ -61,6 +66,81 @@ inline std::uint8_t prefix_xor8(std::uint8_t g) {
   return g;
 }
 
+// ------------------------------------------------------------ OPT trellis
+//
+// The vector trellis repeats kernels::trellis_mask_flat<double> lane by
+// lane, and is bit-exact against it without any build flag:
+//   * every weighted count (beta * zeros, alpha * transitions) is the
+//     scalar product the reference forms, computed once per call into a
+//     CostTable and looked up per lane, so no vector multiply exists;
+//   * every sum is one explicitly rounded IEEE add (add_rn) in the
+//     reference's order, (c + dc) + t. The per-file -mavx512f flags make
+//     FMA available, and gcc contracts plain a * b + c vector intrinsics
+//     into vfmadd, which rounds once and flips tie-prone decisions; a
+//     rounding-mode builtin is never contracted or reassociated;
+//   * decisions use the reference's `<` (_CMP_LT_OQ), and the surviving
+//     metric vminpd(b, a) is its `b < a ? b : a` (a on ties, so ties
+//     keep the non-inverted predecessor).
+
+// The apply step stores whole BurstResults as qword pairs.
+static_assert(sizeof(BurstResult) == 16 &&
+              offsetof(BurstResult, stats) == 8 &&
+              offsetof(dbi::BurstStats, zeros) == 0 &&
+              offsetof(dbi::BurstStats, transitions) == 4);
+
+/// Round-to-nearest double add that the compiler may not fuse.
+inline __m512d add_rn(__m512d a, __m512d b) {
+  return _mm512_maskz_add_round_pd(0xFF, a, b,
+                                   _MM_FROUND_TO_NEAREST_INT |
+                                       _MM_FROUND_NO_EXC);
+}
+
+/// weight * (base + step * k) for k = 0..9, looked up per lane by a
+/// vector of counts (vpermt2pd: 16 entries, 10 used).
+class CostTable {
+ public:
+  CostTable(double weight, int base, int step) {
+    alignas(64) double e[16] = {};
+    for (int k = 0; k < 10; ++k)
+      e[k] = weight * static_cast<double>(base + step * k);
+    lo_ = _mm512_load_pd(e);
+    hi_ = _mm512_load_pd(e + 8);
+  }
+  [[nodiscard]] __m512d operator[](__m512i counts) const {
+    return _mm512_permutex2var_pd(lo_, counts, hi_);
+  }
+
+ private:
+  __m512d lo_, hi_;
+};
+
+/// Beat t's eight per-group counts (bytes 8t..8t+7) as epi64 lanes.
+inline __m512i beat_counts(const std::uint8_t* counts, int t) {
+  return _mm512_maskz_cvtepu8_epi64(
+      0xFF, _mm_loadl_epi64(reinterpret_cast<const __m128i*>(counts + 8 * t)));
+}
+
+/// Beat k's predecessor for every beat of an 8-beat block: the block
+/// shifted up one beat, with `prev`'s last beat (lane 7) as beat 0's.
+inline __m512i beats_before(__m512i block, __m512i prev) {
+  return _mm512_maskz_alignr_epi64(0xFF, block, prev, 7);
+}
+
+/// Per-group sums of a beat-major count block (byte 8k + g, each
+/// <= 72 after accumulating 8 blocks of per-beat counts <= 9): lane g
+/// = the sum over the eight beat rows k.
+inline __m512i group_sums(__m512i counts) {
+  const __m512i w = _mm512_add_epi16(
+      _mm512_cvtepu8_epi16(_mm512_maskz_extracti64x4_epi64(0xF, counts, 0)),
+      _mm512_cvtepu8_epi16(_mm512_maskz_extracti64x4_epi64(0xF, counts, 1)));
+  const __m256i q =
+      _mm256_add_epi16(_mm512_maskz_extracti64x4_epi64(0xF, w, 0),
+                       _mm512_maskz_extracti64x4_epi64(0xF, w, 1));
+  return _mm512_maskz_cvtepu16_epi64(
+      0xFF, _mm_add_epi16(_mm256_castsi256_si128(q),
+                          _mm256_extracti128_si256(q, 1)));
+}
+
 class Avx512Kernel final : public KernelVariant {
  public:
   [[nodiscard]] std::string_view name() const override {
@@ -70,7 +150,8 @@ class Avx512Kernel final : public KernelVariant {
   [[nodiscard]] std::string_view envelope() const override {
     return "DC/AC/ACDC encode at burst length 8 (8 bursts per vector); "
            "width-8 and full-group wide decode at burst lengths divisible "
-           "by 8";
+           "by 8; x64 OPT trellis at burst lengths divisible by 8 (8 "
+           "groups per vector)";
   }
 
   [[nodiscard]] bool supports_fixed8(Fixed8Rule rule,
@@ -83,6 +164,10 @@ class Avx512Kernel final : public KernelVariant {
   }
   [[nodiscard]] bool supports_decode_wide8(int burst_length) const override {
     return burst_length % 8 == 0;
+  }
+  [[nodiscard]] bool supports_trellis_wide8(int burst_length) const override {
+    // Whole 8-beat blocks, at most 64 beats (the stack buffers below).
+    return burst_length > 0 && burst_length <= 64 && burst_length % 8 == 0;
   }
 
   dbi::BurstStats encode_fixed8(Fixed8Rule rule, const std::uint8_t* bytes,
@@ -281,6 +366,191 @@ class Avx512Kernel final : public KernelVariant {
             _mm512_xor_si512(v, _mm512_movm_epi8(static_cast<__mmask64>(tile))));
       }
     }
+  }
+
+  dbi::BurstStats encode_trellis_wide8(const std::uint8_t* bytes,
+                                       std::size_t bursts, int burst_length,
+                                       const dbi::CostWeights& w,
+                                       dbi::BusState* states,
+                                       BurstResult* results) const override {
+    if (!supports_trellis_wide8(burst_length))
+      return portable_kernel().encode_trellis_wide8(bytes, bursts,
+                                                    burst_length, w, states,
+                                                    results);
+    const int bl = burst_length;
+    const int blocks = bl / 8;
+    const auto bb = static_cast<std::size_t>(bl) * 8;
+    // Lane g of every vector below is byte group g. The reference's
+    // products, indexed by a count k: beta * zeros for state 0 (k ones)
+    // and state 1 (k + 1 DBI-low zeros); alpha * transitions against a
+    // predecessor in the same state (k) or the other one (9 - k).
+    const CostTable dc0(w.beta, 8, -1);
+    const CostTable dc1(w.beta, 1, 1);
+    const CostTable same(w.alpha, 0, 1);
+    const CostTable diff(w.alpha, 9, -1);
+    const __m512i one = _mm512_set1_epi64(1);
+    const __m512i eight = _mm512_set1_epi64(8);
+    const __m512i one8 = _mm512_set1_epi8(1);
+    const __m512i eight8 = _mm512_set1_epi8(8);
+    const __m512i nine8 = _mm512_set1_epi8(9);
+
+    // Line state carried across bursts: the last transmitted beat sits
+    // in lane 7 of `last_tx` (the only lane beats_before reads), the DBI
+    // levels in a lane mask.
+    std::uint64_t last_dq = 0;
+    __mmask8 dbi_high = 0;
+    for (int g = 0; g < 8; ++g) {
+      last_dq |= static_cast<std::uint64_t>(states[g].last.dq & 0xFFU)
+                 << (8 * g);
+      if (states[g].last.dbi) dbi_high |= static_cast<__mmask8>(1U << g);
+    }
+    __m512i last_tx =
+        _mm512_maskz_set1_epi64(0x80, static_cast<long long>(last_dq));
+    __m512i zeros_total = _mm512_setzero_si512();
+    __m512i transitions_total = _mm512_setzero_si512();
+
+    // Per beat t, byte 8t + g: ones of the raw beat, and its Hamming
+    // distance to the raw predecessor (beat 0: to the line state).
+    alignas(64) std::uint8_t ones[512];
+    alignas(64) std::uint8_t hd[512];
+    // Per beat, bit g: predecessor state of states 0 / 1 (beat 0 has
+    // none; the backtrack's last step reads its zeros).
+    std::uint8_t pred0[64] = {};
+    std::uint8_t pred1[64] = {};
+    // Per 8-beat block, the decode_wide8 mask tile of the backtracked
+    // decisions: bit 8k + g = beat k of group g inverted.
+    std::uint64_t tiles[8];
+
+    for (std::size_t i = 0; i < bursts; ++i) {
+      const std::uint8_t* p = bytes + i * bb;
+      __m512i prev = last_tx;
+      for (int b = 0; b < blocks; ++b) {
+        const __m512i v = _mm512_loadu_si512(p + 64 * b);
+        _mm512_store_si512(ones + 64 * b, byte_popcount512(v));
+        _mm512_store_si512(
+            hd + 64 * b,
+            byte_popcount512(_mm512_xor_si512(v, beats_before(v, prev))));
+        prev = v;
+      }
+
+      // Beat 0 against the line state: h0 + !dbi transitions keeping
+      // the beat, (8 - h0) + dbi inverting it.
+      const __m512i dbi = _mm512_maskz_mov_epi64(dbi_high, one);
+      __m512i k = beat_counts(ones, 0);
+      __m512i h = beat_counts(hd, 0);
+      __m512d c0 = add_rn(dc0[k], same[_mm512_sub_epi64(
+                                      _mm512_add_epi64(h, one), dbi)]);
+      __m512d c1 = add_rn(dc1[k], same[_mm512_add_epi64(
+                                      _mm512_sub_epi64(eight, h), dbi)]);
+      for (int t = 1; t < bl; ++t) {
+        k = beat_counts(ones, t);
+        h = beat_counts(hd, t);
+        const __m512d d0 = dc0[k];
+        const __m512d d1 = dc1[k];
+        const __m512d ts = same[h];
+        const __m512d td = diff[h];
+        const __m512d a0 = add_rn(add_rn(c0, d0), ts);  // p=0 -> s=0
+        const __m512d b0 = add_rn(add_rn(c1, d0), td);  // p=1 -> s=0
+        const __m512d a1 = add_rn(add_rn(c0, d1), td);  // p=0 -> s=1
+        const __m512d b1 = add_rn(add_rn(c1, d1), ts);  // p=1 -> s=1
+        const __mmask8 k0 = _mm512_cmp_pd_mask(b0, a0, _CMP_LT_OQ);
+        const __mmask8 k1 = _mm512_cmp_pd_mask(b1, a1, _CMP_LT_OQ);
+        pred0[t] = k0;
+        pred1[t] = k1;
+        c0 = _mm512_maskz_min_pd(0xFF, b0, a0);
+        c1 = _mm512_maskz_min_pd(0xFF, b1, a1);
+      }
+      // The last beat's decision is the final state itself, so the next
+      // burst's line state does not wait for the backtrack.
+      const __mmask8 last_inv = _mm512_cmp_pd_mask(c1, c0, _CMP_LT_OQ);
+      unsigned s = last_inv;
+      for (int b = blocks - 1; b >= 0; --b) {
+        std::uint64_t tile = 0;
+        for (int t = 8 * b + 7; t >= 8 * b; --t) {
+          tile |= static_cast<std::uint64_t>(s) << (8 * (t - 8 * b));
+          s = (s & pred1[t]) | (~s & pred0[t]);
+        }
+        tiles[b] = tile;
+      }
+      const __m512i next_tx = _mm512_xor_si512(
+          _mm512_loadu_si512(p + 64 * (blocks - 1)),
+          _mm512_movm_epi8(static_cast<__mmask64>(last_inv) << 56));
+
+      // Apply, straight from the raw counts: an inverted beat sends
+      // ones + 1 zeros (DBI low) instead of 8 - ones, and a beat whose
+      // decision differs from its predecessor's toggles 8 - h DQ lines
+      // instead of h, plus its DBI line. Beat 0's DQ predecessor is the
+      // transmitted line state (no flip), its DBI predecessor the line's
+      // level (inverted = low).
+      __m512i zeros_acc = _mm512_setzero_si512();
+      __m512i toggles_acc = _mm512_setzero_si512();
+      __m512i masks = _mm512_setzero_si512();
+      std::uint64_t dq_carry = 0;
+      std::uint64_t dbi_carry = static_cast<std::uint8_t>(~dbi_high);
+      for (int b = 0; b < blocks; ++b) {
+        const std::uint64_t tile = tiles[b];
+        const std::uint64_t dq_flips = tile ^ ((tile << 8) | dq_carry);
+        const std::uint64_t dbi_flips = tile ^ ((tile << 8) | dbi_carry);
+        dq_carry = dbi_carry = tile >> 56;
+        const __m512i kept_zeros =
+            _mm512_sub_epi8(eight8, _mm512_load_si512(ones + 64 * b));
+        zeros_acc = _mm512_add_epi8(
+            zeros_acc,
+            _mm512_mask_sub_epi8(kept_zeros, tile, nine8, kept_zeros));
+        const __m512i h8 = _mm512_load_si512(hd + 64 * b);
+        toggles_acc = _mm512_add_epi8(
+            toggles_acc, _mm512_mask_sub_epi8(h8, dq_flips, eight8, h8));
+        toggles_acc =
+            _mm512_mask_add_epi8(toggles_acc, dbi_flips, toggles_acc, one8);
+        // The tile's transpose holds the 8 per-group mask bytes.
+        masks = _mm512_or_si512(
+            masks,
+            _mm512_maskz_slli_epi64(
+                0xFF,
+                _mm512_maskz_cvtepu8_epi64(
+                    0xFF, _mm_cvtsi64_si128(static_cast<long long>(
+                              transpose8(tile)))),
+                static_cast<unsigned>(8 * b)));
+      }
+      last_tx = next_tx;
+      const __m512i zeros = group_sums(zeros_acc);
+      const __m512i transitions = group_sums(toggles_acc);
+      zeros_total = _mm512_add_epi64(zeros_total, zeros);
+      transitions_total = _mm512_add_epi64(transitions_total, transitions);
+      if (results) {
+        // Group g's BurstResult is the qword pair (mask, zeros |
+        // transitions << 32): interleave, then order groups 0-3 / 4-7.
+        const __m512i stats = _mm512_or_si512(
+            zeros, _mm512_maskz_slli_epi64(0xFF, transitions, 32));
+        const __m512i even = _mm512_maskz_unpacklo_epi64(0xFF, masks, stats);
+        const __m512i odd = _mm512_maskz_unpackhi_epi64(0xFF, masks, stats);
+        _mm512_storeu_si512(
+            results + i * 8,
+            _mm512_permutex2var_epi64(
+                even, _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0), odd));
+        _mm512_storeu_si512(
+            results + i * 8 + 4,
+            _mm512_permutex2var_epi64(
+                even, _mm512_set_epi64(15, 14, 7, 6, 13, 12, 5, 4), odd));
+      }
+      dbi_high = static_cast<__mmask8>(~last_inv);
+    }
+
+    alignas(64) std::uint64_t tx_lanes[8];
+    alignas(64) std::int64_t z[8];
+    alignas(64) std::int64_t tr[8];
+    _mm512_store_si512(tx_lanes, last_tx);
+    _mm512_store_si512(z, zeros_total);
+    _mm512_store_si512(tr, transitions_total);
+    dbi::BurstStats totals;
+    for (int g = 0; g < 8; ++g) {
+      states[g].last = dbi::Beat{
+          static_cast<dbi::Word>((tx_lanes[7] >> (8 * g)) & 0xFFU),
+          ((dbi_high >> g) & 1U) != 0};
+      totals.zeros += static_cast<int>(z[g]);
+      totals.transitions += static_cast<int>(tr[g]);
+    }
+    return totals;
   }
 };
 

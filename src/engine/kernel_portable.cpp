@@ -26,7 +26,7 @@ class PortableKernel final : public KernelVariant {
   [[nodiscard]] KernelIsa isa() const override { return KernelIsa::kPortable; }
   [[nodiscard]] std::string_view envelope() const override {
     return "every fixed rule, width and burst length (SWAR/bit-plane "
-           "reference)";
+           "reference); OPT trellis group by group";
   }
 
   [[nodiscard]] bool supports_fixed8(Fixed8Rule, int) const override {
@@ -36,6 +36,7 @@ class PortableKernel final : public KernelVariant {
     return true;
   }
   [[nodiscard]] bool supports_decode_wide8(int) const override { return true; }
+  [[nodiscard]] bool supports_trellis_wide8(int) const override { return true; }
 
   dbi::BurstStats encode_fixed8(Fixed8Rule rule, const std::uint8_t* bytes,
                                 std::size_t bursts, int burst_length,
@@ -122,6 +123,27 @@ class PortableKernel final : public KernelVariant {
         }
       }
     }
+  }
+
+  dbi::BurstStats encode_trellis_wide8(const std::uint8_t* bytes,
+                                       std::size_t bursts, int burst_length,
+                                       const dbi::CostWeights& w,
+                                       dbi::BusState* states,
+                                       BurstResult* results) const override {
+    // Group by group, each read in place at stride 8.
+    const dbi::BusConfig gcfg{8, burst_length};
+    const auto bb = static_cast<std::size_t>(burst_length) * 8;
+    dbi::BurstStats totals;
+    for (std::size_t g = 0; g < 8; ++g) {
+      const std::uint8_t* p = bytes + g;
+      for (std::size_t i = 0; i < bursts; ++i, p += bb) {
+        const BurstResult r = kernels::encode_trellis<double>(
+            kernels::StridedBeats{p, burst_length, 8}, gcfg, w, states[g]);
+        totals += r.stats;
+        if (results) results[i * 8 + g] = r;
+      }
+    }
+    return totals;
   }
 };
 

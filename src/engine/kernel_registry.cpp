@@ -71,6 +71,16 @@ const KernelVariant& hardware_default() {
 
 }  // namespace
 
+bool KernelVariant::supports_trellis_wide8(int) const { return false; }
+
+dbi::BurstStats KernelVariant::encode_trellis_wide8(
+    const std::uint8_t* bytes, std::size_t bursts, int burst_length,
+    const dbi::CostWeights& w, dbi::BusState* states,
+    BurstResult* results) const {
+  return portable_kernel().encode_trellis_wide8(bytes, bursts, burst_length, w,
+                                                states, results);
+}
+
 std::string_view isa_name(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kPortable:

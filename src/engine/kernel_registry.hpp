@@ -1,18 +1,19 @@
 // Kernel registry: runtime-dispatched variants of the engine's hot
-// fixed-scheme paths.
+// paths.
 //
 // The engine's inner loops — the width-8 SWAR batch encode, the strided
-// wide byte-group kernels, and the flag-masked XOR decode — exist in
-// several implementations: the portable SWAR reference ("swar", always
-// available) and explicit-SIMD variants (AVX2 / AVX-512 / NEON), each
-// compiled in its own TU with per-file -m flags so the binary stays
-// portable. A KernelVariant names one implementation, declares the ISA
-// it needs and the (rule, burst length) envelope its vector loops
-// accept, and exposes the three entry points BatchEncoder/BatchDecoder
-// dispatch through. Outside a variant's envelope the caller falls back
-// to the portable reference, so every geometry works under every
-// variant and results are bit-exact by construction (the SIMD TUs reuse
-// the portable kernels for their tails).
+// wide byte-group kernels, the x64 OPT trellis, and the flag-masked XOR
+// decode — exist in several implementations: the portable reference
+// ("swar", always available) and explicit-SIMD variants (AVX2 / AVX-512
+// / NEON), each compiled in its own TU with per-file -m flags so the
+// binary stays portable. A KernelVariant names one implementation,
+// declares the ISA it needs and the (rule, burst length) envelope its
+// vector loops accept, and exposes the entry points
+// BatchEncoder/BatchDecoder dispatch through. Outside a variant's
+// envelope the caller falls back to the portable reference, so every
+// geometry works under every variant and results are bit-exact by
+// construction (the SIMD TUs reuse the portable kernels for their
+// tails).
 //
 // Selection: default_kernel() picks the highest-priority variant whose
 // ISA the host CPU reports (__builtin_cpu_supports / getauxval), unless
@@ -60,7 +61,8 @@ enum class KernelIsa { kPortable, kAvx2, kAvx512, kNeon };
 enum class Fixed8Rule { kRaw, kDc, kAc, kAcDc };
 
 /// Maps a Scheme to its fixed width-8 rule; empty for the trellis /
-/// exhaustive schemes, which always run the portable kernels.
+/// exhaustive schemes, which run the trellis entry (OPT on x64) or the
+/// portable kernels.
 [[nodiscard]] constexpr std::optional<Fixed8Rule> fixed8_rule(
     dbi::Scheme scheme) {
   switch (scheme) {
@@ -77,7 +79,14 @@ enum class Fixed8Rule { kRaw, kDc, kAc, kAcDc };
   }
 }
 
-/// One implementation of the engine's hot fixed-scheme paths.
+/// Whether `cfg` has the layout of the whole-burst trellis entry
+/// (encode_trellis_wide8): eight full byte groups, i.e. x64.
+[[nodiscard]] constexpr bool trellis_wide8_geometry(
+    const dbi::WideBusConfig& cfg) {
+  return cfg.groups() == 8 && cfg.width % 8 == 0;
+}
+
+/// One implementation of the engine's hot paths.
 ///
 /// Entry-point contracts (callers check the supports_* envelope first;
 /// the portable reference supports everything):
@@ -98,6 +107,15 @@ enum class Fixed8Rule { kRaw, kDc, kAc, kAcDc };
 ///   decode_wide8: the groups()==8 wide fast path, in place over the
 ///   beat-major payload (8 bytes per beat, burst_length beats per
 ///   burst, 8 masks per burst in group order).
+///
+///   encode_trellis_wide8: OPT with double weights `w` over the same x64
+///   layout (trellis_wide8_geometry). Threads states[g] (8 entries)
+///   through all `bursts`, writes burst i's group g result to
+///   results[i * 8 + g] when `results` is non-null, and returns the
+///   stats summed over all groups — bit-exact against
+///   kernels::encode_trellis<double> run group by group. Variants
+///   without a trellis keep the defaults: unsupported, and the entry
+///   runs the portable reference.
 class KernelVariant {
  public:
   virtual ~KernelVariant() = default;
@@ -118,6 +136,7 @@ class KernelVariant {
   [[nodiscard]] virtual bool supports_decode8(
       const dbi::BusConfig& cfg) const = 0;
   [[nodiscard]] virtual bool supports_decode_wide8(int burst_length) const = 0;
+  [[nodiscard]] virtual bool supports_trellis_wide8(int burst_length) const;
 
   // --- entry points
   virtual dbi::BurstStats encode_fixed8(Fixed8Rule rule,
@@ -132,6 +151,12 @@ class KernelVariant {
                              std::uint8_t* out) const = 0;
   virtual void decode_wide8(std::uint8_t* data, const std::uint64_t* masks,
                             std::size_t bursts, int burst_length) const = 0;
+  virtual dbi::BurstStats encode_trellis_wide8(const std::uint8_t* bytes,
+                                               std::size_t bursts,
+                                               int burst_length,
+                                               const dbi::CostWeights& w,
+                                               dbi::BusState* states,
+                                               BurstResult* results) const;
 };
 
 /// Every variant compiled into this binary, selection priority order

@@ -1,9 +1,9 @@
-// Portable reference kernels: the SWAR byte-lane and bit-plane encode
-// paths, shared between the registry's always-available "swar" variant
-// (kernel_portable.cpp), BatchEncoder's Burst/word entry points, and
-// the SIMD variant TUs (which reuse them for tail bursts and for every
-// geometry outside their vector envelope, so fallbacks stay bit-exact
-// by construction).
+// Portable reference kernels: the SWAR byte-lane, bit-plane and trellis
+// encode paths, shared between the registry's always-available "swar"
+// variant (kernel_portable.cpp), BatchEncoder's Burst/word entry
+// points, and the SIMD variant TUs (which reuse them for tail bursts
+// and for every geometry outside their vector envelope, so fallbacks
+// stay bit-exact by construction).
 //
 // Everything here is allocation-free and branch-light:
 //   * width-8 groups pack 8 beats per 64-bit lane word (beat k in byte
@@ -11,7 +11,9 @@
 //     prefix XOR for the AC recurrence;
 //   * every other width (1..32) transposes the burst into one 64-bit
 //     plane per DQ line and decides all beats with bit-sliced vertical
-//     counters (see encode_planar below).
+//     counters (see encode_planar below);
+//   * OPT / OPT (Fixed) run the flat two-state trellis per group (see
+//     encode_trellis at the end).
 #pragma once
 
 #include <bit>
@@ -435,6 +437,101 @@ BurstResult encode_planar(PlanarRule rule, const Beats& beats,
     last_dbi = ((s_bits >> (n - 1)) & 1U) == 0;
   }
   state.last = dbi::Beat{last_dq, last_dbi};
+  return r;
+}
+
+// ------------------------------------------------------- trellis kernel
+//
+// Allocation-free Viterbi over the two-state trellis (see
+// core/trellis.cpp for the reference DP): both path metrics live in
+// registers and the predecessor decisions in two 64-bit masks, so a
+// burst costs zero heap traffic. Floating-point operation order matches
+// the reference solver exactly — (cur + dc) + alpha * trans — so the
+// result is bit-identical even on tie-prone weights.
+
+template <typename CostT, typename Beats, typename WeightsT>
+std::uint64_t trellis_mask_flat(const Beats& words, const dbi::BusConfig& cfg,
+                                const dbi::Beat& prev, const WeightsT& w) {
+  const int n = words.size();
+  const dbi::Word m = cfg.dq_mask();
+  const auto alpha = static_cast<CostT>(w.alpha);
+  const auto beta = static_cast<CostT>(w.beta);
+
+  std::uint64_t pred0 = 0;  // bit i: predecessor state of (beat i, state 0)
+  std::uint64_t pred1 = 0;  // bit i: predecessor state of (beat i, state 1)
+
+  const dbi::Word w0 = words[0] & m;
+  const int z0 = cfg.width - std::popcount(w0);
+  CostT c0 = beta * static_cast<CostT>(z0) +
+             alpha * static_cast<CostT>(std::popcount((prev.dq ^ w0) & m) +
+                                        (prev.dbi != true ? 1 : 0));
+  CostT c1 =
+      beta * static_cast<CostT>(cfg.width - z0 + 1) +
+      alpha * static_cast<CostT>(std::popcount((prev.dq ^ ~w0) & m) +
+                                 (prev.dbi != false ? 1 : 0));
+
+  for (int i = 1; i < n; ++i) {
+    const dbi::Word wc = words[i] & m;
+    const dbi::Word wp = words[i - 1] & m;
+    const int h = std::popcount(wp ^ wc);
+    const int ones = std::popcount(wc);
+    const CostT dc0 = beta * static_cast<CostT>(cfg.width - ones);
+    const CostT dc1 = beta * static_cast<CostT>(ones + 1);
+    // Same-state edges keep the DBI value (h raw transitions); opposite
+    // edges see the complemented predecessor plus the DBI toggle.
+    const CostT t_same = alpha * static_cast<CostT>(h);
+    const CostT t_diff = alpha * static_cast<CostT>(cfg.width - h + 1);
+
+    const CostT a0 = (c0 + dc0) + t_same;  // p=0 -> s=0
+    const CostT b0 = (c1 + dc0) + t_diff;  // p=1 -> s=0
+    const CostT a1 = (c0 + dc1) + t_diff;  // p=0 -> s=1
+    const CostT b1 = (c1 + dc1) + t_same;  // p=1 -> s=1
+    // Ties keep the non-inverted predecessor, like the Fig. 5 comparators.
+    if (b0 < a0) pred0 |= std::uint64_t{1} << i;
+    if (b1 < a1) pred1 |= std::uint64_t{1} << i;
+    c0 = b0 < a0 ? b0 : a0;
+    c1 = b1 < a1 ? b1 : a1;
+  }
+
+  std::uint64_t mask = 0;
+  int s = (c1 < c0) ? 1 : 0;
+  for (int i = n - 1; i >= 0; --i) {
+    if (s) mask |= std::uint64_t{1} << i;
+    s = static_cast<int>(((s ? pred1 : pred0) >> i) & 1);
+  }
+  return mask;
+}
+
+/// Stats + state update for an arbitrary (width, mask) pair; the
+/// generic twin of the packed chunk accounting in the fixed kernels.
+template <typename Beats>
+dbi::BurstStats apply_mask(const Beats& words, const dbi::BusConfig& cfg,
+                           std::uint64_t mask, dbi::BusState& state) {
+  const dbi::Word dq_mask = cfg.dq_mask();
+  dbi::Beat last = state.last;
+  dbi::BurstStats stats;
+  for (int i = 0; i < words.size(); ++i) {
+    const bool inv = (mask >> i) & 1U;
+    const dbi::Word x = inv ? (~words[i] & dq_mask) : (words[i] & dq_mask);
+    const bool dbi = !inv;
+    stats.zeros += cfg.width - std::popcount(x) + (dbi ? 0 : 1);
+    stats.transitions += std::popcount((last.dq ^ x) & dq_mask) +
+                         (last.dbi != dbi ? 1 : 0);
+    last = dbi::Beat{x, dbi};
+  }
+  state.last = last;
+  return stats;
+}
+
+/// One group burst under a trellis scheme: double weights for OPT,
+/// integer weights for OPT (Fixed). This per-group unit is the
+/// reference every whole-burst SIMD trellis is held to.
+template <typename CostT, typename Beats, typename WeightsT>
+BurstResult encode_trellis(const Beats& beats, const dbi::BusConfig& cfg,
+                           const WeightsT& w, dbi::BusState& state) {
+  BurstResult r;
+  r.invert_mask = trellis_mask_flat<CostT>(beats, cfg, state.last, w);
+  r.stats = apply_mask(beats, cfg, r.invert_mask, state);
   return r;
 }
 

@@ -65,6 +65,12 @@ void ShardPool::run(int shards, const std::function<void(int)>& fn) {
 
   if (const obs::Observer* obs = observer_.load(std::memory_order_acquire))
     obs->count_pool_run(shards);
+  // One shard has nothing to run beside it: waking every worker and
+  // waiting for all of them costs more than the shard on small chunks.
+  if (shards == 1) {
+    fn(0);
+    return;
+  }
 
   std::unique_lock<std::mutex> lock(mu_);
   if (fn_) throw std::logic_error("ShardPool::run: reentrant call");

@@ -1,11 +1,12 @@
 // ShardPool: a work-stealing-free thread pool for lane-group shards.
 //
-// Every run() distributes shards to workers by the fixed rule
-// shard -> worker (shard % workers), and each worker processes its
-// shards in increasing order. No stealing, no dynamic scheduling:
-// a given (workers, shards) pair always yields the same
-// shard-to-thread assignment and per-thread execution order, so
-// multi-threaded encoding runs are reproducible and debuggable.
+// Every run() of two or more shards distributes them to workers by the
+// fixed rule shard -> worker (shard % workers), and each worker
+// processes its shards in increasing order; a run of one shard executes
+// it on the calling thread. No stealing, no dynamic scheduling: a given
+// (workers, shards) pair always yields the same shard-to-thread
+// assignment and per-thread execution order, so multi-threaded encoding
+// runs are reproducible and debuggable.
 // Shards must write to disjoint state (the engine gives every lane its
 // own BusState and result span), which keeps the pool barrier-free.
 #pragma once
@@ -40,7 +41,9 @@ class ShardPool {
   /// worker s % workers(), workers process their shards in increasing
   /// order. Blocks until every shard finished. If any fn throws, the
   /// first exception (in worker index order) is rethrown here after all
-  /// workers went idle. Not reentrant; one run() at a time.
+  /// workers went idle. Not reentrant; one run() at a time. A single
+  /// shard runs on the calling thread instead (its exception propagates
+  /// directly); every run counts in the observer's pool counters.
   void run(int shards, const std::function<void(int shard)>& fn);
 
   /// A good default worker count for this machine.

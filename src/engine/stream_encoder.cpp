@@ -33,7 +33,6 @@ StreamEncoder::StreamEncoder(const BatchEncoder& encoder,
   opt_.validate();
   cfg_.validate();
   bytes_per_burst_ = static_cast<std::size_t>(cfg_.bytes_per_burst());
-  units_.resize(static_cast<std::size_t>(opt_.lanes));
   init(states);
 }
 
@@ -45,46 +44,52 @@ StreamEncoder::StreamEncoder(const BatchEncoder& encoder,
   opt_.validate();
   wcfg_.validate();
   groups_ = wcfg_.groups();
+  // A whole-burst kernel advances every group of a burst at once, so
+  // its unit is the lane; otherwise each (lane, group) is a unit.
+  unit_groups_ = encoder_.encodes_whole_bursts(wcfg_) ? groups_ : 1;
   bytes_per_burst_ = static_cast<std::size_t>(wcfg_.bytes_per_burst());
-  units_.resize(static_cast<std::size_t>(opt_.lanes) *
-                static_cast<std::size_t>(groups_));
   init(states);
 }
 
 void StreamEncoder::init(std::span<dbi::BusState> states) {
+  const std::size_t state_count = static_cast<std::size_t>(opt_.lanes) *
+                                  static_cast<std::size_t>(groups_);
+  units_.resize(state_count / static_cast<std::size_t>(unit_groups_));
   if (states.empty()) {
-    owned_states_.resize(units_.size());
+    owned_states_.resize(state_count);
     states_ = owned_states_;
     reset();
   } else {
     // Caller-owned line history (e.g. Session's persistent write
     // state): adopt it as-is — no reset, the caller decides when the
     // bus history restarts.
-    if (states.size() != units_.size())
+    if (states.size() != state_count)
       throw std::invalid_argument(
-          "StreamEncoder: expected " + std::to_string(units_.size()) +
+          "StreamEncoder: expected " + std::to_string(state_count) +
           " caller-owned states (lanes x groups), got " +
           std::to_string(states.size()));
     states_ = states;
   }
 }
 
-dbi::BusConfig StreamEncoder::unit_config(int unit) const {
-  return wide_ ? wcfg_.group_config(unit % groups_) : cfg_;
+dbi::BusConfig StreamEncoder::state_config(std::size_t s) const {
+  return wide_ ? wcfg_.group_config(static_cast<int>(
+                     s % static_cast<std::size_t>(groups_)))
+               : cfg_;
 }
 
 void StreamEncoder::reset() {
   bursts_ = 0;
-  for (std::size_t u = 0; u < units_.size(); ++u) {
-    states_[u] = dbi::BusState::all_ones(unit_config(static_cast<int>(u)));
-    units_[u].zeros = 0;
-    units_[u].transitions = 0;
+  reset_states();
+  for (StreamUnit& su : units_) {
+    su.zeros = 0;
+    su.transitions = 0;
   }
 }
 
 void StreamEncoder::reset_states() {
-  for (std::size_t u = 0; u < units_.size(); ++u)
-    states_[u] = dbi::BusState::all_ones(unit_config(static_cast<int>(u)));
+  for (std::size_t s = 0; s < states_.size(); ++s)
+    states_[s] = dbi::BusState::all_ones(state_config(s));
 }
 
 std::int64_t StreamEncoder::zeros() const {
@@ -103,15 +108,23 @@ void StreamEncoder::encode_unit_slice(int unit, std::int64_t first_burst,
                                       std::span<const std::uint8_t> payload,
                                       std::size_t count,
                                       bool collect_results) {
-  const dbi::BusConfig cfg = unit_config(unit);
-  const int lane = unit / groups_;
-  const int group = unit % groups_;
+  // Unit u covers groups [group, group + unit_groups_) of one lane:
+  // the lane's only group (narrow), one group, or every group.
+  const int units_per_lane = groups_ / unit_groups_;
+  const int lane = unit / units_per_lane;
+  const int group = (unit % units_per_lane) * unit_groups_;
+  // A single-group wide unit encodes one byte per beat.
+  const bool group_slice = wide_ && unit_groups_ == 1;
   obs::ScopedSpan unit_span(opt_.obs, obs::Stage::kEncodeUnit, lane, group);
   const std::size_t bb = bytes_per_burst_;
   const int L = opt_.lanes;
   StreamUnit& us = units_[static_cast<std::size_t>(unit)];
-  dbi::BusState& state = states_[static_cast<std::size_t>(unit)];
-  const bool want_results = collect_results;
+  const std::size_t first_state =
+      static_cast<std::size_t>(lane) * static_cast<std::size_t>(groups_) +
+      static_cast<std::size_t>(group);
+  const auto unit_groups = static_cast<std::size_t>(unit_groups_);
+  const std::span<dbi::BusState> states =
+      states_.subspan(first_state, unit_groups);
 
   // First chunk-local index owned by this lane (global index % L == lane).
   const auto base_mod =
@@ -124,19 +137,18 @@ void StreamEncoder::encode_unit_slice(int unit, std::int64_t first_burst,
   const std::size_t mine = (count - j0 + static_cast<std::size_t>(L) - 1) /
                            static_cast<std::size_t>(L);
 
-  // A wide unit encodes one byte per beat once its slice is gathered.
   const auto slice_bb =
-      wide_ ? static_cast<std::size_t>(wcfg_.burst_length) : bb;
+      group_slice ? static_cast<std::size_t>(wcfg_.burst_length) : bb;
 
   std::span<const std::uint8_t> bytes;
-  bool in_place_wide = false;
+  bool in_place = false;
   if (L == 1) {
     // Single-lane streams consume the chunk view in place — for
     // uncompressed trace chunks that is the mmap page itself (zero
-    // copy; wide groups read their bytes at stride groups()).
+    // copy; group units read their bytes at stride groups()).
     bytes = payload;
-    in_place_wide = wide_;
-  } else if (!wide_) {
+    in_place = true;
+  } else if (!group_slice) {
     obs::ScopedSpan gather_span(opt_.obs, obs::Stage::kGather, lane, group);
     us.bytes.resize(mine * bb);
     std::uint8_t* dst = us.bytes.data();
@@ -161,28 +173,47 @@ void StreamEncoder::encode_unit_slice(int unit, std::int64_t first_burst,
     }
     bytes = us.bytes;
   }
-  if (want_results) {
-    us.results.resize(mine);
-    us.positions.clear();
-    for (std::size_t j = j0; j < count; j += static_cast<std::size_t>(L))
-      us.positions.push_back(j);
+  // A whole-lane unit of a single-lane wide stream produces its results
+  // in chunk order (burst-major, every group), so it writes them in
+  // place; other units stage theirs for the scatter below.
+  const bool direct = L == 1 && unit_groups_ > 1;
+  BurstResult* results = nullptr;
+  if (collect_results) {
+    if (direct) {
+      results = chunk_results_.data();
+    } else {
+      us.results.resize(mine * unit_groups);
+      us.positions.clear();
+      for (std::size_t j = j0; j < count; j += static_cast<std::size_t>(L))
+        us.positions.push_back(j);
+      results = us.results.data();
+    }
   }
 
   auto encode_block = [&](std::span<const std::uint8_t> block_bytes,
-                          BurstResult* results) {
-    return in_place_wide
+                          BurstResult* block_results) {
+    if (!wide_)
+      return encoder_.encode_packed(block_bytes, cfg_, states[0],
+                                    block_results);
+    if (!group_slice)
+      return encoder_.encode_packed_wide(block_bytes, wcfg_, states,
+                                         block_results);
+    return in_place
                ? encoder_.encode_packed_group(block_bytes, wcfg_, group,
-                                              state, results)
-               : encoder_.encode_packed(block_bytes, cfg, state, results);
+                                              states[0], block_results)
+               : encoder_.encode_packed(block_bytes,
+                                        wcfg_.group_config(group), states[0],
+                                        block_results);
   };
-  const std::size_t step = in_place_wide ? bb : slice_bb;
+  const std::size_t step = group_slice && !in_place ? slice_bb : bb;
 
   if (opt_.reset_state_per_burst) {
     for (std::size_t k = 0; k < mine; ++k) {
-      state = dbi::BusState::all_ones(cfg);
+      for (std::size_t g = 0; g < unit_groups; ++g)
+        states[g] = dbi::BusState::all_ones(state_config(first_state + g));
       const dbi::BurstStats s =
           encode_block(bytes.subspan(k * step, step),
-                       want_results ? &us.results[k] : nullptr);
+                       results ? results + k * unit_groups : nullptr);
       us.zeros += s.zeros;
       us.transitions += s.transitions;
     }
@@ -191,17 +222,24 @@ void StreamEncoder::encode_unit_slice(int unit, std::int64_t first_burst,
       const std::size_t block = std::min(kAccumBlockBursts, mine - k0);
       const dbi::BurstStats s =
           encode_block(bytes.subspan(k0 * step, block * step),
-                       want_results ? us.results.data() + k0 : nullptr);
+                       results ? results + k0 * unit_groups : nullptr);
       us.zeros += s.zeros;
       us.transitions += s.transitions;
     }
   }
 
-  if (want_results) {
+  if (collect_results && !direct) {
     const auto g = static_cast<std::size_t>(groups_);
-    for (std::size_t k = 0; k < mine; ++k)
-      chunk_results_[us.positions[k] * g + static_cast<std::size_t>(group)] =
-          us.results[k];
+    for (std::size_t k = 0; k < mine; ++k) {
+      BurstResult* dst = chunk_results_.data() + us.positions[k] * g +
+                         static_cast<std::size_t>(group);
+      // One result per burst is the common case (narrow streams and
+      // group units); a generic copy of one element costs a call.
+      if (unit_groups == 1)
+        *dst = us.results[k];
+      else
+        std::copy_n(us.results.data() + k * unit_groups, unit_groups, dst);
+    }
   }
 }
 

@@ -6,9 +6,13 @@
 // and dbi::Session feeds it chunks pulled from any Source (in-RAM
 // packed spans, generators, trace views). The stream is interpreted
 // like a workload::Channel write sequence: burst g belongs to lane
-// g % lanes, and each (lane, byte group) pair is one shard unit with
-// its own threaded BusState — so a single x64 lane still spreads
-// across 8 workers. Totals accumulate in 64-bit counters internally
+// g % lanes, and each (lane, byte group) pair has its own threaded
+// BusState. Each (lane, group) pair is one shard unit — so a single x64
+// lane still spreads across 8 workers — unless the engine's kernel
+// encodes every group of a burst at once
+// (BatchEncoder::encodes_whole_bursts: OPT on x64 under a SIMD
+// variant), in which case each lane is one unit. Totals accumulate in
+// 64-bit counters internally
 // (chunks of any size are block-split so BurstStats's int fields never
 // overflow), and single-lane streams are encoded in place with zero
 // copy (wide groups read their bytes at stride groups()).
@@ -31,8 +35,8 @@ struct StreamEncodeOptions {
   /// Reset every unit to the all-ones boundary before each burst (the
   /// paper's per-burst assumption) instead of threading state.
   bool reset_state_per_burst = false;
-  /// Shard (lane, group) units across this pool; null encodes serially.
-  /// Results are identical either way.
+  /// Shard the units (see above) across this pool; null encodes
+  /// serially. Results are identical either way.
   ShardPool* pool = nullptr;
   /// Chunk counters + stage spans (encode_chunk / unit / gather); null
   /// disables. Must outlive the StreamEncoder or be detached first.
@@ -109,7 +113,8 @@ class StreamEncoder {
   void encode_unit_slice(int unit, std::int64_t first_burst,
                          std::span<const std::uint8_t> payload,
                          std::size_t burst_count, bool collect_results);
-  [[nodiscard]] dbi::BusConfig unit_config(int unit) const;
+  /// Bus config of line state s (lane-major, group-minor).
+  [[nodiscard]] dbi::BusConfig state_config(std::size_t s) const;
 
   const BatchEncoder& encoder_;
   dbi::BusConfig cfg_;       // narrow streams
@@ -117,11 +122,12 @@ class StreamEncoder {
   bool wide_ = false;
   StreamEncodeOptions opt_;
   int groups_ = 1;
+  int unit_groups_ = 1;  // groups per unit: 1, or groups_ for lane units
   std::size_t bytes_per_burst_ = 0;
   std::int64_t bursts_ = 0;
-  std::vector<StreamUnit> units_;       // lanes x groups, group-minor
+  std::vector<StreamUnit> units_;  // lane-major, group-minor
   std::vector<dbi::BusState> owned_states_;  // empty with external states
-  std::span<dbi::BusState> states_;     // one per unit
+  std::span<dbi::BusState> states_;  // lanes x groups, group-minor
   std::vector<BurstResult> chunk_results_;  // only when collecting
 };
 

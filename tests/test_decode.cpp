@@ -283,6 +283,19 @@ TEST(SessionRoundTrip, BitExactEverySchemeGeometryLanesAndPolicy) {
           Session enc_session(enc_spec);
           auto enc_source = make_packed_source(payload);
           EXPECT_EQ(enc_session.run(*enc_source), totals);
+
+          // Later runs on the same session start from all-ones line
+          // state again, whatever the previous run's length.
+          const auto head =
+              std::span<const std::uint8_t>(payload).first(payload.size() / 3);
+          auto head_source = make_packed_source(head);
+          auto enc_head_source = make_packed_source(head);
+          Session enc_head_session(enc_spec);
+          EXPECT_EQ(session.run(*head_source),
+                    enc_head_session.run(*enc_head_source));
+          auto again = make_packed_source(payload);
+          EXPECT_EQ(session.run(*again), totals);
+          EXPECT_TRUE(session.verify_report().ok());
         }
       }
     }

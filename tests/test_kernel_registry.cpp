@@ -189,18 +189,27 @@ TEST(KernelParity, NarrowPackedAllVariantsSchemesPolicies) {
 }
 
 /// Wide packed-stream parity (x12 exercises the remainder group, x16
-/// and x64 the strided full-group kernels).
+/// and x64 the strided full-group kernels). The reference encodes group
+/// by group through encode_packed_group on the portable kernels;
+/// `sparse_draws` > 1 ANDs that many uniform draws per byte (sparse,
+/// tie-prone payloads), and with_results = false checks the stats-only
+/// entry.
 void expect_wide_parity(const KernelVariant& variant, Scheme scheme,
                         const WideBusConfig& cfg, int bursts,
-                        std::uint64_t seed) {
-  engine::BatchEncoder ref(scheme);
+                        std::uint64_t seed, const CostWeights& w = {},
+                        bool with_results = true, int sparse_draws = 1) {
+  engine::BatchEncoder ref(scheme, w);
   ref.set_kernel(engine::portable_kernel());
-  engine::BatchEncoder dut(scheme);
+  engine::BatchEncoder dut(scheme, w);
   dut.set_kernel(variant);
 
   const auto groups = static_cast<std::size_t>(cfg.groups());
   const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
   auto bytes = random_bytes(static_cast<std::size_t>(bursts) * bb, seed);
+  for (int d = 1; d < sparse_draws; ++d) {
+    const auto more = random_bytes(bytes.size(), seed + 1000 * d);
+    for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] &= more[i];
+  }
   // Remainder-group bytes must fit the group's narrower mask.
   if (cfg.width % 8 != 0)
     for (std::size_t i = groups - 1; i < bytes.size(); i += groups)
@@ -214,19 +223,26 @@ void expect_wide_parity(const KernelVariant& variant, Scheme scheme,
     ref_states[g] = dut_states[g] =
         BusState::all_ones(cfg.group_config(static_cast<int>(g)));
 
-  const BurstStats want_totals =
-      ref.encode_packed_wide(bytes, cfg, ref_states, want.data());
-  const BurstStats got_totals =
-      dut.encode_packed_wide(bytes, cfg, dut_states, got.data());
-  EXPECT_EQ(got_totals, want_totals) << variant.name();
+  BurstStats want_totals;
   for (std::size_t g = 0; g < groups; ++g)
-    ASSERT_EQ(dut_states[g], ref_states[g]) << variant.name() << " group "
-                                            << g;
+    want_totals += ref.encode_packed_group(bytes, cfg, static_cast<int>(g),
+                                           ref_states[g], want.data() + g,
+                                           groups);
+  const BurstStats got_totals = dut.encode_packed_wide(
+      bytes, cfg, dut_states, with_results ? got.data() : nullptr);
+  const std::string label = std::string(variant.name()) + " " +
+                            std::string(scheme_name(scheme)) + " x" +
+                            std::to_string(cfg.width) + " bl " +
+                            std::to_string(cfg.burst_length) + " alpha " +
+                            std::to_string(w.alpha);
+  EXPECT_EQ(got_totals, want_totals) << label;
+  for (std::size_t g = 0; g < groups; ++g)
+    ASSERT_EQ(dut_states[g], ref_states[g]) << label << " group " << g;
+  if (!with_results) return;
   for (std::size_t i = 0; i < slots; ++i) {
     ASSERT_EQ(got[i].invert_mask, want[i].invert_mask)
-        << variant.name() << " " << scheme_name(scheme) << " slot " << i;
-    ASSERT_EQ(got[i].stats, want[i].stats)
-        << variant.name() << " " << scheme_name(scheme) << " slot " << i;
+        << label << " slot " << i;
+    ASSERT_EQ(got[i].stats, want[i].stats) << label << " slot " << i;
   }
 }
 
@@ -238,6 +254,26 @@ TEST(KernelParity, WidePackedAllVariantsAcrossGeometries) {
       expect_wide_parity(*v, s, WideBusConfig{64, 8}, 33, 23);
       expect_wide_parity(*v, s, WideBusConfig{64, 16}, 9, 29);
     }
+}
+
+TEST(KernelParity, WideOptTrellisAllVariantsWeightsAndResults) {
+  // x64 at BL8 / BL16 is the whole-burst trellis geometry (a SIMD
+  // variant serves it in-envelope, the rest fall back to the portable
+  // entry); x16 is outside it and runs group by group. (0.3, 0.7) is
+  // the canary for FMA contraction; (1, 1) makes integer-valued costs,
+  // so ties are common, and the sparse payload adds more of them.
+  for (const KernelVariant* v : usable_variants())
+    for (const CostWeights w :
+         {CostWeights{1, 1}, CostWeights{0.56, 0.44}, CostWeights{0.3, 0.7}})
+      for (const bool with_results : {true, false})
+        for (const int sparse_draws : {1, 3}) {
+          expect_wide_parity(*v, Scheme::kOpt, WideBusConfig{64, 8}, 33, 31,
+                             w, with_results, sparse_draws);
+          expect_wide_parity(*v, Scheme::kOpt, WideBusConfig{64, 16}, 9, 37,
+                             w, with_results, sparse_draws);
+          expect_wide_parity(*v, Scheme::kOpt, WideBusConfig{16, 8}, 33, 41,
+                             w, with_results, sparse_draws);
+        }
 }
 
 // ------------------------------------------------------- decode parity
@@ -412,11 +448,49 @@ TEST(KernelSession, ReportCoversTrellisAndPlanarPaths) {
   EXPECT_EQ(opt.kernel_report().trellis, "swar");
   EXPECT_EQ(opt.kernel_report().fixed_encode, "n/a");
 
+  // x64 OPT: the selected variant's whole-burst trellis where it serves
+  // the burst length; x16 is outside that geometry.
+  const KernelVariant& selected = engine::default_kernel();
+  spec.geometry = Geometry::wide(64, 8);
+  const Session wide_opt(spec);
+  EXPECT_EQ(wide_opt.kernel_report().trellis,
+            selected.supports_trellis_wide8(8) ? selected.name() : "swar");
+  spec.geometry = Geometry::wide(16, 8);
+  const Session x16_opt(spec);
+  EXPECT_EQ(x16_opt.kernel_report().trellis, "swar");
+
   spec.scheme = Scheme::kAc;
   spec.geometry = Geometry::narrow(5, 8);
   const Session planar(spec);
   EXPECT_EQ(planar.kernel_report().planar_encode, "swar");
   EXPECT_EQ(planar.kernel_report().fixed_encode, "n/a");
+}
+
+TEST(KernelSession, TrellisDispatchesCountedPerChunk) {
+  // A pinned variant that serves the x64 trellis takes one encode
+  // dispatch per chunk (one lane unit), never a fallback.
+  const auto bytes = random_bytes(300 * 64, 613);
+  for (const KernelVariant* v : usable_variants()) {
+    if (v->isa() == engine::KernelIsa::kPortable ||
+        !v->supports_trellis_wide8(8))
+      continue;
+    SessionSpec spec;
+    spec.scheme = Scheme::kOpt;
+    spec.geometry = Geometry::wide(64, 8);
+    spec.kernel = std::string(v->name());
+    spec.obs.level = obs::ObsLevel::kCounters;
+    Session session(spec);
+    const auto source = make_packed_source(bytes);
+    (void)session.run(*source);
+    const obs::Snapshot s = session.metrics_report();
+    EXPECT_EQ(s.value("dbi_kernel_dispatch_total",
+                      "kernel=\"" + std::string(v->name()) +
+                          "\",path=\"encode\""),
+              s.value("dbi_chunks_total"))
+        << v->name();
+    EXPECT_GE(s.value("dbi_chunks_total"), 1.0);
+    EXPECT_EQ(s.value("dbi_kernel_fallback_total", "path=\"encode\""), 0.0);
+  }
 }
 
 TEST(KernelSession, UnknownKernelThrowsWithCandidates) {

@@ -10,6 +10,7 @@
 
 #include "engine/batch_encoder.hpp"
 #include "engine/shard_pool.hpp"
+#include "obs/observer.hpp"
 #include "test_util.hpp"
 
 namespace dbi::engine {
@@ -83,6 +84,31 @@ TEST(ShardPool, PropagatesExceptions) {
   std::atomic<int> n{0};
   pool.run(4, [&](int) { ++n; });
   EXPECT_EQ(n.load(), 4);
+}
+
+TEST(ShardPool, SingleShardRunsOnCallerThreadAndCounts) {
+  // One shard skips the worker wake-up: it runs on the caller, its
+  // exception reaches the caller directly, and the run still counts.
+  obs::Observer obs(obs::ObsConfig{.level = obs::ObsLevel::kCounters});
+  ShardPool pool(3);
+  obs.attach_pool(pool);
+  std::thread::id ran_on;
+  int shard = -1;
+  pool.run(1, [&](int s) {
+    ran_on = std::this_thread::get_id();
+    shard = s;
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(shard, 0);
+  EXPECT_THROW(pool.run(1, [](int) { throw std::runtime_error("shard 0"); }),
+               std::runtime_error);
+  const obs::Snapshot snap = obs.snapshot();
+  EXPECT_EQ(snap.value("dbi_pool_runs_total"), 2.0);
+  EXPECT_EQ(snap.value("dbi_pool_shards_total"), 2.0);
+  // Multi-shard runs still go to the workers afterwards.
+  std::atomic<int> n{0};
+  pool.run(5, [&](int) { ++n; });
+  EXPECT_EQ(n.load(), 5);
 }
 
 TEST(ShardPool, ShardedEncodeLanesMatchesSerial) {

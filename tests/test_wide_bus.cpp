@@ -168,51 +168,57 @@ TEST(WideBus, EncodeWideLanesMatchesSerialAndPool) {
   constexpr int kLanes = 3;
   constexpr int kBursts = 64;
   const CostWeights w{0.56, 0.44};
-  const engine::BatchEncoder batch(Scheme::kAc, w);
+  // AC shards (lane, group) units; OPT on x64 shards whole lanes when
+  // the selected variant runs the whole-burst trellis.
+  for (const Scheme scheme : {Scheme::kAc, Scheme::kOpt}) {
+    const engine::BatchEncoder batch(scheme, w);
 
-  std::vector<std::vector<std::uint8_t>> lane_bytes;
-  for (int l = 0; l < kLanes; ++l)
-    lane_bytes.push_back(
-        random_wide_bytes(cfg, kBursts, 900 + static_cast<std::uint64_t>(l)));
+    std::vector<std::vector<std::uint8_t>> lane_bytes;
+    for (int l = 0; l < kLanes; ++l)
+      lane_bytes.push_back(random_wide_bytes(
+          cfg, kBursts, 900 + static_cast<std::uint64_t>(l)));
 
-  auto run = [&](engine::ShardPool* pool) {
-    std::vector<std::vector<BusState>> states(kLanes);
-    std::vector<std::vector<engine::BurstResult>> results(kLanes);
-    std::vector<engine::WideLaneTask> tasks(kLanes);
-    for (int l = 0; l < kLanes; ++l) {
-      states[static_cast<std::size_t>(l)].resize(
-          static_cast<std::size_t>(groups));
-      for (int g = 0; g < groups; ++g)
-        states[static_cast<std::size_t>(l)][static_cast<std::size_t>(g)] =
-            BusState::all_ones(cfg.group_config(g));
-      results[static_cast<std::size_t>(l)].resize(
-          static_cast<std::size_t>(kBursts) * static_cast<std::size_t>(groups));
-      tasks[static_cast<std::size_t>(l)] = engine::WideLaneTask{
-          lane_bytes[static_cast<std::size_t>(l)],
-          states[static_cast<std::size_t>(l)],
-          results[static_cast<std::size_t>(l)].data(),
-          {}};
-    }
-    batch.encode_wide_lanes(cfg, tasks, pool);
-    return std::make_tuple(std::move(states), std::move(results),
-                           tasks[0].totals, tasks[kLanes - 1].totals);
-  };
+    auto run = [&](engine::ShardPool* pool) {
+      std::vector<std::vector<BusState>> states(kLanes);
+      std::vector<std::vector<engine::BurstResult>> results(kLanes);
+      std::vector<engine::WideLaneTask> tasks(kLanes);
+      for (int l = 0; l < kLanes; ++l) {
+        states[static_cast<std::size_t>(l)].resize(
+            static_cast<std::size_t>(groups));
+        for (int g = 0; g < groups; ++g)
+          states[static_cast<std::size_t>(l)][static_cast<std::size_t>(g)] =
+              BusState::all_ones(cfg.group_config(g));
+        results[static_cast<std::size_t>(l)].resize(
+            static_cast<std::size_t>(kBursts) *
+            static_cast<std::size_t>(groups));
+        tasks[static_cast<std::size_t>(l)] = engine::WideLaneTask{
+            lane_bytes[static_cast<std::size_t>(l)],
+            states[static_cast<std::size_t>(l)],
+            results[static_cast<std::size_t>(l)].data(),
+            {}};
+      }
+      batch.encode_wide_lanes(cfg, tasks, pool);
+      return std::make_tuple(std::move(states), std::move(results),
+                             tasks[0].totals, tasks[kLanes - 1].totals);
+    };
 
-  const auto serial = run(nullptr);
-  engine::ShardPool pool(5);  // deliberately != lanes * groups
-  const auto sharded = run(&pool);
-  EXPECT_EQ(std::get<0>(serial), std::get<0>(sharded));
-  EXPECT_EQ(std::get<1>(serial), std::get<1>(sharded));
-  EXPECT_EQ(std::get<2>(serial), std::get<2>(sharded));
-  EXPECT_EQ(std::get<3>(serial), std::get<3>(sharded));
+    const auto serial = run(nullptr);
+    engine::ShardPool pool(5);  // deliberately != lanes * groups
+    const auto sharded = run(&pool);
+    EXPECT_EQ(std::get<0>(serial), std::get<0>(sharded));
+    EXPECT_EQ(std::get<1>(serial), std::get<1>(sharded));
+    EXPECT_EQ(std::get<2>(serial), std::get<2>(sharded));
+    EXPECT_EQ(std::get<3>(serial), std::get<3>(sharded));
 
-  // And the serial run must equal the single-call wide encode.
-  std::vector<BusState> states(static_cast<std::size_t>(groups));
-  for (int g = 0; g < groups; ++g)
-    states[static_cast<std::size_t>(g)] = BusState::all_ones(cfg.group_config(g));
-  const BurstStats direct =
-      batch.encode_packed_wide(lane_bytes[0], cfg, states);
-  EXPECT_EQ(direct, std::get<2>(serial));
+    // And the serial run must equal the single-call wide encode.
+    std::vector<BusState> states(static_cast<std::size_t>(groups));
+    for (int g = 0; g < groups; ++g)
+      states[static_cast<std::size_t>(g)] =
+          BusState::all_ones(cfg.group_config(g));
+    const BurstStats direct =
+        batch.encode_packed_wide(lane_bytes[0], cfg, states);
+    EXPECT_EQ(direct, std::get<2>(serial));
+  }
 }
 
 TEST(WideBus, RejectsBadGeometryWithIndexedDiagnostics) {

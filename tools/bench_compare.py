@@ -58,6 +58,12 @@ FACADE_FLOOR = 0.98
 # skipped-isa, never failed.
 KERNEL_ENCODE_FLOOR = 1.5
 KERNEL_FLOOR = 1.0
+KERNEL_PATHS = ("encode_x8", "encode_wide_x64", "decode_x8",
+                "decode_wide_x64")
+# Paths newer than some committed baselines: read only from rows that
+# carry them and gated only against a baseline that has them, with no
+# hard floor (variants without a trellis run the portable one, ~1.0x).
+KERNEL_OPTIONAL_PATHS = ("encode_opt_wide_x64",)
 # Observability: a kFull-instrumented replay (counters + stage spans at
 # the default strides: per-chunk stages exact, per-unit stages sampled)
 # may cost at most 2% throughput over the uninstrumented run.
@@ -111,11 +117,11 @@ def extract_metrics(name: str, doc: dict) -> dict[str, float]:
         for row in doc.get("kernels", []):
             if row["kernel"] == "swar" or not row["available"]:
                 continue  # the reference itself / ISA absent on this host
-            for path in ("encode_x8", "encode_wide_x64", "decode_x8",
-                         "decode_wide_x64"):
-                metrics[f"kernel_vs_swar/{row['kernel']}/{path}"] = (
-                    row[f"{path}_vs_swar"]
-                )
+            for path in KERNEL_PATHS + KERNEL_OPTIONAL_PATHS:
+                if f"{path}_vs_swar" in row:
+                    metrics[f"kernel_vs_swar/{row['kernel']}/{path}"] = (
+                        row[f"{path}_vs_swar"]
+                    )
         for row in doc.get("select", []):
             if row["mode"] == "fixed":
                 continue  # absolute rows, trend-only
@@ -165,6 +171,8 @@ def floor_for(metric: str) -> float | None:
             if metric == f"decode_vs_scalar/{geometry}/{scheme}":
                 return DECODE_FLOOR
     if metric.startswith("kernel_vs_swar/"):
+        if is_optional_kernel_path(metric):
+            return None
         if "/encode_" in metric and "/avx" in metric:
             return KERNEL_ENCODE_FLOOR
         return KERNEL_FLOOR
@@ -181,6 +189,11 @@ def floor_for(metric: str) -> float | None:
     if metric == "lake_replay_vs_per_file":
         return LAKE_REPLAY_FLOOR
     return None
+
+
+def is_optional_kernel_path(metric: str) -> bool:
+    return (metric.startswith("kernel_vs_swar/")
+            and metric.rsplit("/", 1)[1] in KERNEL_OPTIONAL_PATHS)
 
 
 def is_ceiling(metric: str) -> bool:
@@ -281,6 +294,8 @@ def main() -> int:
             rows.append((name, metric, base_value, cur_value, status))
 
         for metric in sorted(set(current) - set(baseline)):
+            if is_optional_kernel_path(metric):
+                continue  # gated once a baseline records it
             status = "new"
             floor = floor_for(metric)
             if floor is not None and current[metric] < floor:

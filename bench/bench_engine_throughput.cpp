@@ -388,8 +388,9 @@ DecodeReport run_decode_wide(Scheme scheme, int bursts, int repeats) {
 // measured on the five hot paths it can serve — narrow x8 fixed-scheme
 // encode, wide x64 byte-group encode, wide x64 OPT trellis encode, x8
 // decode, wide x64 decode — all through the public set_kernel dispatch,
-// same payload, same threaded states. Ratios are reported against the
-// portable reference measured in the same process;
+// same payload, same threaded states, plus the trace layer's CRC-32
+// (crc32_update over the x64 payload buffer, in GB/s). Ratios are
+// reported against the portable reference measured in the same process;
 // tools/bench_compare.py holds the SIMD fixed-scheme encode ratios to a
 // hard 1.5x floor (and the fixed paths to >= 1x) on hardware that has
 // the ISA, and records a skipped-isa status where CI does not.
@@ -401,6 +402,7 @@ struct KernelCaseReport {
   double encode_opt_wide_x64 = 0;  // mega-bursts/s, wide x64 BL8 OPT
   double decode_x8 = 0;
   double decode_wide_x64 = 0;
+  double crc32 = 0;  // GB/s, CRC-32 over the x64 payload's bytes
 };
 
 struct KernelWorkload {
@@ -544,6 +546,18 @@ KernelCaseReport run_kernel(const engine::KernelVariant& k,
       if (sink == 42) std::puts("");
       rep.decode_wide_x64 =
           std::max(rep.decode_wide_x64, bursts * repeats / dt / 1e6);
+    }
+    {
+      // The trace layer's checksum, over the same x64 payload buffer.
+      std::uint32_t sink = 0;
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int r = 0; r < repeats; ++r)
+        sink ^= k.crc32_update(0xFFFFFFFFU, wl.wide_payload);
+      const double dt = seconds_since(t0);
+      if (sink == 42) std::puts("");
+      rep.crc32 = std::max(
+          rep.crc32,
+          static_cast<double>(wl.wide_payload.size()) * repeats / dt / 1e9);
     }
   }
   return rep;
@@ -838,22 +852,25 @@ int main(int argc, char** argv) {
           "\"encode_wide_x64_mbursts_per_s\": %.2f, "
           "\"encode_opt_wide_x64_mbursts_per_s\": %.2f, "
           "\"decode_x8_mbursts_per_s\": %.2f, "
-          "\"decode_wide_x64_mbursts_per_s\": %.2f,\n"
+          "\"decode_wide_x64_mbursts_per_s\": %.2f, "
+          "\"crc32_gb_per_s\": %.2f,\n"
           "     \"encode_x8_vs_swar\": %.2f, "
           "\"encode_wide_x64_vs_swar\": %.2f, "
           "\"encode_opt_wide_x64_vs_swar\": %.2f, "
           "\"decode_x8_vs_swar\": %.2f, "
-          "\"decode_wide_x64_vs_swar\": %.2f}",
+          "\"decode_wide_x64_vs_swar\": %.2f, "
+          "\"crc32_vs_swar\": %.2f}",
           first ? "" : ",\n",
           std::string(r.variant->name()).c_str(),
           std::string(engine::isa_name(r.variant->isa())).c_str(),
           r.available ? "true" : "false", selected ? "true" : "false",
           r.encode_x8, r.encode_wide_x64, r.encode_opt_wide_x64, r.decode_x8,
-          r.decode_wide_x64, ratio(r.encode_x8, swar_rep.encode_x8),
+          r.decode_wide_x64, r.crc32, ratio(r.encode_x8, swar_rep.encode_x8),
           ratio(r.encode_wide_x64, swar_rep.encode_wide_x64),
           ratio(r.encode_opt_wide_x64, swar_rep.encode_opt_wide_x64),
           ratio(r.decode_x8, swar_rep.decode_x8),
-          ratio(r.decode_wide_x64, swar_rep.decode_wide_x64));
+          ratio(r.decode_wide_x64, swar_rep.decode_wide_x64),
+          ratio(r.crc32, swar_rep.crc32));
       first = false;
     }
     std::printf("\n  ],\n");

@@ -8,7 +8,9 @@
 // Envelope (everything else falls back to the portable reference):
 //   * encode_fixed8: DC / AC / ACDC at burst_length 8 (4 bursts/ymm);
 //   * decode_fixed8: width 8, burst_length % 8 == 0;
-//   * decode_wide8:  burst_length % 8 == 0.
+//   * decode_wide8:  burst_length % 8 == 0;
+//   * crc32_update:  64 bytes and up, the PCLMULQDQ fold of
+//     crc32_clmul.hpp when the host reports PCLMULQDQ.
 // See kernel_avx512.cpp for the shared algorithm notes; the scalar
 // per-burst AC boundary fixup and the stats identities are identical.
 #include "engine/kernel_variants.hpp"
@@ -20,6 +22,7 @@
 #include <bit>
 #include <cstring>
 
+#include "engine/crc32_clmul.hpp"
 #include "engine/kernels_portable.hpp"
 
 namespace dbi::engine {
@@ -64,7 +67,8 @@ class Avx2Kernel final : public KernelVariant {
   [[nodiscard]] std::string_view envelope() const override {
     return "DC/AC/ACDC encode at burst length 8 (4 bursts per vector); "
            "width-8 and full-group wide decode at burst lengths divisible "
-           "by 8";
+           "by 8; CRC-32 by a 4x128-bit PCLMULQDQ fold from 64 bytes "
+           "(where the host has PCLMULQDQ)";
   }
 
   [[nodiscard]] bool supports_fixed8(Fixed8Rule rule,
@@ -265,6 +269,12 @@ class Avx2Kernel final : public KernelVariant {
         }
       }
     }
+  }
+
+  [[nodiscard]] std::uint32_t crc32_update(
+      std::uint32_t state,
+      std::span<const std::uint8_t> bytes) const override {
+    return crc32_update_clmul(state, bytes);
   }
 };
 

@@ -22,6 +22,8 @@
 //     eight byte groups of a beat are the eight double lanes of a zmm,
 //     so one vector step advances every group's Viterbi by a beat (see
 //     the trellis section below for why it stays bit-exact).
+//   * crc32_update: 64 bytes and up, the PCLMULQDQ fold of
+//     crc32_clmul.hpp when the host reports PCLMULQDQ.
 //
 // Bit-exactness vs the SWAR reference is structural: the flags computed
 // here are the same per-byte popcount thresholds, the prefix XOR is the
@@ -37,6 +39,7 @@
 #include <cstddef>
 #include <cstring>
 
+#include "engine/crc32_clmul.hpp"
 #include "engine/kernels_portable.hpp"
 
 namespace dbi::engine {
@@ -151,7 +154,8 @@ class Avx512Kernel final : public KernelVariant {
     return "DC/AC/ACDC encode at burst length 8 (8 bursts per vector); "
            "width-8 and full-group wide decode at burst lengths divisible "
            "by 8; x64 OPT trellis at burst lengths divisible by 8 (8 "
-           "groups per vector)";
+           "groups per vector); CRC-32 by a 4x128-bit PCLMULQDQ fold from "
+           "64 bytes (where the host has PCLMULQDQ)";
   }
 
   [[nodiscard]] bool supports_fixed8(Fixed8Rule rule,
@@ -551,6 +555,12 @@ class Avx512Kernel final : public KernelVariant {
       totals.transitions += static_cast<int>(tr[g]);
     }
     return totals;
+  }
+
+  [[nodiscard]] std::uint32_t crc32_update(
+      std::uint32_t state,
+      std::span<const std::uint8_t> bytes) const override {
+    return crc32_update_clmul(state, bytes);
   }
 };
 

@@ -3,6 +3,7 @@
 // interface. Always compiled, always available, and the bit-exactness
 // anchor every SIMD variant is held to — its entry points are straight
 // loops over the shared kernels in kernels_portable.hpp.
+#include <array>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -20,13 +21,39 @@ namespace {
       std::to_string(width) + " bus");
 }
 
+/// Slicing-by-8 tables for the reflected CRC-32 polynomial: row 0 is the
+/// bytewise table, row k advances row k-1's entry by one more zero byte,
+/// so kCrcSlices[k][b] is byte b's contribution k bytes before the end
+/// of an 8-byte step.
+constexpr auto kCrcSlices = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1U) ? (0xEDB88320U ^ (c >> 1)) : (c >> 1);
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = t[0][t[k - 1][i] & 0xFFU] ^ (t[k - 1][i] >> 8);
+  return t;
+}();
+
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
 class PortableKernel final : public KernelVariant {
  public:
   [[nodiscard]] std::string_view name() const override { return "swar"; }
   [[nodiscard]] KernelIsa isa() const override { return KernelIsa::kPortable; }
   [[nodiscard]] std::string_view envelope() const override {
     return "every fixed rule, width and burst length (SWAR/bit-plane "
-           "reference); OPT trellis group by group";
+           "reference); OPT trellis group by group; CRC-32 by "
+           "slicing-by-8";
   }
 
   [[nodiscard]] bool supports_fixed8(Fixed8Rule, int) const override {
@@ -144,6 +171,26 @@ class PortableKernel final : public KernelVariant {
       }
     }
     return totals;
+  }
+
+  [[nodiscard]] std::uint32_t crc32_update(
+      std::uint32_t state,
+      std::span<const std::uint8_t> bytes) const override {
+    // Slicing-by-8: one 8-byte step is eight independent table lookups
+    // instead of a chain of eight dependent ones.
+    const auto& t = kCrcSlices;
+    const std::uint8_t* p = bytes.data();
+    std::size_t n = bytes.size();
+    std::uint32_t c = state;
+    for (; n >= 8; n -= 8, p += 8) {
+      const std::uint32_t lo = load_le32(p) ^ c;
+      const std::uint32_t hi = load_le32(p + 4);
+      c = t[7][lo & 0xFFU] ^ t[6][(lo >> 8) & 0xFFU] ^
+          t[5][(lo >> 16) & 0xFFU] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFU] ^
+          t[2][(hi >> 8) & 0xFFU] ^ t[1][(hi >> 16) & 0xFFU] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFFU] ^ (c >> 8);
+    return c;
   }
 };
 

@@ -81,6 +81,11 @@ dbi::BurstStats KernelVariant::encode_trellis_wide8(
                                                 states, results);
 }
 
+std::uint32_t KernelVariant::crc32_update(
+    std::uint32_t state, std::span<const std::uint8_t> bytes) const {
+  return portable_kernel().crc32_update(state, bytes);
+}
+
 std::string_view isa_name(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kPortable:

@@ -2,8 +2,9 @@
 // paths.
 //
 // The engine's inner loops — the width-8 SWAR batch encode, the strided
-// wide byte-group kernels, the x64 OPT trellis, and the flag-masked XOR
-// decode — exist in several implementations: the portable reference
+// wide byte-group kernels, the x64 OPT trellis, the flag-masked XOR
+// decode, and the trace layer's CRC-32 — exist in several
+// implementations: the portable reference
 // ("swar", always available) and explicit-SIMD variants (AVX2 / AVX-512
 // / NEON), each compiled in its own TU with per-file -m flags so the
 // binary stays portable. A KernelVariant names one implementation,
@@ -116,6 +117,14 @@ enum class Fixed8Rule { kRaw, kDc, kAc, kAcDc };
 ///   kernels::encode_trellis<double> run group by group. Variants
 ///   without a trellis keep the defaults: unsupported, and the entry
 ///   runs the portable reference.
+///
+///   crc32_update: advances the raw CRC-32 register `state` (ISO-HDLC,
+///   reflected polynomial 0xEDB88320; the register starts at
+///   0xFFFFFFFF and the checksum is its complement, as in
+///   trace::Crc32) over `bytes` and returns the new register. Any
+///   length, any alignment, any split of a stream into calls gives the
+///   one-shot result. Every variant serves it; the base-class default
+///   runs the portable reference (slicing-by-8).
 class KernelVariant {
  public:
   virtual ~KernelVariant() = default;
@@ -157,6 +166,8 @@ class KernelVariant {
                                                const dbi::CostWeights& w,
                                                dbi::BusState* states,
                                                BurstResult* results) const;
+  [[nodiscard]] virtual std::uint32_t crc32_update(
+      std::uint32_t state, std::span<const std::uint8_t> bytes) const;
 };
 
 /// Every variant compiled into this binary, selection priority order

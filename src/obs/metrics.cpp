@@ -272,7 +272,7 @@ Snapshot Registry::snapshot() const {
 // --------------------------------------------------------------- snapshot
 
 const MetricPoint* Snapshot::find(std::string_view name,
-                                  std::string_view labels) const {
+                                  std::string_view labels) const& {
   for (const MetricPoint& p : points)
     if (p.name == name && p.labels == labels) return &p;
   return nullptr;

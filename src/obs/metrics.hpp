@@ -113,8 +113,12 @@ struct Snapshot {
   /// {"metrics": [...]} — one object per point, stable field names.
   [[nodiscard]] std::string to_json() const;
 
+  /// The point, or nullptr; the pointer lives as long as the snapshot,
+  /// so a temporary (`observer.snapshot().find(...)`) does not compile.
   [[nodiscard]] const MetricPoint* find(std::string_view name,
-                                        std::string_view labels = "") const;
+                                        std::string_view labels = "") const&;
+  const MetricPoint* find(std::string_view name,
+                          std::string_view labels = "") const&& = delete;
   /// Counter / gauge value (histograms: the count); 0 when absent.
   [[nodiscard]] double value(std::string_view name,
                              std::string_view labels = "") const;

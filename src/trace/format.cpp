@@ -1,7 +1,8 @@
 #include "trace/format.hpp"
 
-#include <array>
 #include <cstring>
+
+#include "engine/kernel_registry.hpp"
 
 namespace dbi::trace {
 
@@ -43,27 +44,10 @@ void ByteReader::expect_magic(const std::uint8_t (&magic)[4],
 
 // ---------------------------------------------------------------- CRC-32
 
-namespace {
-
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k)
-      c = (c & 1U) ? (0xEDB88320U ^ (c >> 1)) : (c >> 1);
-    table[i] = c;
-  }
-  return table;
-}
-
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
-
-}  // namespace
+Crc32::Crc32() : kernel_(&engine::default_kernel()) {}
 
 void Crc32::update(std::span<const std::uint8_t> bytes) {
-  std::uint32_t c = state_;
-  for (const std::uint8_t b : bytes) c = kCrcTable[(c ^ b) & 0xFFU] ^ (c >> 8);
-  state_ = c;
+  state_ = kernel_->crc32_update(state_, bytes);
 }
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
@@ -104,7 +88,8 @@ void rle_decompress(std::span<const std::uint8_t> in,
                     std::span<std::uint8_t> out) {
   std::size_t ip = 0;
   std::size_t op = 0;
-  while (ip < in.size()) {
+  // One token with every check: long runs and the tail.
+  const auto checked_token = [&] {
     const std::uint8_t c = in[ip++];
     const std::size_t run = static_cast<std::size_t>(c & 0x7FU) + 1;
     if (op + run > out.size())
@@ -118,7 +103,28 @@ void rle_decompress(std::span<const std::uint8_t> in,
       ip += run;
     }
     op += run;
+  };
+  // Fast loop: with 17 input and 16 output bytes left, a run of up to 16
+  // bytes can neither overrun `out` nor be a truncated literal, and a
+  // fixed 16-byte move from in[ip + 1] to out[op] stays inside both
+  // spans. The bytes it writes past the run are rewritten by the tokens
+  // that follow (or the stream underfills and throws).
+  while (in.size() - ip >= 17 && out.size() - op >= 16) {
+    const std::uint8_t c = in[ip];
+    const std::size_t run = static_cast<std::size_t>(c & 0x7FU) + 1;
+    if (run > 16) {
+      checked_token();
+    } else if (c & 0x80U) {
+      std::memset(out.data() + op, 0, 16);
+      ip += 1;
+      op += run;
+    } else {
+      std::memcpy(out.data() + op, in.data() + ip + 1, 16);
+      ip += 1 + run;
+      op += run;
+    }
   }
+  while (ip < in.size()) checked_token();
   if (op != out.size())
     throw TraceError("rle: decoded size " + std::to_string(op) +
                      " != expected " + std::to_string(out.size()));

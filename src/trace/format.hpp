@@ -1,6 +1,7 @@
 // Binary trace format v2/v3: the on-disk layout shared by TraceWriter
 // and TraceReader, plus the small codecs (CRC-32, zero-run RLE, packed
-// little-endian beat words) both sides use.
+// little-endian beat words) both sides use. The CRC-32 runs through the
+// engine's kernel registry (see Crc32).
 //
 // File layout (all integers little-endian):
 //
@@ -94,6 +95,10 @@
 
 #include "core/types.hpp"
 
+namespace dbi::engine {
+class KernelVariant;
+}
+
 namespace dbi::trace {
 
 /// Every malformed-file condition surfaces as a TraceError (corrupted
@@ -167,13 +172,19 @@ class ByteReader {
 // ---------------------------------------------------------------- CRC-32
 
 /// Streaming CRC-32 (ISO-HDLC, polynomial 0xEDB88320 reflected — the
-/// zlib/PNG checksum).
+/// zlib/PNG checksum), computed through the engine's kernel registry:
+/// each object resolves engine::default_kernel() once (DBI_KERNEL
+/// applies) and feeds its crc32_update entry — slicing-by-8 in "swar",
+/// a PCLMULQDQ fold in the x86 SIMD variants. Every variant gives the
+/// same checksum, so the choice only changes speed.
 class Crc32 {
  public:
+  Crc32();
   void update(std::span<const std::uint8_t> bytes);
   [[nodiscard]] std::uint32_t value() const { return ~state_; }
 
  private:
+  const engine::KernelVariant* kernel_;
   std::uint32_t state_ = 0xFFFFFFFFU;
 };
 
@@ -189,7 +200,11 @@ void rle_compress(std::span<const std::uint8_t> in,
                   std::vector<std::uint8_t>& out);
 
 /// Decodes into `out`, which must be filled exactly; short, overlong and
-/// truncated token streams throw TraceError.
+/// truncated token streams throw TraceError. Runs of up to 16 bytes are
+/// written as one fixed 16-byte store while at least 17 input and 16
+/// output bytes remain (the bytes past the run are rewritten by the
+/// tokens that follow); longer runs and the tail are decoded token by
+/// token with every check. Output is unspecified after a throw.
 void rle_decompress(std::span<const std::uint8_t> in,
                     std::span<std::uint8_t> out);
 

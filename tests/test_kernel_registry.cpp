@@ -2,11 +2,15 @@
 // deterministic, misuse throws with the candidate list, and — the core
 // guarantee — every compiled-in variant is bit-exact against the
 // portable "swar" reference on every path: same masks, same stats, same
-// threaded state, same decoded bytes, with or without a pool.
+// threaded state, same decoded bytes, the same CRC-32, with or without
+// a pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/kernels.hpp"
@@ -16,6 +20,7 @@
 #include "engine/batch_encoder.hpp"
 #include "engine/kernel_registry.hpp"
 #include "engine/shard_pool.hpp"
+#include "trace/format.hpp"
 #include "workload/rng.hpp"
 
 namespace dbi {
@@ -365,6 +370,69 @@ TEST(KernelParity, WideDecodeAllVariantsMatchesPortableAndRoundTrips) {
 // The width-60 case above is also a regression guard: 8 groups with a
 // narrow remainder used to take the all-groups-full fast path, XORing
 // a full 0xFF into the width-4 remainder group's flagged beats.
+
+// ------------------------------------------------------------- CRC-32
+
+/// One byte of the reflected CRC-32, a bit at a time: the definition
+/// every table and fold is checked against.
+std::uint32_t crc32_bitwise_step(std::uint32_t state, std::uint8_t byte) {
+  state ^= byte;
+  for (int k = 0; k < 8; ++k)
+    state = (state & 1U) ? (state >> 1) ^ 0xEDB88320U : state >> 1;
+  return state;
+}
+
+TEST(KernelParity, Crc32AllVariantsMatchBitwiseReference) {
+  // Lengths cover the fold's 64-byte entry point, its 16-byte blocks and
+  // the slicing-by-8 tails; offsets move the start off every alignment.
+  const auto variants = usable_variants();
+  const auto bytes = random_bytes(1100 + 16, 509);
+  const std::uint32_t starts[] = {0xFFFFFFFFU, 0x12345678U};
+  for (const std::uint32_t start : starts)
+    for (std::size_t off = 0; off < 16; ++off) {
+      std::uint32_t want = start;
+      for (std::size_t len = 0; len <= 1100; ++len) {
+        if (len > 0) want = crc32_bitwise_step(want, bytes[off + len - 1]);
+        const std::span<const std::uint8_t> in(bytes.data() + off, len);
+        for (const KernelVariant* v : variants)
+          ASSERT_EQ(v->crc32_update(start, in), want)
+              << v->name() << " len " << len << " offset " << off;
+      }
+    }
+
+  // Streaming: random splits of one buffer, through each variant's raw
+  // register and through trace::Crc32, equal the one-shot checksum.
+  const std::span<const std::uint8_t> all(bytes);
+  const std::uint32_t one_shot = trace::crc32(all);
+  workload::Xoshiro256 rng(510);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::size_t> cuts{0, all.size()};
+    for (std::uint64_t k = rng.next() % 8; k > 0; --k)
+      cuts.push_back(rng.next() % (all.size() + 1));
+    std::sort(cuts.begin(), cuts.end());
+    trace::Crc32 crc;
+    std::vector<std::uint32_t> states(variants.size(), 0xFFFFFFFFU);
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      const auto piece = all.subspan(cuts[i], cuts[i + 1] - cuts[i]);
+      crc.update(piece);
+      for (std::size_t v = 0; v < states.size(); ++v)
+        states[v] = variants[v]->crc32_update(states[v], piece);
+    }
+    ASSERT_EQ(crc.value(), one_shot) << "trial " << trial;
+    for (std::size_t v = 0; v < states.size(); ++v)
+      ASSERT_EQ(~states[v], one_shot)
+          << variants[v]->name() << " trial " << trial;
+  }
+
+  // The ISO-HDLC check value.
+  const std::string_view check = "123456789";
+  const std::span<const std::uint8_t> check_bytes(
+      reinterpret_cast<const std::uint8_t*>(check.data()), check.size());
+  EXPECT_EQ(trace::crc32(check_bytes), 0xCBF43926U);
+  for (const KernelVariant* v : variants)
+    EXPECT_EQ(~v->crc32_update(0xFFFFFFFFU, check_bytes), 0xCBF43926U)
+        << v->name();
+}
 
 // ------------------------------------------------- pool determinism
 

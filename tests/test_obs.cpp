@@ -374,8 +374,9 @@ TEST(Observer, CountersLevelWritesNoTrace) {
     ScopedSpan span(&obs, Stage::kEncodeChunk, 1, 2);
     EXPECT_FALSE(span.active());
   }
+  const Snapshot s = obs.snapshot();
   const MetricPoint* p =
-      obs.snapshot().find("dbi_stage_duration_ns", "stage=\"encode_chunk\"");
+      s.find("dbi_stage_duration_ns", "stage=\"encode_chunk\"");
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->count, 0u);
 }

@@ -2,11 +2,14 @@
 // and rejection of corrupted / truncated files.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "trace/convert.hpp"
@@ -381,6 +384,98 @@ TEST(TraceFormat, WriterRejectsChunkCapacityBeyondU32PayloadField) {
   EXPECT_THROW(TraceWriter(os, BusConfig{8, 8}, opt), std::invalid_argument);
 }
 
+/// Byte-at-a-time reference for the zero-run RLE token stream: the
+/// decoded bytes, or nullopt for a stream rle_decompress must reject.
+std::optional<std::vector<std::uint8_t>> rle_reference(
+    std::span<const std::uint8_t> in, std::size_t out_size) {
+  std::vector<std::uint8_t> out;
+  std::size_t ip = 0;
+  while (ip < in.size()) {
+    const std::uint8_t c = in[ip++];
+    for (int k = 0; k <= (c & 0x7F); ++k) {
+      if (out.size() == out_size) return std::nullopt;  // overlong
+      if (c & 0x80) {
+        out.push_back(0);
+      } else {
+        if (ip == in.size()) return std::nullopt;  // truncated literal
+        out.push_back(in[ip++]);
+      }
+    }
+  }
+  if (out.size() != out_size) return std::nullopt;  // underfill
+  return out;
+}
+
+/// A token stream under construction, with its decoded size.
+struct RleStream {
+  std::vector<std::uint8_t> bytes;
+  std::size_t decoded = 0;
+
+  void zeros(std::size_t n) {
+    bytes.push_back(static_cast<std::uint8_t>(0x80U | (n - 1)));
+    decoded += n;
+  }
+  /// Control byte for an n-byte literal run, then `present` of its
+  /// bytes (fewer than n: a truncated run).
+  void literal(std::size_t n, std::size_t present) {
+    bytes.push_back(static_cast<std::uint8_t>(n - 1));
+    for (std::size_t k = 0; k < present; ++k)
+      bytes.push_back(static_cast<std::uint8_t>(0x41 + (decoded + k) % 61));
+    decoded += n;
+  }
+  void literal(std::size_t n) { literal(n, n); }
+};
+
+/// Short literal and zero runs until the stream holds >= 32 bytes: a
+/// valid prefix the fast loop decodes before the token under test.
+RleStream valid_prefix() {
+  RleStream s;
+  while (s.bytes.size() < 32) {
+    s.literal(5);
+    s.zeros(3);
+  }
+  return s;
+}
+
+/// rle_decompress agrees with the reference: both reject, or both
+/// accept with the same bytes. The output starts as 0xA5 garbage, so a
+/// byte that the over-copy wrote and no later token rewrote shows up.
+void expect_rle_matches_reference(std::span<const std::uint8_t> in,
+                                  std::size_t out_size,
+                                  const std::string& what) {
+  const auto want = rle_reference(in, out_size);
+  std::vector<std::uint8_t> got(out_size, 0xA5);
+  bool threw = false;
+  try {
+    rle_decompress(in, got);
+  } catch (const TraceError&) {
+    threw = true;
+  }
+  ASSERT_EQ(threw, !want.has_value()) << what;
+  if (want) {
+    ASSERT_EQ(got, *want) << what;
+  }
+}
+
+/// `s`, then the `malformed` token, then `after`, decoded into
+/// `out_size` bytes, must be rejected by the reference and throw from
+/// rle_decompress. `fast` says whether the fast loop's guard holds when
+/// the decoder reaches the malformed token (checked here).
+void expect_rle_rejects(RleStream s, std::size_t out_size,
+                        const std::vector<std::uint8_t>& malformed,
+                        const std::vector<std::uint8_t>& after, bool fast,
+                        const std::string& what) {
+  // Bytes left when the decoder reaches the malformed token.
+  const std::size_t in_left = malformed.size() + after.size();
+  const std::size_t out_left = out_size - s.decoded;
+  EXPECT_EQ(in_left >= 17 && out_left >= 16, fast) << what;
+  s.bytes.insert(s.bytes.end(), malformed.begin(), malformed.end());
+  s.bytes.insert(s.bytes.end(), after.begin(), after.end());
+  ASSERT_FALSE(rle_reference(s.bytes, out_size).has_value()) << what;
+  std::vector<std::uint8_t> out(out_size);
+  EXPECT_THROW(rle_decompress(s.bytes, out), TraceError) << what;
+}
+
 TEST(TraceFormat, RleRejectsMalformedStreams) {
   std::vector<std::uint8_t> out(8);
   // Truncated literal run: control promises 4 literals, 1 present.
@@ -392,6 +487,91 @@ TEST(TraceFormat, RleRejectsMalformedStreams) {
   // Underfill: decodes 4 of 8 bytes.
   const std::vector<std::uint8_t> underfill{0x83};
   EXPECT_THROW(rle_decompress(underfill, out), TraceError);
+
+  // The same malformations behind a >= 32-byte valid prefix, once where
+  // the fast loop's guard (17 input, 16 output bytes left) holds at the
+  // malformed token and once within the stream's last 17 bytes, where
+  // the tail loop meets it. A run of up to 16 bytes can be neither
+  // truncated nor overlong while the guard holds, so those reach the
+  // tail loop from both placements; that is the fast loop's safety
+  // argument, and the guard check below pins it.
+  const RleStream prefix = valid_prefix();
+  const std::vector<std::uint8_t> filler(20, 0x80);  // 20 one-zero tokens
+  for (const std::size_t n : {1, 16, 17, 128}) {
+    const std::string tag = " run " + std::to_string(n);
+    // Truncated literal: n promised, n - 1 present (fast placement) or
+    // at most 15 present (within the last 17 bytes).
+    for (const std::size_t present :
+         {n - 1, std::min<std::size_t>(n - 1, 15)}) {
+      RleStream lit;
+      lit.literal(n, present);
+      expect_rle_rejects(prefix, prefix.decoded + n, lit.bytes, {},
+                         present >= 16, "truncated literal" + tag);
+    }
+    // Overlong zero and literal runs: one byte more than `out` has left,
+    // then more tokens (fast placement), or into an output with fewer
+    // than 16 bytes left (tail placement).
+    for (const bool zeros : {true, false}) {
+      RleStream run;
+      if (zeros) {
+        run.zeros(n);
+      } else {
+        run.literal(n);
+      }
+      const std::string kind = zeros ? "overlong zero" : "overlong literal";
+      expect_rle_rejects(prefix, prefix.decoded + n - 1, run.bytes, filler,
+                         n >= 17, kind + tag);
+      expect_rle_rejects(prefix,
+                         prefix.decoded + std::min<std::size_t>(n - 1, 15),
+                         run.bytes, {}, false, kind + " (tail)" + tag);
+    }
+    // Underfill: a long literal ends the stream n bytes short, or a
+    // short zero run does.
+    RleStream last;
+    last.literal(40);
+    expect_rle_rejects(prefix, prefix.decoded + 40 + n, last.bytes, {}, true,
+                       "underfill after a long run" + tag);
+    expect_rle_rejects(prefix, prefix.decoded + 3 + n, {0x82}, {}, false,
+                       "underfill" + tag);
+  }
+}
+
+TEST(TraceFormat, RleRunsOfEveryLengthMatchReference) {
+  // Every run length of both token kinds, starting at output offsets
+  // 0..31, last in the stream (tail loop, or the fast loop's checked
+  // path for long literals) or followed by 21 bytes of short tokens (the
+  // fast loop's 16-byte moves, whose over-copied bytes the next tokens
+  // must rewrite). Exact, one-short and one-long outputs each.
+  for (const bool zeros : {true, false})
+    for (std::size_t len = 1; len <= 128; ++len)
+      for (std::size_t offset = 0; offset < 32; ++offset)
+        for (const bool suffix : {false, true}) {
+          RleStream s;
+          if (offset > 0) s.literal(offset);
+          if (zeros) {
+            s.zeros(len);
+          } else {
+            s.literal(len);
+          }
+          if (suffix) {
+            s.literal(6);
+            s.zeros(4);
+            s.literal(7);
+            s.zeros(2);
+            s.literal(3);
+          }
+          const std::string what = std::string(zeros ? "zeros" : "literal") +
+                                   " len " + std::to_string(len) +
+                                   " offset " + std::to_string(offset) +
+                                   (suffix ? " +suffix" : "");
+          for (const std::size_t out_size :
+               {s.decoded, s.decoded - 1, s.decoded + 1}) {
+            expect_rle_matches_reference(s.bytes, out_size, what);
+            ASSERT_EQ(rle_reference(s.bytes, out_size).has_value(),
+                      out_size == s.decoded)
+                << what;
+          }
+        }
 }
 
 TEST(TraceFormat, RleRoundTripsArbitraryBytes) {

@@ -62,8 +62,9 @@ KERNEL_PATHS = ("encode_x8", "encode_wide_x64", "decode_x8",
                 "decode_wide_x64")
 # Paths newer than some committed baselines: read only from rows that
 # carry them and gated only against a baseline that has them, with no
-# hard floor (variants without a trellis run the portable one, ~1.0x).
-KERNEL_OPTIONAL_PATHS = ("encode_opt_wide_x64",)
+# hard floor (variants without a trellis run the portable one, ~1.0x;
+# the CRC-32 fold needs PCLMULQDQ on top of the variant's ISA).
+KERNEL_OPTIONAL_PATHS = ("encode_opt_wide_x64", "crc32")
 # Observability: a kFull-instrumented replay (counters + stage spans at
 # the default strides: per-chunk stages exact, per-unit stages sampled)
 # may cost at most 2% throughput over the uninstrumented run.

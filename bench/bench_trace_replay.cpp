@@ -333,13 +333,13 @@ int main(int argc, char** argv) {
   }
 
   // Trace lake: a three-member x8 corpus replayed through the catalog
-  // (replay_lake, sequential with readahead) against the same member
-  // files replayed one by one with per-file Sessions — the catalog
-  // machinery plus the cross-member merge may cost at most 10%
-  // (lake_vs_per_file gates at a hard 0.9 floor). The readahead
-  // on-vs-off ratio measures what the prefetch thread buys on this
-  // machine; it is trend-gated only (warm page caches make it ~1.0,
-  // cold NFS-ish storage makes it >1).
+  // (replay_lake) against the same member files replayed one by one
+  // with per-file Sessions, both without a pool — the catalog machinery
+  // plus the cross-member merge may cost at most 10% (lake_vs_per_file
+  // gates at a hard 0.9 floor). pool_vs_serial is replay_lake with its
+  // members sharded across the bench's pool against the same call with
+  // no pool: the same-process "N workers vs 1" ratio, reported with no
+  // floor.
   {
     namespace fs = std::filesystem;
     const char* tmp = std::getenv("TMPDIR");
@@ -378,57 +378,75 @@ int main(int argc, char** argv) {
     }
     lw.write();
     const auto lake_reader = lake::LakeReader::open(lake_dir);
-    const double total =
-        static_cast<double>(bursts) * static_cast<double>(repeats);
 
     SessionSpec spec;
     spec.scheme = Scheme::kAc;
     spec.geometry = Geometry::of(lane);
     spec.lanes = lanes;
     spec.weights = w;
-    spec.pool = &pool;
 
-    // Reference arm: each member replayed alone, fresh Session and
-    // reader per file (exactly what replay_lake does internally, minus
-    // the catalog and the merge).
-    double per_file_mbps = 0;
-    {
+    // Overhead arms, both without a pool. Reference: each member
+    // replayed alone, fresh Session and reader per file (exactly what
+    // replay_lake does without a pool, minus the catalog and the
+    // merge). Each round runs the reference and replay_lake
+    // back-to-back (order alternating), then replay_lake on the pool,
+    // and yields one paired ratio of each kind; both ratios are medians
+    // across rounds, as for the obs ratio above, so one noisy round
+    // cannot decide the gate.
+    const auto per_file_once = [&] {
       const auto t0 = std::chrono::steady_clock::now();
-      for (int r = 0; r < repeats; ++r) {
-        for (std::size_t m = 0; m < lake_reader.members().size(); ++m) {
-          const auto member_reader =
-              trace::TraceReader::open(lake_reader.member_path(m));
-          Session session(spec);
-          const auto source = make_trace_source(member_reader);
-          (void)session.run(*source);
-        }
+      for (std::size_t m = 0; m < lake_reader.members().size(); ++m) {
+        const auto member_reader =
+            trace::TraceReader::open(lake_reader.member_path(m));
+        Session session(spec);
+        const auto source = make_trace_source(member_reader);
+        (void)session.run(*source);
       }
-      per_file_mbps = total / seconds_since(t0) / 1e6;
-    }
-
-    const auto run_lake = [&](bool readahead) {
-      lake::LakeReplayOptions opt;
-      opt.readahead = readahead;
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int r = 0; r < repeats; ++r)
-        (void)lake::replay_lake(lake_reader, spec, opt);
-      return total / seconds_since(t0) / 1e6;
+      return seconds_since(t0);
     };
-    const double lake_off_mbps = run_lake(false);
-    const double lake_mbps = run_lake(true);
+    const auto lake_once = [&](const SessionSpec& lake_spec) {
+      const auto t0 = std::chrono::steady_clock::now();
+      (void)lake::replay_lake(lake_reader, lake_spec);
+      return seconds_since(t0);
+    };
+    SessionSpec pooled_spec = spec;
+    pooled_spec.pool = &pool;
+    const int rounds = std::max(4 * repeats, 16);
+    double per_file_s = 0;
+    double serial_s = 0;
+    double pooled_s = 0;
+    std::vector<double> overhead_ratios;
+    std::vector<double> pool_ratios;
+    for (int r = 0; r < rounds; ++r) {
+      const bool lake_first = (r & 1) != 0;
+      double lake_t = lake_first ? lake_once(spec) : 0;
+      const double file_t = per_file_once();
+      if (!lake_first) lake_t = lake_once(spec);
+      const double pooled_t = lake_once(pooled_spec);
+      per_file_s += file_t;
+      serial_s += lake_t;
+      pooled_s += pooled_t;
+      overhead_ratios.push_back(file_t / lake_t);
+      pool_ratios.push_back(lake_t / pooled_t);
+    }
+    const auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    const double round_bursts =
+        static_cast<double>(rounds) * static_cast<double>(bursts);
     fs::remove_all(lake_dir);
 
     std::printf("  \"lake\": {\"members\": %zu, \"bursts\": %lld, "
                 "\"per_file_mbursts_per_s\": %.2f, "
                 "\"lake_mbursts_per_s\": %.2f, \"lake_vs_per_file\": %.3f, "
-                "\"readahead_off_mbursts_per_s\": %.2f, "
-                "\"readahead_on_vs_off\": %.3f}\n",
+                "\"serial_mbursts_per_s\": %.2f, "
+                "\"pool_vs_serial\": %.3f}\n",
                 lake_reader.members().size(),
                 static_cast<long long>(lake_reader.total_bursts()),
-                per_file_mbps, lake_mbps,
-                per_file_mbps > 0 ? lake_mbps / per_file_mbps : 0,
-                lake_off_mbps,
-                lake_off_mbps > 0 ? lake_mbps / lake_off_mbps : 0);
+                round_bursts / per_file_s / 1e6, round_bursts / pooled_s / 1e6,
+                median(overhead_ratios), round_bursts / serial_s / 1e6,
+                median(pool_ratios));
   }
   std::printf("}\n");
   return 0;

@@ -570,11 +570,10 @@ StreamStats Session::run_decode(Source& source, Sink& sink) {
       if (obs_) obs_->chunks.inc();
       if (spec_.geometry.is_wide())
         decoder_.decode_packed_wide(c->bytes, c->masks,
-                                    spec_.geometry.wide_bus(), decoded,
-                                    pool());
+                                    spec_.geometry.wide_bus(), decoded);
       else
         decoder_.decode_packed(c->bytes, c->masks, spec_.geometry.bus(),
-                               decoded, pool());
+                               decoded);
     }
     SinkChunk chunk;
     chunk.first_burst = first_burst;
@@ -676,14 +675,14 @@ StreamStats Session::run_roundtrip(Source& source, Sink& sink) {
       // the receiver over it — all on the same buffer.
       wire.assign(bytes.begin(), bytes.end());
       if (wide)
-        decoder_.apply_packed_wide(wire, masks, wide_cfg, wire, pool());
+        decoder_.apply_packed_wide(wire, masks, wide_cfg, wire);
       else
-        decoder_.apply_packed(wire, masks, narrow_cfg, wire, pool());
+        decoder_.apply_packed(wire, masks, narrow_cfg, wire);
       if (spec_.fault_injector) spec_.fault_injector(first_burst, wire, masks);
       if (wide)
-        decoder_.decode_packed_wide(wire, masks, wide_cfg, wire, pool());
+        decoder_.decode_packed_wide(wire, masks, wide_cfg, wire);
       else
-        decoder_.decode_packed(wire, masks, narrow_cfg, wire, pool());
+        decoder_.decode_packed(wire, masks, narrow_cfg, wire);
 
       verify_.bursts += n;
       if (std::memcmp(wire.data(), bytes.data(), wire.size()) != 0) {

@@ -118,10 +118,9 @@ VerifyReport verify_encoded_trace(const trace::TraceReader& reader,
     const auto stored = reader.chunk_masks(c, mask_scratch, masks);
     payload.resize(tx.size());
     if (h.wide())
-      decoder.decode_packed_wide(tx, stored, h.wide_config(), payload,
-                                 pool.get());
+      decoder.decode_packed_wide(tx, stored, h.wide_config(), payload);
     else
-      decoder.decode_packed(tx, stored, h.cfg, payload, pool.get());
+      decoder.decode_packed(tx, stored, h.cfg, payload);
     engine::StreamEncoder& stream =
         mixed ? stream_for(info.scheme_tag, shared_states)
               : stream_for(0, {});

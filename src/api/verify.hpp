@@ -67,8 +67,8 @@ struct VerifyOptions {
   CostWeights weights{};         ///< parameterises kOpt / kExhaustive
   std::optional<int> lanes;
   std::optional<bool> reset_per_burst;
-  /// >= 2: shard the re-encode (and decode ranges) across an internal
-  /// pool of this many workers.
+  /// >= 2: shard the re-encode across an internal pool of this many
+  /// workers.
   int threads = 0;
   /// Non-null: kernel dispatch counters, stage spans and run totals of
   /// the verify pass land in this observer (must outlive the call).

@@ -1,6 +1,5 @@
 #include "engine/batch_decoder.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -34,26 +33,6 @@ void check_mask_tails(std::span<const std::uint64_t> masks, int burst_length,
       "BatchDecoder: burst " + std::to_string(burst) + " beat " +
       std::to_string(beat) + ": transmitted word exceeds the width-" +
       std::to_string(width) + " bus");
-}
-
-/// Splits `bursts` into one contiguous range per worker. Decoding
-/// threads no state, so the split is purely a load balancer and the
-/// output is bit-identical with or without the pool.
-template <typename Fn>
-void shard_bursts(std::size_t bursts, ShardPool* pool, const Fn& fn) {
-  constexpr std::size_t kMinBurstsPerWorker = 256;
-  const int workers = pool ? pool->workers() : 1;
-  if (!pool || workers <= 1 || bursts < 2 * kMinBurstsPerWorker) {
-    fn(std::size_t{0}, bursts);
-    return;
-  }
-  const auto w = static_cast<std::size_t>(workers);
-  const std::size_t per = (bursts + w - 1) / w;
-  pool->run(workers, [&](int r) {
-    const std::size_t b0 = static_cast<std::size_t>(r) * per;
-    if (b0 >= bursts) return;
-    fn(b0, std::min(per, bursts - b0));
-  });
 }
 
 }  // namespace
@@ -104,8 +83,7 @@ void BatchDecoder::decode_range(std::span<const std::uint8_t> tx,
 void BatchDecoder::decode_packed(std::span<const std::uint8_t> tx,
                                  std::span<const std::uint64_t> masks,
                                  const dbi::BusConfig& cfg,
-                                 std::span<std::uint8_t> out,
-                                 ShardPool* pool) const {
+                                 std::span<std::uint8_t> out) const {
   cfg.validate();
   const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
   if (tx.size() % bb != 0)
@@ -128,10 +106,7 @@ void BatchDecoder::decode_packed(std::span<const std::uint8_t> tx,
         std::to_string(tx.size()));
   check_mask_tails(masks, cfg.burst_length, 1);
 
-  shard_bursts(n, pool, [&](std::size_t b0, std::size_t count) {
-    decode_range(tx.subspan(b0 * bb, count * bb), masks.subspan(b0, count),
-                 cfg, out.subspan(b0 * bb, count * bb));
-  });
+  decode_range(tx, masks, cfg, out);
 }
 
 void BatchDecoder::decode_range_wide(std::span<const std::uint8_t> tx,
@@ -186,8 +161,7 @@ void BatchDecoder::decode_range_wide(std::span<const std::uint8_t> tx,
 void BatchDecoder::decode_packed_wide(std::span<const std::uint8_t> tx,
                                       std::span<const std::uint64_t> masks,
                                       const dbi::WideBusConfig& cfg,
-                                      std::span<std::uint8_t> out,
-                                      ShardPool* pool) const {
+                                      std::span<std::uint8_t> out) const {
   cfg.validate();
   const int groups = cfg.groups();
   const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
@@ -212,12 +186,7 @@ void BatchDecoder::decode_packed_wide(std::span<const std::uint8_t> tx,
         std::to_string(tx.size()));
   check_mask_tails(masks, cfg.burst_length, groups);
 
-  const auto gs = static_cast<std::size_t>(groups);
-  shard_bursts(n, pool, [&](std::size_t b0, std::size_t count) {
-    decode_range_wide(tx.subspan(b0 * bb, count * bb),
-                      masks.subspan(b0 * gs, count * gs), cfg,
-                      out.subspan(b0 * bb, count * bb));
-  });
+  decode_range_wide(tx, masks, cfg, out);
 }
 
 dbi::Burst BatchDecoder::decode_scalar(const dbi::BusConfig& cfg,

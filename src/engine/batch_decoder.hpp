@@ -31,9 +31,12 @@
 // apply_packed / apply_packed_wide are the documented aliases Session
 // and the encoded-trace sink use to materialise the wire stream.
 //
-// Decoding threads no line state, so bursts are independent and a
-// ShardPool splits any call into contiguous burst ranges (results are
-// identical with or without a pool).
+// Every call decodes on the calling thread: the kernels run at memory
+// speed, and at the sizes callers decode per call (trace chunks default
+// to 4096 bursts, 256 KB at x64) a fork-join does not pay. On a 4-vCPU
+// AVX-512 VM a 4-thread x64 OPT round trip of 4096 bursts took 378-392
+// us per op with its apply and decode split across a pinned pool, 329
+// us without.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +45,10 @@
 #include "core/burst.hpp"
 #include "core/types.hpp"
 #include "engine/kernel_registry.hpp"
-#include "engine/shard_pool.hpp"
+
+namespace dbi::obs {
+class Observer;
+}
 
 namespace dbi::engine {
 
@@ -68,12 +74,11 @@ class BatchDecoder {
   /// little-endian bytes each) given one inversion mask per burst.
   /// `out` must be tx.size() bytes and may alias `tx` exactly (decode
   /// in place). Transmitted beats outside cfg.dq_mask() and mask bits
-  /// at or beyond burst_length throw. With a pool, contiguous burst
-  /// ranges decode on different workers.
+  /// at or beyond burst_length throw.
   void decode_packed(std::span<const std::uint8_t> tx,
                      std::span<const std::uint64_t> masks,
-                     const dbi::BusConfig& cfg, std::span<std::uint8_t> out,
-                     ShardPool* pool = nullptr) const;
+                     const dbi::BusConfig& cfg,
+                     std::span<std::uint8_t> out) const;
 
   /// Wide multi-group twin: `tx` holds beat-major packed wide bursts
   /// (cfg.bytes_per_burst() bytes each, byte g of a beat = group g) and
@@ -82,24 +87,22 @@ class BatchDecoder {
   void decode_packed_wide(std::span<const std::uint8_t> tx,
                           std::span<const std::uint64_t> masks,
                           const dbi::WideBusConfig& cfg,
-                          std::span<std::uint8_t> out,
-                          ShardPool* pool = nullptr) const;
+                          std::span<std::uint8_t> out) const;
 
   /// Encode-direction aliases: the conditional lane XOR is an
   /// involution, so applying masks to a payload yields the transmitted
   /// stream through the very same kernels.
   void apply_packed(std::span<const std::uint8_t> payload,
                     std::span<const std::uint64_t> masks,
-                    const dbi::BusConfig& cfg, std::span<std::uint8_t> out,
-                    ShardPool* pool = nullptr) const {
-    decode_packed(payload, masks, cfg, out, pool);
+                    const dbi::BusConfig& cfg,
+                    std::span<std::uint8_t> out) const {
+    decode_packed(payload, masks, cfg, out);
   }
   void apply_packed_wide(std::span<const std::uint8_t> payload,
                          std::span<const std::uint64_t> masks,
                          const dbi::WideBusConfig& cfg,
-                         std::span<std::uint8_t> out,
-                         ShardPool* pool = nullptr) const {
-    decode_packed_wide(payload, masks, cfg, out, pool);
+                         std::span<std::uint8_t> out) const {
+    decode_packed_wide(payload, masks, cfg, out);
   }
 
   /// Scalar reference twin (the pre-engine receive path): materialises

@@ -7,6 +7,7 @@
 
 #if defined(__linux__)
 #include <pthread.h>
+#include <sched.h>
 #endif
 
 #include "obs/observer.hpp"
@@ -15,16 +16,41 @@ namespace dbi::engine {
 
 namespace {
 
+/// The CPUs of the calling thread's affinity mask in ascending order,
+/// rotated to start at the CPU the thread runs on; empty when the mask
+/// cannot be read or outside Linux.
+std::vector<int> allowed_cpus() {
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof mask, &mask) != 0) return cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c)
+    if (CPU_ISSET(c, &mask)) cpus.push_back(c);
+  const auto here = std::find(cpus.begin(), cpus.end(), sched_getcpu());
+  if (here != cpus.end()) std::rotate(cpus.begin(), here, cpus.end());
+#endif
+  return cpus;
+}
+
 /// Names the calling worker thread "dbi-shard-N" so external profilers
-/// (perf, Perfetto) attribute samples legibly. Best-effort; the Linux
-/// limit is 15 visible characters, which this fits up to 7-digit ids.
-void name_worker_thread(int worker_id) {
+/// (perf, Perfetto) attribute samples legibly, and binds it to `cpu`
+/// when that is >= 0. Both best-effort; the Linux name limit is 15
+/// visible characters, which this fits up to 7-digit ids.
+void prepare_worker_thread(int worker_id, int cpu) {
 #if defined(__linux__)
   char name[16];
   std::snprintf(name, sizeof name, "dbi-shard-%d", worker_id);
   pthread_setname_np(pthread_self(), name);
+  if (cpu >= 0) {
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    CPU_SET(cpu, &mask);
+    (void)pthread_setaffinity_np(pthread_self(), sizeof mask, &mask);
+  }
 #else
   (void)worker_id;
+  (void)cpu;
 #endif
 }
 
@@ -39,10 +65,18 @@ std::uint64_t busy_clock_ns() {
 
 ShardPool::ShardPool(int workers) {
   const int n = std::max(workers, 1);
+  // Pin workers round-robin over the constructor's mask, starting at
+  // the CPU this thread runs on (see the header for why).
+  std::vector<int> cpus;
+  if (n >= 2) cpus = allowed_cpus();
+  if (cpus.size() < 2) cpus.clear();
   errors_.assign(static_cast<std::size_t>(n), nullptr);
   threads_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    threads_.emplace_back([this, i] { worker_loop(i); });
+  for (int i = 0; i < n; ++i) {
+    const int cpu =
+        cpus.empty() ? -1 : cpus[static_cast<std::size_t>(i) % cpus.size()];
+    threads_.emplace_back([this, i, cpu] { worker_loop(i, cpu); });
+  }
 }
 
 ShardPool::~ShardPool() {
@@ -55,6 +89,8 @@ ShardPool::~ShardPool() {
 }
 
 int ShardPool::default_workers() {
+  const std::size_t allowed = allowed_cpus().size();
+  if (allowed > 0) return static_cast<int>(allowed);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw ? static_cast<int>(hw) : 1;
 }
@@ -86,8 +122,8 @@ void ShardPool::run(int shards, const std::function<void(int)>& fn) {
     if (e) std::rethrow_exception(e);
 }
 
-void ShardPool::worker_loop(int worker_id) {
-  name_worker_thread(worker_id);
+void ShardPool::worker_loop(int worker_id, int cpu) {
+  prepare_worker_thread(worker_id, cpu);
   std::uint64_t seen_generation = 0;
   for (;;) {
     const std::function<void(int)>* fn = nullptr;

@@ -4,7 +4,9 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
+#include "engine/kernel_registry.hpp"
 #include "obs/observer.hpp"
 
 namespace dbi::engine {
@@ -15,6 +17,33 @@ namespace {
 /// int, and (width+1) * burst_length <= 33 * 64 line-beats per burst,
 /// so 64K bursts stay far inside int range per encode_packed call.
 constexpr std::size_t kAccumBlockBursts = 1 << 16;
+
+/// Fixed-scheme (RAW / DC / AC / ACDC) chunks of fewer payload bytes
+/// than this encode their units on the caller even with a pool: below
+/// it a pinned fork-join (about 17 us) costs more than it saves. Pinned
+/// 4-worker pool vs inline, per chunk, on a 4-vCPU AVX-512 VM (medians
+/// of 200 and 300 chunks in two runs): x8 at 4 lanes, DC 1.21-1.48x at
+/// 24 KB and 0.91-1.20x at 32 KB, AC 1.02-1.08x at 16 KB and
+/// 0.62-0.67x at 32 KB; x64 at 1 lane (8 group units), DC 1.20-2.06x
+/// at 8 KB and 0.57-0.80x at 32 KB. Counting bytes, not bursts, weighs
+/// an x64 burst as eight x8 bursts. Two-lane chunks have only two units
+/// and still lose above the floor (x8 DC 1.61-1.84x at 32 KB). Trellis
+/// and exhaustive units cost far more per byte and shard at any size.
+constexpr std::size_t kPoolFloorBytes = std::size_t{32} << 10;
+
+/// Copies every `stride`-th burst of `src`, starting at burst j0 and
+/// stopping before burst `count`, back to back into `dst`. An 8-byte
+/// burst (x8 BL8) gets a constant-size copy the compiler inlines; a
+/// runtime-size memcpy per burst is a libc call.
+void gather_bursts(std::uint8_t* dst, const std::uint8_t* src, std::size_t j0,
+                   std::size_t count, std::size_t stride, std::size_t bytes) {
+  const auto gather = [&](auto size) {
+    for (std::size_t j = j0; j < count; j += stride, dst += size)
+      std::memcpy(dst, src + j * size, size);
+  };
+  if (bytes == 8) return gather(std::integral_constant<std::size_t, 8>{});
+  gather(bytes);
+}
 
 }  // namespace
 
@@ -151,12 +180,8 @@ void StreamEncoder::encode_unit_slice(int unit, std::int64_t first_burst,
   } else if (!group_slice) {
     obs::ScopedSpan gather_span(opt_.obs, obs::Stage::kGather, lane, group);
     us.bytes.resize(mine * bb);
-    std::uint8_t* dst = us.bytes.data();
-    const std::uint8_t* src = payload.data();
-    for (std::size_t j = j0; j < count; j += static_cast<std::size_t>(L)) {
-      std::memcpy(dst, src + j * bb, bb);
-      dst += bb;
-    }
+    gather_bursts(us.bytes.data(), payload.data(), j0, count,
+                  static_cast<std::size_t>(L), bb);
     bytes = us.bytes;
   } else {
     // Gather only this unit's group slice (1 byte per beat), so the L
@@ -263,7 +288,9 @@ std::span<const BurstResult> StreamEncoder::encode_chunk(
     encode_unit_slice(unit, first_burst, payload, burst_count,
                       collect_results);
   };
-  if (opt_.pool) {
+  const bool below_floor = fixed8_rule(encoder_.scheme()).has_value() &&
+                           payload.size() < kPoolFloorBytes;
+  if (opt_.pool && !below_floor) {
     opt_.pool->run(unit_count, run_unit);
   } else {
     for (int u = 0; u < unit_count; ++u) run_unit(u);

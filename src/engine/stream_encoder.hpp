@@ -11,11 +11,16 @@
 // lane still spreads across 8 workers — unless the engine's kernel
 // encodes every group of a burst at once
 // (BatchEncoder::encodes_whole_bursts: OPT on x64 under a SIMD
-// variant), in which case each lane is one unit. Totals accumulate in
-// 64-bit counters internally
+// variant), in which case each lane is one unit. Fixed-scheme chunks
+// (RAW / DC / AC / ACDC) of less than 32 KB of payload run their units
+// on the caller even with a pool, since a fork-join costs more than
+// their kernel work; trellis and exhaustive units shard at any size.
+// Totals accumulate in 64-bit counters internally
 // (chunks of any size are block-split so BurstStats's int fields never
 // overflow), and single-lane streams are encoded in place with zero
-// copy (wide groups read their bytes at stride groups()).
+// copy (wide groups read their bytes at stride groups()); multi-lane
+// streams gather each lane's bursts, 8-byte bursts with a
+// constant-size copy.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +41,8 @@ struct StreamEncodeOptions {
   /// paper's per-burst assumption) instead of threading state.
   bool reset_state_per_burst = false;
   /// Shard the units (see above) across this pool; null encodes
-  /// serially. Results are identical either way.
+  /// serially, and so do fixed-scheme chunks under the 32 KB floor.
+  /// Results are identical either way.
   ShardPool* pool = nullptr;
   /// Chunk counters + stage spans (encode_chunk / unit / gather); null
   /// disables. Must outlive the StreamEncoder or be detached first.

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <future>
 #include <memory>
-#include <thread>
-#include <utility>
 
 #include "trace/trace_reader.hpp"
 
@@ -14,15 +11,16 @@ namespace dbi::lake {
 
 namespace {
 
-[[nodiscard]] std::unique_ptr<trace::TraceReader> open_member(
-    const LakeReader& lake, std::size_t idx, bool verify_crc) {
+[[nodiscard]] trace::TraceReader open_member(const LakeReader& lake,
+                                             std::size_t idx,
+                                             bool verify_crc) {
   const LakeMember& m = lake.members()[idx];
-  auto reader = std::make_unique<trace::TraceReader>(
-      trace::TraceReader::open(lake.member_path(idx), verify_crc));
+  trace::TraceReader reader =
+      trace::TraceReader::open(lake.member_path(idx), verify_crc);
   const dbi::Geometry got =
-      reader->wide() ? dbi::Geometry::of(reader->header().wide_config())
-                     : dbi::Geometry::of(reader->config());
-  if (got != m.geometry() || reader->bursts() != m.stats.bursts)
+      reader.wide() ? dbi::Geometry::of(reader.header().wide_config())
+                    : dbi::Geometry::of(reader.config());
+  if (got != m.geometry() || reader.bursts() != m.stats.bursts)
     throw LakeError("lake: member " + m.name +
                     " no longer matches its catalog record "
                     "(re-run dbitool lake add)");
@@ -46,22 +44,30 @@ LakeReplayResult replay_lake(const LakeReader& lake,
   result.member_stats.resize(n);
   std::vector<std::exception_ptr> errors(n);
 
-  const int workers =
-      static_cast<int>(std::min<std::size_t>(
-          std::max(options.workers, 1), std::max<std::size_t>(n, 1)));
+  std::unique_ptr<engine::ShardPool> owned_pool;
+  engine::ShardPool* pool = spec.pool;
+  if (!pool && spec.threads >= 2) {
+    owned_pool = std::make_unique<engine::ShardPool>(spec.threads);
+    pool = owned_pool.get();
+  }
+  const bool shard_members = pool && n >= 2;
 
-  auto run_member = [&](std::size_t k,
-                        std::unique_ptr<trace::TraceReader> reader) {
+  auto run_member = [&](std::size_t k) {
+    const trace::TraceReader reader =
+        open_member(lake, k, options.verify_crc);
     dbi::SessionSpec s = spec;
     s.geometry = members[k].geometry();
-    if (workers > 1) {
-      // One member per worker thread: the session itself must not fan
-      // out again (nor share a caller pool across workers).
-      s.threads = 0;
+    s.threads = 0;
+    s.pool = pool;
+    if (shard_members) {
+      // A sharded member runs serially on its worker: the pool is busy
+      // with members, and a producer thread per member would only
+      // queue for the same CPUs.
       s.pool = nullptr;
+      s.double_buffer = false;
     }
     dbi::Session session(s);
-    const auto source = dbi::make_trace_source(*reader);
+    const auto source = dbi::make_trace_source(reader);
     if (options.on_results) {
       const auto sink = dbi::make_observer_sink(
           [&options, k](std::int64_t first_burst,
@@ -74,42 +80,29 @@ LakeReplayResult replay_lake(const LakeReader& lake,
     }
   };
 
-  if (workers <= 1) {
-    // Sequential with readahead: member k+1 opens (CRC pass pages it
-    // in) on a background thread while member k encodes.
-    std::future<std::unique_ptr<trace::TraceReader>> pending;
+  if (shard_members) {
+    if (spec.observer) spec.observer->attach_pool(*pool);
+    std::atomic<std::size_t> next{0};
+    const auto shards = static_cast<int>(
+        std::min(static_cast<std::size_t>(pool->workers()), n));
+    pool->run(shards, [&](int) {
+      for (std::size_t k = next.fetch_add(1); k < n; k = next.fetch_add(1)) {
+        try {
+          run_member(k);
+        } catch (...) {
+          errors[k] = std::current_exception();
+        }
+      }
+    });
+  } else {
     for (std::size_t k = 0; k < n; ++k) {
       try {
-        std::unique_ptr<trace::TraceReader> reader =
-            pending.valid() ? pending.get()
-                            : open_member(lake, k, options.verify_crc);
-        if (options.readahead && k + 1 < n)
-          pending = std::async(std::launch::async, [&lake, &options, k] {
-            return open_member(lake, k + 1, options.verify_crc);
-          });
-        run_member(k, std::move(reader));
+        run_member(k);
       } catch (...) {
         errors[k] = std::current_exception();
-        break;  // a failed member (or its prefetch) ends the run
+        break;  // a failed member ends the run
       }
     }
-    if (pending.valid()) pending.wait();
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w)
-      pool.emplace_back([&] {
-        for (std::size_t k = next.fetch_add(1); k < n;
-             k = next.fetch_add(1)) {
-          try {
-            run_member(k, open_member(lake, k, options.verify_crc));
-          } catch (...) {
-            errors[k] = std::current_exception();
-          }
-        }
-      });
-    for (std::thread& t : pool) t.join();
   }
 
   // First failure in catalog order, so the reported error is

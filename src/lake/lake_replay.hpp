@@ -1,13 +1,12 @@
 // replay_lake: out-of-core replay of every member of a trace lake,
-// sequentially or sharded whole-files-across-workers, with a
-// deterministic merge.
+// sharded whole-members-across-a-ShardPool, with a deterministic merge.
 //
 // Each member is an independent stream: its session starts from fresh
 // all-ones line state at the member's own geometry, so the per-member
 // StreamStats (and per-burst masks) are bit-exact against replaying
 // that file alone — and the merged totals, accumulated in catalog
-// order regardless of worker completion order, are identical at 1 and
-// N workers.
+// order regardless of worker completion order, are identical with and
+// without a pool, at any worker count.
 #pragma once
 
 #include <cstdint>
@@ -22,20 +21,13 @@
 namespace dbi::lake {
 
 struct LakeReplayOptions {
-  /// Files-across-workers parallelism: N >= 2 replays members on N
-  /// threads (each member's session forced single-threaded); 0 / 1
-  /// replays sequentially with readahead.
-  int workers = 1;
-  /// Sequential replay: open (and page in) member N+1 on a background
-  /// thread while member N encodes. Ignored with workers >= 2 (the
-  /// worker pool overlaps I/O and encode by itself).
-  bool readahead = true;
   /// Whole-file CRC pass when opening each member.
   bool verify_crc = true;
   /// Non-null: called with every chunk's per-(burst, group) results.
   /// `first_burst` is member-local. Calls for one member arrive in
-  /// stream order; with workers >= 2 different members' calls
-  /// interleave from worker threads — the callback must synchronise.
+  /// stream order; when members are sharded across a pool, different
+  /// members' calls interleave from worker threads — the callback must
+  /// synchronise.
   std::function<void(std::size_t member, std::int64_t first_burst,
                      std::span<const engine::BurstResult> results)>
       on_results;
@@ -49,9 +41,19 @@ struct LakeReplayResult {
 
 /// Replays every member through `spec` (geometry overridden per member
 /// to the member's own; everything else — scheme/policy, lanes, state
-/// policy, weights, kernel — applies as given). Encoded members throw
-/// LakeError: replay re-encodes payload traces; decode them first.
-/// Errors are reported for the first failing member in catalog order.
+/// policy, weights, kernel, observer — applies as given). Encoded
+/// members throw LakeError: replay re-encodes payload traces; decode
+/// them first.
+///
+/// Parallelism comes from one ShardPool: spec.pool, else a pool of
+/// spec.threads workers created for the call when spec.threads >= 2.
+/// With a pool and two or more members, min(workers, members) shards
+/// claim members in catalog order and replay each one serially on its
+/// worker (its own Session, no pool, no double buffer); spec.observer,
+/// when set, is attached to that pool. Otherwise members replay in
+/// catalog order on the caller, and a one-member lake's session keeps
+/// the pool for its lanes. Errors are reported for the first failing
+/// member in catalog order.
 [[nodiscard]] LakeReplayResult replay_lake(
     const LakeReader& lake, const dbi::SessionSpec& spec,
     const LakeReplayOptions& options = {});

@@ -205,10 +205,9 @@ double ChunkSelector::block_cost(Candidate& c,
         mask_words_[i] = results[i].invert_mask;
       if (geometry_.is_wide())
         decoder_.apply_packed_wide(wire_, mask_words_, geometry_.wide_bus(),
-                                   wire_, stream_opt_.pool);
+                                   wire_);
       else
-        decoder_.apply_packed(wire_, mask_words_, geometry_.bus(), wire_,
-                              stream_opt_.pool);
+        decoder_.apply_packed(wire_, mask_words_, geometry_.bus(), wire_);
       rle_scratch_.clear();
       trace::rle_compress(wire_, rle_scratch_);
       double bytes = static_cast<double>(rle_scratch_.size());

@@ -714,12 +714,10 @@ void Server::process_encode_run(Tenant& tenant, std::span<Request> run,
       try {
         if (tenant.geometry.is_wide())
           tenant.decoder.apply_packed_wide(rq.data, ack.masks,
-                                           tenant.geometry.wide_bus(), ack.tx,
-                                           pool_.get());
+                                           tenant.geometry.wide_bus(), ack.tx);
         else
           tenant.decoder.apply_packed(rq.data, ack.masks,
-                                      tenant.geometry.bus(), ack.tx,
-                                      pool_.get());
+                                      tenant.geometry.bus(), ack.tx);
       } catch (const std::exception& e) {
         respond(tenant, rq, make_error(rq.seq, StatusCode::kInternal,
                                        e.what()));
@@ -742,10 +740,10 @@ void Server::process_decode(Tenant& tenant, Request& rq) {
     if (tenant.geometry.is_wide())
       tenant.decoder.decode_packed_wide(rq.data, rq.masks,
                                         tenant.geometry.wide_bus(),
-                                        tenant.rx_scratch, pool_.get());
+                                        tenant.rx_scratch);
     else
       tenant.decoder.decode_packed(rq.data, rq.masks, tenant.geometry.bus(),
-                                   tenant.rx_scratch, pool_.get());
+                                   tenant.rx_scratch);
   } catch (const std::exception& e) {
     respond(tenant, rq, make_error(rq.seq, StatusCode::kInternal, e.what()));
     return;
@@ -779,11 +777,10 @@ void Server::process_verify(Tenant& tenant, Request& rq) {
     if (tenant.geometry.is_wide()) {
       tenant.decoder.apply_packed_wide(rq.data, tenant.mask_scratch,
                                        tenant.geometry.wide_bus(),
-                                       tenant.tx_scratch, pool_.get());
+                                       tenant.tx_scratch);
     } else {
       tenant.decoder.apply_packed(rq.data, tenant.mask_scratch,
-                                  tenant.geometry.bus(), tenant.tx_scratch,
-                                  pool_.get());
+                                  tenant.geometry.bus(), tenant.tx_scratch);
     }
     if (options_.fault_injector)
       options_.fault_injector(tenant.name, tenant.next_burst,
@@ -791,11 +788,10 @@ void Server::process_verify(Tenant& tenant, Request& rq) {
     if (tenant.geometry.is_wide()) {
       tenant.decoder.decode_packed_wide(tenant.tx_scratch, tenant.mask_scratch,
                                         tenant.geometry.wide_bus(),
-                                        tenant.rx_scratch, pool_.get());
+                                        tenant.rx_scratch);
     } else {
       tenant.decoder.decode_packed(tenant.tx_scratch, tenant.mask_scratch,
-                                   tenant.geometry.bus(), tenant.rx_scratch,
-                                   pool_.get());
+                                   tenant.geometry.bus(), tenant.rx_scratch);
     }
   } catch (const std::exception& e) {
     respond(tenant, rq, make_error(rq.seq, StatusCode::kInternal, e.what()));

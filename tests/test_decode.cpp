@@ -14,7 +14,6 @@
 #include "core/encoder.hpp"
 #include "engine/batch_decoder.hpp"
 #include "engine/batch_encoder.hpp"
-#include "engine/shard_pool.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
 #include "workload/rng.hpp"
@@ -130,7 +129,6 @@ TEST(BatchDecoder, MatchesScalarReceivePathEverySchemeNarrow) {
 }
 
 TEST(BatchDecoder, MatchesPerGroupScalarReceivePathWide) {
-  engine::ShardPool pool(3);
   for (const Scheme scheme : kFastSchemes) {
     for (const int width : {16, 64, 12, 20}) {
       const Geometry g = Geometry::wide(width);
@@ -169,39 +167,11 @@ TEST(BatchDecoder, MatchesPerGroupScalarReceivePathWide) {
       decoder.decode_packed_wide(tx, masks, cfg, out);
       EXPECT_EQ(out, payload) << scheme_name(scheme) << " wide x" << width;
 
-      // Pool-sharded and in-place decodes are bit-identical.
-      std::vector<std::uint8_t> pooled = tx;
-      decoder.decode_packed_wide(pooled, masks, cfg, pooled, &pool);
-      EXPECT_EQ(pooled, payload);
+      // In-place decode over the transmitted buffer itself.
+      std::vector<std::uint8_t> in_place = tx;
+      decoder.decode_packed_wide(in_place, masks, cfg, in_place);
+      EXPECT_EQ(in_place, payload);
     }
-  }
-}
-
-TEST(BatchDecoder, PoolShardingIsDeterministic) {
-  const BusConfig cfg{8, 8};
-  const Geometry g = Geometry::narrow(8);
-  const int n = 4096;  // big enough to actually split across workers
-  const auto payload = random_payload(g, n, 9);
-  const engine::BatchEncoder engine(Scheme::kAc);
-  std::vector<engine::BurstResult> results(static_cast<std::size_t>(n));
-  BusState state = BusState::all_ones(cfg);
-  (void)engine.encode_packed(payload, cfg, state, results.data());
-  std::vector<std::uint64_t> masks(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    masks[static_cast<std::size_t>(i)] =
-        results[static_cast<std::size_t>(i)].invert_mask;
-
-  const engine::BatchDecoder decoder;
-  std::vector<std::uint8_t> tx(payload.size());
-  decoder.apply_packed(payload, masks, cfg, tx);
-  std::vector<std::uint8_t> serial(tx.size());
-  decoder.decode_packed(tx, masks, cfg, serial);
-  EXPECT_EQ(serial, payload);
-  for (const int workers : {2, 3, 7}) {
-    engine::ShardPool pool(workers);
-    std::vector<std::uint8_t> sharded(tx.size());
-    decoder.decode_packed(tx, masks, cfg, sharded, &pool);
-    EXPECT_EQ(sharded, serial) << workers;
   }
 }
 

@@ -436,27 +436,6 @@ TEST(KernelParity, Crc32AllVariantsMatchBitwiseReference) {
 
 // ------------------------------------------------- pool determinism
 
-TEST(KernelParity, PooledDecodeIsDeterministicPerVariant) {
-  // Enough bursts that shard_bursts actually splits (>= 2 * 256).
-  const BusConfig cfg{8, 8};
-  const int bursts = 2048;
-  const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
-  const auto tx = random_bytes(static_cast<std::size_t>(bursts) * bb, 307);
-  std::vector<std::uint64_t> masks;
-  workload::Xoshiro256 rng(308);
-  for (int i = 0; i < bursts; ++i) masks.push_back(rng.next() & 0xFFU);
-
-  engine::ShardPool pool(4);
-  for (const KernelVariant* v : usable_variants()) {
-    engine::BatchDecoder dec;
-    dec.set_kernel(*v);
-    std::vector<std::uint8_t> serial(tx.size()), pooled(tx.size());
-    dec.decode_packed(tx, masks, cfg, serial, nullptr);
-    dec.decode_packed(tx, masks, cfg, pooled, &pool);
-    ASSERT_EQ(pooled, serial) << v->name();
-  }
-}
-
 TEST(KernelParity, PooledWideEncodeIsDeterministicPerVariant) {
   const WideBusConfig cfg{64, 8};
   const int bursts = 512;

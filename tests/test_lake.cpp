@@ -1,7 +1,8 @@
 // Trace lake: catalog round trip and corruption rejection, stale
 // member detection, and the bit-exactness contract of lake replay —
 // merged StreamStats AND per-burst masks must match sequentially
-// replaying each member alone, at 1 and N workers, across geometries.
+// replaying each member alone, with and without a shard pool, across
+// geometries.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,10 +16,12 @@
 #include <vector>
 
 #include "api/session.hpp"
+#include "engine/shard_pool.hpp"
 #include "lake/lake.hpp"
 #include "lake/lake_replay.hpp"
 #include "lake/lake_source.hpp"
 #include "lake/sweep.hpp"
+#include "obs/observer.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
 #include "workload/generators.hpp"
@@ -197,11 +200,9 @@ using MaskMap = std::map<std::size_t, std::vector<std::uint64_t>>;
 
 [[nodiscard]] LakeReplayResult replay_collecting(const LakeReader& lake,
                                                  const SessionSpec& spec,
-                                                 int workers,
                                                  MaskMap& masks) {
   std::mutex mu;
   LakeReplayOptions opt;
-  opt.workers = workers;
   opt.on_results = [&](std::size_t member, std::int64_t first_burst,
                        std::span<const engine::BurstResult> results) {
     const std::scoped_lock lock(mu);
@@ -247,22 +248,36 @@ TEST(LakeReplay, ParallelMatchesSequentialMatchesPerFile) {
       ref_stats.push_back(session.run(*source, *sink));
     }
 
-    for (const int workers : {1, 3}) {
+    // No pool (members in order on the caller), a pool replay_lake
+    // creates from spec.threads, and caller pools narrower and wider
+    // than the member count.
+    engine::ShardPool pool2(2);
+    engine::ShardPool pool8(8);
+    const struct {
+      const char* label;
+      int threads;
+      engine::ShardPool* pool;
+    } arms[] = {{"no pool", 0, nullptr},
+                {"threads 3", 3, nullptr},
+                {"caller pool 2", 0, &pool2},
+                {"caller pool 8", 0, &pool8}};
+    for (const auto& arm : arms) {
+      SessionSpec s = spec;
+      s.threads = arm.threads;
+      s.pool = arm.pool;
       MaskMap masks;
-      const LakeReplayResult got =
-          replay_collecting(reader, spec, workers, masks);
+      const LakeReplayResult got = replay_collecting(reader, s, masks);
       ASSERT_EQ(got.member_stats.size(), ref_stats.size());
       StreamStats sum;
       for (std::size_t k = 0; k < ref_stats.size(); ++k) {
         sum += ref_stats[k];
         EXPECT_EQ(got.member_stats[k].bursts, ref_stats[k].bursts)
-            << "member " << k << " workers " << workers;
+            << "member " << k << ", " << arm.label;
         EXPECT_EQ(got.member_stats[k].zeros, ref_stats[k].zeros)
-            << "member " << k << " workers " << workers;
+            << "member " << k << ", " << arm.label;
         EXPECT_EQ(got.member_stats[k].transitions, ref_stats[k].transitions)
-            << "member " << k << " workers " << workers;
-        EXPECT_EQ(masks[k], ref_masks[k])
-            << "member " << k << " workers " << workers;
+            << "member " << k << ", " << arm.label;
+        EXPECT_EQ(masks[k], ref_masks[k]) << "member " << k << ", " << arm.label;
       }
       EXPECT_EQ(got.totals.bursts, sum.bursts);
       EXPECT_EQ(got.totals.zeros, sum.zeros);
@@ -271,20 +286,62 @@ TEST(LakeReplay, ParallelMatchesSequentialMatchesPerFile) {
   }
 }
 
-TEST(LakeReplay, ReadaheadOffIsBitExactToo) {
+TEST(LakeReplay, FirstStaleMemberInCatalogOrderIsReported) {
+  // Members two and four are re-recorded with other burst counts after
+  // the catalog was opened. However the pool's workers interleave,
+  // the error replay_lake throws is the second member's.
+  TempLake lake;
+  const char* names[] = {"m0.dbt", "m1.dbt", "m2.dbt", "m3.dbt", "m4.dbt"};
+  for (int m = 0; m < 5; ++m)
+    record_trace(lake.dir + "/" + names[m], Geometry::narrow(8, 8),
+                 100 + 10 * m, static_cast<std::uint64_t>(m + 1));
+  LakeWriter writer = LakeWriter::create(lake.dir);
+  for (const char* name : names) writer.add(name);
+  writer.write();
+  const LakeReader reader = LakeReader::open(lake.dir);
+  record_trace(lake.dir + "/m1.dbt", Geometry::narrow(8, 8), 77, 2);
+  record_trace(lake.dir + "/m3.dbt", Geometry::narrow(8, 8), 78, 4);
+
+  SessionSpec spec;
+  spec.policy = SchemePolicy::fixed(Scheme::kDc);
+  for (const int workers : {1, 2, 4}) {
+    engine::ShardPool pool(workers);
+    spec.pool = &pool;
+    try {
+      (void)replay_lake(reader, spec);
+      FAIL() << "stale members replayed, workers " << workers;
+    } catch (const LakeError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("m1.dbt"), std::string::npos)
+          << what << ", workers " << workers;
+    }
+  }
+}
+
+TEST(LakeReplay, ObserverCountsOnePoolRunAndOneRunPerMember) {
+  // Members are the pool's shards: one replay_lake call is one pool
+  // run of min(workers, members) shards, and every member session
+  // publishes one run into the shared observer.
   const TempLake lake = build_lake();
   const LakeReader reader = LakeReader::open(lake.dir);
+  obs::Observer observer({.level = obs::ObsLevel::kCounters});
+  engine::ShardPool pool(2);
   SessionSpec spec;
   spec.policy = SchemePolicy::fixed(Scheme::kAc);
-
-  LakeReplayOptions with;
-  LakeReplayOptions without;
-  without.readahead = false;
-  const LakeReplayResult a = replay_lake(reader, spec, with);
-  const LakeReplayResult b = replay_lake(reader, spec, without);
-  EXPECT_EQ(a.totals.zeros, b.totals.zeros);
-  EXPECT_EQ(a.totals.transitions, b.totals.transitions);
-  EXPECT_EQ(a.totals.bursts, b.totals.bursts);
+  spec.lanes = 2;
+  spec.pool = &pool;
+  spec.observer = &observer;
+  const LakeReplayResult got = replay_lake(reader, spec);
+  const obs::Snapshot snap = observer.snapshot();
+  EXPECT_EQ(snap.value("dbi_pool_runs_total"), 1.0);
+  EXPECT_EQ(snap.value("dbi_pool_shards_total"), 2.0);
+  EXPECT_EQ(snap.value("dbi_runs_total"),
+            static_cast<double>(reader.members().size()));
+  EXPECT_EQ(snap.value("dbi_bursts_total"),
+            static_cast<double>(got.totals.bursts));
+  EXPECT_NE(snap.find("dbi_pool_worker_busy_ns_total", "worker=\"1\""),
+            nullptr);
+  pool.set_observer(nullptr);
 }
 
 TEST(LakeSource, ConcatenatedSessionMatchesSummedPerFileReplay) {

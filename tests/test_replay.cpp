@@ -10,6 +10,7 @@
 
 #include "engine/batch_encoder.hpp"
 #include "engine/shard_pool.hpp"
+#include "obs/observer.hpp"
 #include "power/interface_energy.hpp"
 #include "sim/experiments.hpp"
 #include "trace/replay.hpp"
@@ -154,24 +155,31 @@ TEST(Replay, MatchesChannelWriteStream) {
 }
 
 TEST(Replay, PoolSerialAndBufferingModesAgree) {
-  const auto trace = random_trace(BusConfig{8, 8}, 500, 21);
+  // 4096-burst x8 chunks (32 KB) reach the pool past StreamEncoder's
+  // fixed-scheme floor; the 500-burst tail chunk stays on the caller.
+  const auto trace = random_trace(BusConfig{8, 8}, 3 * 4096 + 500, 21);
   const engine::BatchEncoder encoder(Scheme::kAcDc);
-  const auto reader = reader_for(trace, 64);
+  const auto reader = reader_for(trace, 4096);
 
   ReplayOptions serial;
   serial.lanes = 4;
   serial.double_buffer = false;
   const ReplayTotals want = replay_trace(reader, encoder, serial);
 
+  obs::Observer observer({.level = obs::ObsLevel::kCounters});
   engine::ShardPool pool(3);
+  observer.attach_pool(pool);
   for (const bool double_buffer : {false, true}) {
     ReplayOptions opt;
     opt.lanes = 4;
     opt.pool = &pool;
     opt.double_buffer = double_buffer;
+    const double runs0 = observer.snapshot().value("dbi_pool_runs_total");
     const ReplayTotals got = replay_trace(reader, encoder, opt);
     EXPECT_EQ(got.zeros, want.zeros) << double_buffer;
     EXPECT_EQ(got.transitions, want.transitions) << double_buffer;
+    EXPECT_GT(observer.snapshot().value("dbi_pool_runs_total"), runs0)
+        << double_buffer;
   }
 }
 
@@ -390,17 +398,21 @@ TEST(WideReplay, ResetStatePerBurstMatchesScalarBoundary) {
 
 TEST(WideReplay, PoolAndDoubleBufferDoNotChangeResults) {
   const WideBusConfig cfg{64, 8};
-  const auto payload = wide_payload(cfg, 500, 77);
+  const auto payload = wide_payload(cfg, 4 * 512 + 100, 77);
   const engine::BatchEncoder encoder(Scheme::kAc);
-  // Small chunks so the producer/consumer hand-off actually cycles.
-  const auto reader = wide_reader_for(cfg, payload, 32);
+  // Five chunks so the producer/consumer hand-off actually cycles; the
+  // 512-burst x64 chunks (32 KB) reach the pool past StreamEncoder's
+  // fixed-scheme floor, the 100-burst tail stays on the caller.
+  const auto reader = wide_reader_for(cfg, payload, 512);
 
   ReplayOptions serial;
   serial.lanes = 4;
   serial.double_buffer = false;
   const ReplayTotals want = replay_trace(reader, encoder, serial);
 
+  obs::Observer observer({.level = obs::ObsLevel::kCounters});
   engine::ShardPool pool(3);  // != lanes * groups on purpose
+  observer.attach_pool(pool);
   ReplayOptions sharded;
   sharded.lanes = 4;
   sharded.pool = &pool;
@@ -409,6 +421,7 @@ TEST(WideReplay, PoolAndDoubleBufferDoNotChangeResults) {
   EXPECT_EQ(got.zeros, want.zeros);
   EXPECT_EQ(got.transitions, want.transitions);
   EXPECT_EQ(got.bursts, want.bursts);
+  EXPECT_GT(observer.snapshot().value("dbi_pool_runs_total"), 0.0);
 
   // The exhaustive-search fallback must ride along on wide traces too.
   const WideBusConfig small{12, 4};

@@ -350,6 +350,19 @@ TEST(Serve, GracefulStopAnswersEveryAdmittedRequest) {
   constexpr int kInFlight = 8;
   for (int i = 0; i < kInFlight; ++i)
     (void)client.submit_encode(payload, 8);
+  // stop() owes answers to admitted requests only; one still unread in
+  // the socket when the readers are torn down is dropped with the
+  // connection. Wait until the reader admitted all of them, or a busy
+  // host can start the stop before it read any.
+  const auto admitted = [&] {
+    return ts->server.metrics().value("dbi_serve_requests_total",
+                                      "tenant=\"drainee\",op=\"encode\"");
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (admitted() < kInFlight && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(admitted(), kInFlight);
 
   // stop() must finish the already-admitted requests before tearing
   // down the readers: all responses (acks or typed rejections) arrive.
@@ -366,7 +379,7 @@ TEST(Serve, GracefulStopAnswersEveryAdmittedRequest) {
     // EOF after the drain — only acceptable once responses stopped.
   }
   stopper.join();
-  EXPECT_GT(answered, 0);
+  EXPECT_EQ(answered, kInFlight);
   EXPECT_FALSE(ts->server.running());
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <type_traits>
 #include <vector>
@@ -357,16 +358,100 @@ TEST(SessionParity, StatsSinkMatchesResultSinkTotals) {
 // ----------------------------------------------- threading determinism
 
 TEST(SessionParity, OwnedPoolMatchesSerial) {
-  const Geometry g = Geometry::wide(64);
-  const std::vector<std::uint8_t> bytes = random_packed(g, 600, 123);
-  SessionSpec serial = spec_for(g, Scheme::kAc, {}, 3, false);
-  SessionSpec pooled = serial;
-  pooled.threads = 4;
-  Session a(serial);
-  Session b(pooled);
-  const auto s1 = make_packed_source(bytes);
-  const auto s2 = make_packed_source(bytes);
-  EXPECT_EQ(a.run(*s1), b.run(*s2));
+  // Each run is one chunk past StreamEncoder's 32 KB fixed-scheme
+  // floor, so the owned pool really shards: (lane, group) units on x64,
+  // lane units on x8.
+  struct Case {
+    Geometry g;
+    int lanes;
+    int bursts;
+  };
+  for (const Case& c : {Case{Geometry::wide(64), 3, 600},
+                        Case{Geometry::narrow(8), 4, 6000}}) {
+    const std::vector<std::uint8_t> bytes = random_packed(c.g, c.bursts, 123);
+    for (const Scheme scheme : {Scheme::kDc, Scheme::kAc}) {
+      obs::Observer observer({.level = obs::ObsLevel::kCounters});
+      SessionSpec serial = spec_for(c.g, scheme, {}, c.lanes, false);
+      SessionSpec pooled = serial;
+      pooled.threads = 4;
+      pooled.observer = &observer;
+      Session a(serial);
+      Session b(pooled);
+      const auto s1 = make_packed_source(bytes);
+      const auto s2 = make_packed_source(bytes);
+      const std::string label = c.g.to_string() + " scheme " +
+                                std::to_string(static_cast<int>(scheme));
+      EXPECT_EQ(a.run(*s1), b.run(*s2)) << label;
+      EXPECT_GT(observer.snapshot().value("dbi_pool_runs_total"), 0.0)
+          << label;
+    }
+  }
+}
+
+TEST(SessionParity, FixedSchemePoolFloorLeavesResultsUnchanged) {
+  // Fixed-scheme chunks under 32 KB of payload encode on the caller
+  // even with a pool; from 32 KB they shard (one pool run per chunk).
+  // One burst either side of the floor, x8 and x64 at 1-4 lanes, with
+  // and without a pool, every mask and total must match the scalar
+  // reference.
+  constexpr int kFloorBytes = 32 << 10;
+  obs::Observer observer({.level = obs::ObsLevel::kCounters});
+  engine::ShardPool pool(3);
+  observer.attach_pool(pool);
+  for (const Geometry& g : {Geometry::narrow(8), Geometry::wide(64)}) {
+    const int at_floor = kFloorBytes / g.bytes_per_burst();
+    for (const Scheme scheme : {Scheme::kDc, Scheme::kAc, Scheme::kAcDc}) {
+      const engine::BatchEncoder encoder(scheme);
+      for (int lanes = 1; lanes <= 4; ++lanes) {
+        for (const int chunk : {at_floor - 1, at_floor, at_floor + 1}) {
+          constexpr int kChunks = 3;
+          const int bursts = kChunks * chunk;
+          const std::vector<std::uint8_t> bytes = random_packed(
+              g, bursts, 41 + static_cast<std::uint64_t>(lanes));
+          const Reference ref =
+              reference_encode(g, bytes, bursts, scheme, {}, lanes, false);
+          const auto chunk_bytes =
+              static_cast<std::size_t>(chunk) * g.bytes_per_burst();
+          for (engine::ShardPool* p :
+               {static_cast<engine::ShardPool*>(nullptr), &pool}) {
+            engine::StreamEncodeOptions so;
+            so.lanes = lanes;
+            so.pool = p;
+            const auto stream =
+                g.is_wide()
+                    ? std::make_unique<engine::StreamEncoder>(
+                          encoder, g.wide_bus(), so)
+                    : std::make_unique<engine::StreamEncoder>(encoder,
+                                                              g.bus(), so);
+            std::vector<engine::BurstResult> results;
+            const double runs0 =
+                observer.snapshot().value("dbi_pool_runs_total");
+            for (int c = 0; c < kChunks; ++c) {
+              const auto r = stream->encode_chunk(
+                  static_cast<std::int64_t>(c) * chunk,
+                  std::span(bytes).subspan(static_cast<std::size_t>(c) *
+                                               chunk_bytes,
+                                           chunk_bytes),
+                  static_cast<std::size_t>(chunk), /*collect_results=*/true);
+              results.insert(results.end(), r.begin(), r.end());
+            }
+            StreamStats totals;
+            totals.zeros = stream->zeros();
+            totals.transitions = stream->transitions();
+            const std::string label =
+                g.to_string() + " scheme " +
+                std::to_string(static_cast<int>(scheme)) + " lanes " +
+                std::to_string(lanes) + " chunk " + std::to_string(chunk) +
+                (p ? " pool" : " serial");
+            expect_matches(ref, totals, results, label);
+            EXPECT_EQ(observer.snapshot().value("dbi_pool_runs_total") - runs0,
+                      p && chunk >= at_floor ? kChunks : 0)
+                << label;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------- geometry validation

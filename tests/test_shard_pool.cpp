@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -109,6 +115,88 @@ TEST(ShardPool, SingleShardRunsOnCallerThreadAndCounts) {
   std::atomic<int> n{0};
   pool.run(5, [&](int) { ++n; });
   EXPECT_EQ(n.load(), 5);
+}
+
+#if defined(__linux__)
+/// What one shard saw of its own placement.
+struct Placement {
+  cpu_set_t mask;
+  int cpu = -1;
+};
+
+/// Runs one shard per worker and records each worker's affinity mask
+/// and current CPU from inside its shard.
+std::vector<Placement> placements(ShardPool& pool, int shards) {
+  std::vector<Placement> seen(static_cast<std::size_t>(shards));
+  pool.run(shards, [&](int s) {
+    Placement& p = seen[static_cast<std::size_t>(s)];
+    CPU_ZERO(&p.mask);
+    (void)pthread_getaffinity_np(pthread_self(), sizeof p.mask, &p.mask);
+    p.cpu = sched_getcpu();
+  });
+  return seen;
+}
+
+cpu_set_t thread_mask() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  EXPECT_EQ(pthread_getaffinity_np(pthread_self(), sizeof mask, &mask), 0);
+  return mask;
+}
+
+TEST(ShardPool, WorkersArePinnedToDistinctAllowedCpus) {
+  // Every worker of a multi-worker pool runs on exactly one CPU of the
+  // constructor's mask, and the workers cover min(workers, allowed)
+  // distinct CPUs. Placement only — no timing is asserted.
+  const cpu_set_t allowed = thread_mask();
+  const int allowed_count = CPU_COUNT(&allowed);
+  for (const int workers : {2, 4, 7}) {
+    ShardPool pool(workers);
+    std::set<int> cpus;
+    for (const Placement& p : placements(pool, workers)) {
+      EXPECT_EQ(CPU_COUNT(&p.mask), 1) << "workers " << workers;
+      EXPECT_TRUE(CPU_ISSET(p.cpu, &p.mask)) << "workers " << workers;
+      EXPECT_TRUE(CPU_ISSET(p.cpu, &allowed)) << "workers " << workers;
+      cpus.insert(p.cpu);
+    }
+    EXPECT_EQ(static_cast<int>(cpus.size()), std::min(workers, allowed_count))
+        << "workers " << workers;
+    const cpu_set_t caller = thread_mask();
+    EXPECT_TRUE(CPU_EQUAL(&caller, &allowed));  // the caller is never pinned
+  }
+}
+
+TEST(ShardPool, SingleCpuMaskAndSingleWorkerDoNotPin) {
+  const cpu_set_t full = thread_mask();
+  {
+    // Restrict this thread to the CPU it is on: a 4-worker pool built
+    // here inherits that one-CPU mask and keeps it.
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(sched_getcpu(), &one);
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof one, &one), 0);
+    std::vector<Placement> seen;
+    {
+      ShardPool pool(4);
+      seen = placements(pool, 4);
+    }
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof full, &full), 0);
+    for (const Placement& p : seen) EXPECT_TRUE(CPU_EQUAL(&p.mask, &one));
+  }
+  // A one-worker pool leaves its worker on the constructor's full mask
+  // (two shards, so they run on the worker rather than the caller).
+  ShardPool single(1);
+  for (const Placement& p : placements(single, 2))
+    EXPECT_TRUE(CPU_EQUAL(&p.mask, &full));
+}
+#endif
+
+TEST(ShardPool, DefaultWorkersCountsTheAffinityMask) {
+  EXPECT_GE(ShardPool::default_workers(), 1);
+#if defined(__linux__)
+  const cpu_set_t mask = thread_mask();
+  EXPECT_EQ(ShardPool::default_workers(), CPU_COUNT(&mask));
+#endif
 }
 
 TEST(ShardPool, ShardedEncodeLanesMatchesSerial) {

@@ -81,10 +81,11 @@ SELECT_PREDICTED_FLOOR = 0.8
 SELECT_EXACT_ENERGY_FLOOR = 0.999
 # Trace-lake replay: streaming every member of a three-file catalog
 # through replay_lake must recover at least 0.9x of the summed
-# per-file replay throughput (the catalog walk, per-member session
-# setup and the deterministic merge may cost at most 10%). The
-# readahead on-vs-off ratio is baseline-gated only — no hard floor,
-# because a warm page cache legitimately flattens it to ~1.0.
+# per-file replay throughput, both without a pool (the catalog walk,
+# per-member session setup and the deterministic merge may cost at
+# most 10%). The pool-vs-serial ratio (replay_lake on the bench's pool
+# against no pool) is read only from runs that carry it and has no
+# hard floor.
 LAKE_REPLAY_FLOOR = 0.9
 # Serving daemon: aggregate served throughput at 8 pipelined tenants
 # must reach 0.7x the single-stream engine pass (protocol, scheduling
@@ -154,9 +155,8 @@ def extract_metrics(name: str, doc: dict) -> dict[str, float]:
         lake = doc.get("lake")
         if lake:
             metrics["lake_replay_vs_per_file"] = lake["lake_vs_per_file"]
-            metrics["lake_readahead_on_vs_off"] = (
-                lake["readahead_on_vs_off"]
-            )
+            if "pool_vs_serial" in lake:
+                metrics["lake_pool_vs_serial"] = lake["pool_vs_serial"]
     return metrics
 
 

@@ -6,8 +6,8 @@
 //       RAM (the engine fast path behind the dbi::Session facade,
 //       sharded across the pool);
 //   (b) a trace-source Session streaming the same bursts back from the
-//       mmap'd file (the double-buffered zero-copy replay pipeline
-//       behind the facade), with the identical lane interleave
+//       mmap'd file (zero-copy chunk views pulled through the session's
+//       one chunk loop), with the identical lane interleave
 //       (burst g -> lane g % lanes), so both paths encode the very
 //       same per-lane burst sequences.
 // A streaming section records a zeros-heavy corpus with RLE compression
@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
   std::remove(path.c_str());
 
   // Compressed streaming: a zeros-heavy corpus recorded with RLE, so
-  // the producer thread's decompression overlaps the encode.
+  // every chunk expands on the pulling thread before it encodes.
   const std::string sparse_path = temp_trace_path("sparse");
   double sparse_mbps = 0;
   double sparse_ratio = 0;

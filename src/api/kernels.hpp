@@ -13,7 +13,7 @@
 //   SessionSpec spec;
 //   spec.kernel = "avx512-fixed8";   // or "swar", "auto", ...
 //   Session session(spec);
-//   std::cout << session.kernel_report().to_string();
+//   std::cout << session.report().kernel.to_string();
 //
 // The DBI_KERNEL environment variable applies the same override
 // globally (spec.kernel, when non-empty and not "auto", wins over it).
@@ -43,7 +43,7 @@ struct KernelInfo {
 [[nodiscard]] std::vector<KernelInfo> available_kernels();
 
 /// Which kernel variant serves each engine path for a given session
-/// configuration (see Session::kernel_report()). Paths a spec never
+/// configuration (see Session::report()). Paths a spec never
 /// exercises report "n/a"; paths outside the selected variant's
 /// envelope report the portable fallback, so the report always names
 /// what would actually run.

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
-#include "trace/replay.hpp"
 #include "trace/trace_reader.hpp"
 
 namespace dbi {
@@ -20,6 +20,19 @@ constexpr std::size_t kAccumBlockBursts = 1 << 16;
 /// Gathered block size for the > 8-lane write_stream route: bounds the
 /// per-lane scratch at O(block) words regardless of stream size.
 constexpr std::int64_t kGatherBlockWrites = 1024;
+
+/// A trace reader's monotonic RLE tallies at one point in time.
+struct RleTally {
+  std::uint64_t chunks = 0;
+  std::uint64_t compressed = 0;
+  std::uint64_t expanded = 0;
+};
+
+RleTally rle_tally(const trace::TraceReader& reader) {
+  const trace::ReaderMetrics& m = reader.metrics();
+  return {m.rle_chunks.load(), m.rle_bytes_compressed.load(),
+          m.rle_bytes_expanded.load()};
+}
 
 }  // namespace
 
@@ -58,7 +71,7 @@ Session::Session(const SessionSpec& spec)
     : spec_(spec), engine_(session_engine_scheme(spec_), spec_.weights) {
   spec_.validate();
   // Keep the deprecated scheme slot coherent with a pinned policy so
-  // kernel_report() and pre-policy readers agree with what runs.
+  // the kernel report and pre-policy readers agree with what runs.
   if (spec_.policy.mode() == SchemePolicy::Mode::kFixed)
     spec_.scheme = spec_.policy.fixed_scheme();
   // Kernel selection: resolve the spec's pin (unknown names and absent
@@ -74,7 +87,7 @@ Session::Session(const SessionSpec& spec)
   if (!spec_.kernel.empty() && spec_.kernel != "auto" &&
       kernel.isa() != engine::KernelIsa::kPortable &&
       !spec_.resolved_policy().adaptive()) {
-    const KernelReport rep = kernel_report();
+    const KernelReport rep = kernel_routing();
     if (rep.fixed_encode != kernel.name() && rep.trellis != kernel.name() &&
         rep.decode != kernel.name())
       throw std::invalid_argument(
@@ -84,7 +97,10 @@ Session::Session(const SessionSpec& spec)
           " (this spec runs entirely on the portable reference; candidates: " +
           engine::kernel_candidates() + ")");
   }
-  if (!spec_.pool && spec_.threads >= 2)
+  // Only the encode side shards across a pool; the decoder runs on the
+  // calling thread, so a kDecode session builds none.
+  if (!spec_.pool && spec_.threads >= 2 &&
+      spec_.direction != Direction::kDecode)
     owned_pool_ = std::make_unique<engine::ShardPool>(spec_.threads);
   // Observability: a caller-owned observer wins (so e.g. dbitool's
   // scheme sweeps aggregate several sessions into one registry); an
@@ -143,7 +159,7 @@ const dbi::Encoder& Session::scalar_encoder() const {
   return engine_.scalar_twin();
 }
 
-KernelReport Session::kernel_report() const {
+KernelReport Session::kernel_routing() const {
   const engine::KernelVariant& k = engine_.kernel();
   KernelReport rep;
   rep.variant = k.name();
@@ -382,57 +398,6 @@ void Session::reset() {
   stats_ = StreamStats{};
 }
 
-StreamStats Session::run_replay(const trace::TraceReader& reader,
-                                Sink& sink) {
-  trace::ReplayOptions opt;
-  opt.lanes = spec_.lanes;
-  opt.reset_state_per_burst =
-      spec_.state_policy == StatePolicy::kResetPerBurst;
-  opt.pool = pool();
-  opt.double_buffer = spec_.double_buffer;
-  opt.obs = obs_;
-  if (sink.wants_results()) {
-    const int groups = spec_.geometry.groups();
-    opt.on_results = [&sink, groups](
-                         std::int64_t first_burst,
-                         std::span<const engine::BurstResult> results) {
-      SinkChunk chunk;
-      chunk.first_burst = first_burst;
-      chunk.bursts =
-          static_cast<std::int64_t>(results.size()) / std::max(groups, 1);
-      chunk.groups = groups;
-      chunk.results = results;
-      sink.consume(chunk);
-    };
-  }
-
-  // RLE volume is tallied per reader; fold only this run's delta into
-  // the monotonic counters so repeated runs don't double-count.
-  const trace::ReaderMetrics& rm = reader.metrics();
-  const std::uint64_t rle_chunks0 = rm.rle_chunks.load();
-  const std::uint64_t rle_in0 = rm.rle_bytes_compressed.load();
-  const std::uint64_t rle_out0 = rm.rle_bytes_expanded.load();
-
-  const StreamStats totals = trace::replay_trace(reader, engine_, opt);
-
-  if (obs_) {
-    obs_->rle_chunks.add(rm.rle_chunks.load() - rle_chunks0);
-    const std::uint64_t rle_in = rm.rle_bytes_compressed.load() - rle_in0;
-    const std::uint64_t rle_out = rm.rle_bytes_expanded.load() - rle_out0;
-    obs_->rle_bytes_compressed.add(rle_in);
-    obs_->rle_bytes_expanded.add(rle_out);
-    obs_->trace_file_bytes.set(static_cast<double>(reader.file_bytes()));
-    obs_->trace_payload_bytes.set(
-        static_cast<double>(reader.bursts()) *
-        static_cast<double>(spec_.geometry.bytes_per_burst()));
-    obs_->trace_crc_ns.set(static_cast<double>(rm.crc_ns));
-    if (rle_in > 0)
-      obs_->trace_rle_expand_ratio.set(static_cast<double>(rle_out) /
-                                       static_cast<double>(rle_in));
-  }
-  return totals;
-}
-
 StreamStats Session::run_bursts(std::span<const dbi::Burst> bursts) {
   const dbi::BusConfig cfg = spec_.geometry.bus();
   const dbi::BusState boundary = dbi::BusState::all_ones(cfg);
@@ -450,177 +415,46 @@ StreamStats Session::run_bursts(std::span<const dbi::Burst> bursts) {
   return totals;
 }
 
-StreamStats Session::run_chunks(Source& source, Sink& sink) {
+std::unique_ptr<engine::StreamEncoder> Session::make_stream_encoder() const {
   engine::StreamEncodeOptions so;
   so.lanes = spec_.lanes;
-  so.reset_state_per_burst =
-      spec_.state_policy == StatePolicy::kResetPerBurst;
+  so.reset_state_per_burst = spec_.state_policy == StatePolicy::kResetPerBurst;
   so.pool = pool();
   so.obs = obs_;
-
-  const bool collect = sink.wants_results();
-  const bool pass_payload = sink.wants_payload();
-  const int groups = spec_.geometry.groups();
-
-  auto deliver = [&](std::int64_t first_burst, const SourceChunk& c,
-                     std::span<const engine::BurstResult> results) {
-    obs::ScopedSpan span(obs_, obs::Stage::kSinkWrite, first_burst,
-                         static_cast<std::int32_t>(std::min<std::int64_t>(
-                             c.bursts, INT32_MAX)));
-    SinkChunk chunk;
-    chunk.first_burst = first_burst;
-    chunk.bursts = c.bursts;
-    chunk.groups = groups;
-    if (pass_payload) chunk.payload = c.bytes;
-    chunk.results = results;
-    sink.consume(chunk);
-  };
-
-  // Multi-lane chunks gather each unit's slice into per-unit scratch;
-  // slicing big chunks bounds that scratch at O(kAccumBlockBursts)
-  // regardless of how large a span the source serves in one piece.
-  // Single-lane streams encode in place, so slicing would only cost.
-  const std::int64_t slice_bursts =
-      spec_.lanes > 1 ? static_cast<std::int64_t>(kAccumBlockBursts)
-                      : std::numeric_limits<std::int64_t>::max();
-  const auto bb = static_cast<std::size_t>(spec_.geometry.bytes_per_burst());
-
-  auto next_chunk = [&] {
-    obs::ScopedSpan span(obs_, obs::Stage::kSourceRead);
-    return source.next();
-  };
-
-  auto encode_all = [&](engine::StreamEncoder& enc) {
-    StreamStats totals;
-    std::int64_t first_burst = 0;   // sink-facing, continuous over the run
-    std::int64_t stream_burst = 0;  // lane phase within the current stream
-    while (const auto c = next_chunk()) {
-      if (!c->masks.empty())
-        throw std::invalid_argument(
-            "Session::run: the source is already encoded (mask-carrying); "
-            "run a kDecode session instead of re-encoding it");
-      if (c->first_of_stream && first_burst > 0) {
-        // A new constituent stream (e.g. the next lake member): fresh
-        // all-ones line state and a restarted lane interleave, so the
-        // concatenated run stays bit-exact against per-stream replay.
-        // Totals keep accumulating; the sink's burst axis stays
-        // continuous.
-        enc.reset_states();
-        stream_burst = 0;
-      }
-      for (std::int64_t b0 = 0; b0 < c->bursts; b0 += slice_bursts) {
-        const std::int64_t n = std::min(slice_bursts, c->bursts - b0);
-        const SourceChunk slice{
-            c->bytes.subspan(static_cast<std::size_t>(b0) * bb,
-                             static_cast<std::size_t>(n) * bb),
-            n,
-            {}};
-        const auto results = enc.encode_chunk(
-            stream_burst, slice.bytes, static_cast<std::size_t>(n), collect);
-        deliver(first_burst, slice, results);
-        first_burst += n;
-        stream_burst += n;
-      }
-    }
-    totals.bursts = enc.bursts();
-    totals.zeros = enc.zeros();
-    totals.transitions = enc.transitions();
-    return totals;
-  };
-
-  if (spec_.geometry.is_wide()) {
-    engine::StreamEncoder enc(engine_, spec_.geometry.wide_bus(), so);
-    return encode_all(enc);
-  }
-  engine::StreamEncoder enc(engine_, spec_.geometry.bus(), so);
-  return encode_all(enc);
+  if (spec_.geometry.is_wide())
+    return std::make_unique<engine::StreamEncoder>(
+        engine_, spec_.geometry.wide_bus(), so);
+  return std::make_unique<engine::StreamEncoder>(engine_, spec_.geometry.bus(),
+                                                 so);
 }
 
-StreamStats Session::run_decode(Source& source, Sink& sink) {
-  if (sink.wants_results())
-    throw std::invalid_argument(
-        "Session::run: kDecode sessions recover payload, not encode "
-        "results; use a payload / stats / trace sink");
-  const bool pass_payload = sink.wants_payload();
+std::span<const std::uint8_t> Session::roundtrip_slice(
+    std::int64_t first_burst, std::span<const std::uint8_t> bytes,
+    std::span<const engine::BurstResult> results) {
   const int groups = spec_.geometry.groups();
-  const auto bb = static_cast<std::size_t>(spec_.geometry.bytes_per_burst());
-
-  StreamStats totals;
-  std::vector<std::uint8_t> decoded;
-  std::int64_t first_burst = 0;
-  auto next_chunk = [&] {
-    obs::ScopedSpan span(obs_, obs::Stage::kSourceRead);
-    return source.next();
-  };
-  while (const auto c = next_chunk()) {
-    if (c->bursts == 0) continue;
-    if (c->masks.size() !=
-        static_cast<std::size_t>(c->bursts) * static_cast<std::size_t>(groups))
-      throw std::invalid_argument(
-          "Session::run: a kDecode session needs an encoded source "
-          "(a mask-carrying trace or make_encoded_packed_source); this "
-          "chunk has " + std::to_string(c->masks.size()) + " masks for " +
-          std::to_string(c->bursts) + " bursts of " +
-          std::to_string(groups) + " groups");
-    decoded.resize(static_cast<std::size_t>(c->bursts) * bb);
-    {
-      obs::ScopedSpan span(obs_, obs::Stage::kDecodeChunk, first_burst,
-                           static_cast<std::int32_t>(std::min<std::int64_t>(
-                               c->bursts, INT32_MAX)));
-      if (obs_) obs_->chunks.inc();
-      if (spec_.geometry.is_wide())
-        decoder_.decode_packed_wide(c->bytes, c->masks,
-                                    spec_.geometry.wide_bus(), decoded);
-      else
-        decoder_.decode_packed(c->bytes, c->masks, spec_.geometry.bus(),
-                               decoded);
-    }
-    SinkChunk chunk;
-    chunk.first_burst = first_burst;
-    chunk.bursts = c->bursts;
-    chunk.groups = groups;
-    if (pass_payload) chunk.payload = decoded;
-    sink.consume(chunk);
-    totals.bursts += c->bursts;
-    first_burst += c->bursts;
-  }
-  return totals;
-}
-
-StreamStats Session::run_roundtrip(Source& source, Sink& sink) {
-  const bool pass_payload = sink.wants_payload();
-  const bool pass_results = sink.wants_results();
-  const int groups = spec_.geometry.groups();
-  const int lanes = spec_.lanes;
   const int bl = spec_.geometry.burst_length();
   const auto bpb = static_cast<std::size_t>(spec_.geometry.bytes_per_beat());
   const auto bb = static_cast<std::size_t>(spec_.geometry.bytes_per_burst());
   const bool wide = spec_.geometry.is_wide();
-  const dbi::BusConfig narrow_cfg =
-      wide ? dbi::BusConfig{} : spec_.geometry.bus();
-  const dbi::WideBusConfig wide_cfg =
-      wide ? spec_.geometry.wide_bus() : dbi::WideBusConfig{};
-
-  // Every run starts from all-ones line state and zero totals, but the
-  // encoder and the wire / mask buffers outlive it: their allocations
-  // are reused instead of faulting in fresh pages on every call.
-  if (roundtrip_enc_) {
-    roundtrip_enc_->reset();
-  } else {
-    engine::StreamEncodeOptions so;
-    so.lanes = spec_.lanes;
-    so.reset_state_per_burst =
-        spec_.state_policy == StatePolicy::kResetPerBurst;
-    so.pool = pool();
-    so.obs = obs_;
-    roundtrip_enc_ =
-        wide ? std::make_unique<engine::StreamEncoder>(engine_, wide_cfg, so)
-             : std::make_unique<engine::StreamEncoder>(engine_, narrow_cfg,
-                                                       so);
-  }
-  engine::StreamEncoder* enc = roundtrip_enc_.get();
   std::vector<std::uint8_t>& wire = roundtrip_wire_;
   std::vector<std::uint64_t>& masks = roundtrip_masks_;
+
+  masks.resize(results.size());
+  for (std::size_t i = 0; i < results.size(); ++i)
+    masks[i] = results[i].invert_mask;
+
+  // Materialise the wire stream, optionally corrupt it, then run the
+  // receiver over it — all on the same buffer.
+  wire.assign(bytes.begin(), bytes.end());
+  if (wide)
+    decoder_.apply_packed_wide(wire, masks, spec_.geometry.wide_bus(), wire);
+  else
+    decoder_.apply_packed(wire, masks, spec_.geometry.bus(), wire);
+  if (spec_.fault_injector) spec_.fault_injector(first_burst, wire, masks);
+  if (wide)
+    decoder_.decode_packed_wide(wire, masks, spec_.geometry.wide_bus(), wire);
+  else
+    decoder_.decode_packed(wire, masks, spec_.geometry.bus(), wire);
 
   // Compares one round-tripped burst's group against the original and
   // returns the beat mask of the differing beats (narrow groups span
@@ -637,27 +471,175 @@ StreamStats Session::run_roundtrip(Source& source, Sink& sink) {
         differs = original[at] != roundtripped[at];
       } else {
         const std::size_t at = static_cast<std::size_t>(t) * bpb;
-        differs =
-            std::memcmp(original + at, roundtripped + at, bpb) != 0;
+        differs = std::memcmp(original + at, roundtripped + at, bpb) != 0;
       }
       if (differs) mask |= std::uint64_t{1} << t;
     }
     return mask;
   };
 
-  const std::int64_t slice_bursts =
-      spec_.lanes > 1 ? static_cast<std::int64_t>(kAccumBlockBursts)
-                      : std::numeric_limits<std::int64_t>::max();
+  const auto n = static_cast<std::int64_t>(bytes.size() / bb);
+  verify_.bursts += n;
+  if (std::memcmp(wire.data(), bytes.data(), wire.size()) != 0) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      const std::uint8_t* orig =
+          bytes.data() + static_cast<std::size_t>(j) * bb;
+      const std::uint8_t* got = wire.data() + static_cast<std::size_t>(j) * bb;
+      if (std::memcmp(orig, got, bb) == 0) continue;
+      const std::int64_t burst = first_burst + j;
+      for (int g = 0; g < groups; ++g) {
+        const std::uint64_t mask = diff_mask(orig, got, g);
+        if (mask != 0)
+          verify_.record(burst, static_cast<int>(burst % spec_.lanes), g,
+                         mask);
+      }
+    }
+  }
+  return wire;
+}
 
-  std::int64_t first_burst = 0;   // sink- and verify-facing, continuous
+StreamStats Session::run_chunks(Source& source, Sink& sink) {
+  enum class Step { kEncode, kDecode, kRoundTrip, kAdaptive };
+  const SchemePolicy policy = spec_.resolved_policy();
+  const Step step = spec_.direction == Direction::kDecode ? Step::kDecode
+                    : spec_.direction == Direction::kRoundTrip
+                        ? Step::kRoundTrip
+                    : policy.adaptive() ? Step::kAdaptive
+                                        : Step::kEncode;
+  const bool collect = sink.wants_results();
+  const bool pass_payload = sink.wants_payload();
+  const int groups = spec_.geometry.groups();
+  const auto bb = static_cast<std::size_t>(spec_.geometry.bytes_per_burst());
+
+  // Per-step state. Encode runs build their encoder for this run only;
+  // the round-trip encoder and its wire / mask buffers stay on the
+  // session, so their allocations are reused instead of faulting in
+  // fresh pages on every call; decode and re-block scratch lives for
+  // this run.
+  std::unique_ptr<engine::StreamEncoder> run_enc;
+  engine::StreamEncoder* enc = nullptr;
+  if (step == Step::kEncode) {
+    run_enc = make_stream_encoder();
+    enc = run_enc.get();
+  } else if (step == Step::kRoundTrip) {
+    if (roundtrip_enc_)
+      roundtrip_enc_->reset();
+    else
+      roundtrip_enc_ = make_stream_encoder();
+    enc = roundtrip_enc_.get();
+  }
+  std::vector<std::uint8_t> scratch;  // decoded payload / re-block carry
+  std::unique_ptr<select::ChunkSelector> selector;
+  if (step == Step::kAdaptive) {
+    selection_ = select::SelectionReport{};
+    select::ChunkSelector::Config scfg;
+    scfg.policy = policy;
+    scfg.geometry = spec_.geometry;
+    scfg.weights = spec_.weights;
+    scfg.lanes = spec_.lanes;
+    scfg.reset_state_per_burst =
+        spec_.state_policy == StatePolicy::kResetPerBurst;
+    scfg.pool = pool();
+    scfg.obs = obs_;
+    scfg.kernel = &engine_.kernel();
+    selector = std::make_unique<select::ChunkSelector>(scfg);
+    scratch.reserve(static_cast<std::size_t>(policy.block_bursts()) * bb);
+  }
+
+  std::int64_t first_burst = 0;   // sink-facing, continuous over the run
   std::int64_t stream_burst = 0;  // lane phase within the current stream
-  while (const auto c = source.next()) {
-    if (c->bursts > 0 && !c->masks.empty())
+
+  // The one hand-off to the sink: every step delivers through here.
+  const auto emit = [&](std::int64_t n, std::span<const std::uint8_t> payload,
+                        std::span<const engine::BurstResult> results,
+                        std::optional<Scheme> scheme = std::nullopt) {
+    obs::ScopedSpan span(obs_, obs::Stage::kSinkWrite, first_burst,
+                         static_cast<std::int32_t>(
+                             std::min<std::int64_t>(n, INT32_MAX)));
+    SinkChunk chunk;
+    chunk.first_burst = first_burst;
+    chunk.bursts = n;
+    chunk.groups = groups;
+    if (pass_payload) chunk.payload = payload;
+    if (collect) chunk.results = results;
+    chunk.scheme = scheme;
+    sink.consume(chunk);
+    first_burst += n;
+    stream_burst += n;
+  };
+
+  // Adaptive step: re-block the source's chunks to the policy's
+  // selection granularity. Full blocks landing on a carry boundary
+  // encode straight from the source's view, partial ones gather into
+  // `scratch` first.
+  const auto block_bursts = static_cast<std::int64_t>(policy.block_bursts());
+  const auto select_block = [&](std::span<const std::uint8_t> bytes) {
+    const auto n = static_cast<std::int64_t>(bytes.size() / bb);
+    const select::ChunkSelector::BlockResult r = selector->encode_block(
+        first_burst, bytes, static_cast<std::size_t>(n));
+    emit(n, bytes, r.results, r.scheme);
+  };
+  const auto reblock = [&](std::span<const std::uint8_t> rest) {
+    const auto block_bytes = static_cast<std::size_t>(block_bursts) * bb;
+    while (!rest.empty()) {
+      if (scratch.empty() && rest.size() >= block_bytes) {
+        select_block(rest.first(block_bytes));
+        rest = rest.subspan(block_bytes);
+        continue;
+      }
+      const std::size_t take =
+          std::min(block_bytes - scratch.size(), rest.size());
+      scratch.insert(scratch.end(), rest.begin(),
+                     rest.begin() + static_cast<std::ptrdiff_t>(take));
+      rest = rest.subspan(take);
+      if (scratch.size() == block_bytes) {
+        select_block(scratch);
+        scratch.clear();
+      }
+    }
+  };
+
+  const auto next_chunk = [&] {
+    obs::ScopedSpan span(obs_, obs::Stage::kSourceRead);
+    return source.next();
+  };
+
+  // Multi-lane encodes gather each unit's slice into per-unit scratch;
+  // slicing big chunks bounds that scratch at O(kAccumBlockBursts)
+  // regardless of how large a span the source serves in one piece.
+  // Single-lane streams encode in place, so slicing would only cost.
+  const std::int64_t slice_bursts =
+      enc && spec_.lanes > 1 ? static_cast<std::int64_t>(kAccumBlockBursts)
+                             : std::numeric_limits<std::int64_t>::max();
+
+  while (const auto c = next_chunk()) {
+    // Decode takes bursts x groups masks per chunk; every other step
+    // takes payload only.
+    if (step == Step::kDecode) {
+      if (c->masks.size() != static_cast<std::size_t>(c->bursts) *
+                                 static_cast<std::size_t>(groups))
+        throw std::invalid_argument(
+            "Session::run: a kDecode session needs an encoded source "
+            "(a mask-carrying trace or make_encoded_packed_source); this "
+            "chunk has " + std::to_string(c->masks.size()) + " masks for " +
+            std::to_string(c->bursts) + " bursts of " +
+            std::to_string(groups) + " groups");
+    } else if (!c->masks.empty()) {
       throw std::invalid_argument(
-          "Session::run: kRoundTrip takes payload sources; verify an "
-          "already-encoded trace with verify_encoded_trace / dbitool "
-          "verify");
-    if (c->first_of_stream && first_burst > 0) {
+          step == Step::kRoundTrip
+              ? "Session::run: kRoundTrip takes payload sources; verify an "
+                "already-encoded trace with verify_encoded_trace / dbitool "
+                "verify"
+              : "Session::run: the source is already encoded "
+                "(mask-carrying); run a kDecode session instead of "
+                "re-encoding it");
+    }
+    if (enc && c->first_of_stream && first_burst > 0) {
+      // A new constituent stream (e.g. the next lake member): fresh
+      // all-ones line state and a restarted lane interleave, so the
+      // concatenated run stays bit-exact against per-stream replay.
+      // Totals keep accumulating; the sink's burst axis stays
+      // continuous.
       enc->reset_states();
       stream_burst = 0;
     }
@@ -665,150 +647,60 @@ StreamStats Session::run_roundtrip(Source& source, Sink& sink) {
       const std::int64_t n = std::min(slice_bursts, c->bursts - b0);
       const auto bytes = c->bytes.subspan(static_cast<std::size_t>(b0) * bb,
                                           static_cast<std::size_t>(n) * bb);
-      const auto results = enc->encode_chunk(
-          stream_burst, bytes, static_cast<std::size_t>(n), true);
-      masks.resize(results.size());
-      for (std::size_t i = 0; i < results.size(); ++i)
-        masks[i] = results[i].invert_mask;
-
-      // Materialise the wire stream, optionally corrupt it, then run
-      // the receiver over it — all on the same buffer.
-      wire.assign(bytes.begin(), bytes.end());
-      if (wide)
-        decoder_.apply_packed_wide(wire, masks, wide_cfg, wire);
-      else
-        decoder_.apply_packed(wire, masks, narrow_cfg, wire);
-      if (spec_.fault_injector) spec_.fault_injector(first_burst, wire, masks);
-      if (wide)
-        decoder_.decode_packed_wide(wire, masks, wide_cfg, wire);
-      else
-        decoder_.decode_packed(wire, masks, narrow_cfg, wire);
-
-      verify_.bursts += n;
-      if (std::memcmp(wire.data(), bytes.data(), wire.size()) != 0) {
-        for (std::int64_t j = 0; j < n; ++j) {
-          const std::uint8_t* orig =
-              bytes.data() + static_cast<std::size_t>(j) * bb;
-          const std::uint8_t* got =
-              wire.data() + static_cast<std::size_t>(j) * bb;
-          if (std::memcmp(orig, got, bb) == 0) continue;
-          const std::int64_t burst = first_burst + j;
-          for (int g = 0; g < groups; ++g) {
-            const std::uint64_t mask = diff_mask(orig, got, g);
-            if (mask != 0)
-              verify_.record(burst, static_cast<int>(burst % lanes), g, mask);
-          }
+      switch (step) {
+        case Step::kEncode:
+          emit(n, bytes,
+               enc->encode_chunk(stream_burst, bytes,
+                                 static_cast<std::size_t>(n), collect));
+          break;
+        case Step::kRoundTrip: {
+          const auto results = enc->encode_chunk(
+              stream_burst, bytes, static_cast<std::size_t>(n), true);
+          emit(n, roundtrip_slice(first_burst, bytes, results), results);
+          break;
         }
+        case Step::kDecode: {
+          scratch.resize(bytes.size());
+          {
+            obs::ScopedSpan span(obs_, obs::Stage::kDecodeChunk, first_burst,
+                                 static_cast<std::int32_t>(
+                                     std::min<std::int64_t>(n, INT32_MAX)));
+            if (obs_) obs_->chunks.inc();
+            if (spec_.geometry.is_wide())
+              decoder_.decode_packed_wide(bytes, c->masks,
+                                          spec_.geometry.wide_bus(), scratch);
+            else
+              decoder_.decode_packed(bytes, c->masks, spec_.geometry.bus(),
+                                     scratch);
+          }
+          emit(n, scratch, {});
+          break;
+        }
+        case Step::kAdaptive:
+          reblock(bytes);
+          break;
       }
-
-      SinkChunk chunk;
-      chunk.first_burst = first_burst;
-      chunk.bursts = n;
-      chunk.groups = groups;
-      if (pass_payload) chunk.payload = wire;
-      if (pass_results) chunk.results = results;
-      sink.consume(chunk);
-      first_burst += n;
-      stream_burst += n;
     }
   }
 
   StreamStats totals;
-  totals.bursts = enc->bursts();
-  totals.zeros = enc->zeros();
-  totals.transitions = enc->transitions();
-  return totals;
-}
-
-StreamStats Session::run_adaptive(Source& source, Sink& sink) {
-  const SchemePolicy policy = spec_.resolved_policy();
-  selection_ = select::SelectionReport{};
-
-  select::ChunkSelector::Config scfg;
-  scfg.policy = policy;
-  scfg.geometry = spec_.geometry;
-  scfg.weights = spec_.weights;
-  scfg.lanes = spec_.lanes;
-  scfg.reset_state_per_burst =
-      spec_.state_policy == StatePolicy::kResetPerBurst;
-  scfg.pool = pool();
-  scfg.obs = obs_;
-  scfg.kernel = &engine_.kernel();
-  select::ChunkSelector selector(scfg);
-
-  const bool pass_payload = sink.wants_payload();
-  const int groups = spec_.geometry.groups();
-  const auto bb = static_cast<std::size_t>(spec_.geometry.bytes_per_burst());
-  const auto block_bursts = static_cast<std::int64_t>(policy.block_bursts());
-
-  std::vector<std::uint8_t> buf;
-  buf.reserve(static_cast<std::size_t>(block_bursts) * bb);
-  std::int64_t buffered = 0;
-  std::int64_t first_burst = 0;
-
-  auto flush_block = [&](std::span<const std::uint8_t> bytes,
-                         std::int64_t n) {
-    const select::ChunkSelector::BlockResult r = selector.encode_block(
-        first_burst, bytes, static_cast<std::size_t>(n));
-    obs::ScopedSpan span(obs_, obs::Stage::kSinkWrite, first_burst,
-                         static_cast<std::int32_t>(std::min<std::int64_t>(
-                             n, INT32_MAX)));
-    SinkChunk chunk;
-    chunk.first_burst = first_burst;
-    chunk.bursts = n;
-    chunk.groups = groups;
-    if (pass_payload) chunk.payload = bytes;
-    chunk.results = r.results;
-    chunk.scheme = r.scheme;
-    sink.consume(chunk);
-    first_burst += n;
-  };
-
-  auto next_chunk = [&] {
-    obs::ScopedSpan span(obs_, obs::Stage::kSourceRead);
-    return source.next();
-  };
-
-  // Re-block the source's chunks to the policy's selection granularity:
-  // full blocks landing on a buffer boundary encode straight from the
-  // source's view, partial ones gather into `buf` first.
-  while (const auto c = next_chunk()) {
-    if (!c->masks.empty())
-      throw std::invalid_argument(
-          "Session::run: the source is already encoded (mask-carrying); "
-          "run a kDecode session instead of re-encoding it");
-    std::span<const std::uint8_t> rest = c->bytes;
-    std::int64_t left = c->bursts;
-    while (left > 0) {
-      if (buffered == 0 && left >= block_bursts) {
-        flush_block(
-            rest.subspan(0, static_cast<std::size_t>(block_bursts) * bb),
-            block_bursts);
-        rest = rest.subspan(static_cast<std::size_t>(block_bursts) * bb);
-        left -= block_bursts;
-        continue;
-      }
-      const std::int64_t take = std::min(block_bursts - buffered, left);
-      const auto take_bytes = static_cast<std::size_t>(take) * bb;
-      buf.insert(buf.end(), rest.begin(),
-                 rest.begin() + static_cast<std::ptrdiff_t>(take_bytes));
-      rest = rest.subspan(take_bytes);
-      buffered += take;
-      left -= take;
-      if (buffered == block_bursts) {
-        flush_block(buf, buffered);
-        buf.clear();
-        buffered = 0;
-      }
-    }
+  switch (step) {
+    case Step::kDecode:
+      totals.bursts = first_burst;
+      break;
+    case Step::kAdaptive:
+      if (!scratch.empty()) select_block(scratch);
+      selection_ = selector->report();
+      totals.bursts = selector->bursts();
+      totals.zeros = selector->zeros();
+      totals.transitions = selector->transitions();
+      break;
+    case Step::kEncode:
+    case Step::kRoundTrip:
+      totals.bursts = enc->bursts();
+      totals.zeros = enc->zeros();
+      totals.transitions = enc->transitions();
   }
-  if (buffered > 0) flush_block(buf, buffered);
-
-  selection_ = selector.report();
-  StreamStats totals;
-  totals.bursts = selector.bursts();
-  totals.zeros = selector.zeros();
-  totals.transitions = selector.transitions();
   return totals;
 }
 
@@ -817,49 +709,51 @@ StreamStats Session::run(Source& source, Sink& sink) {
   sink.begin(spec_.geometry, spec_.lanes);
   verify_ = VerifyReport{};
 
-  StreamStats totals;
   const trace::TraceReader* reader = source.trace_reader();
   if (spec_.direction == Direction::kDecode) {
     if (reader && !reader->encoded())
       throw std::invalid_argument(
           "Session::run: kDecode needs an encoded trace (this one has no "
           "mask stream)");
-    totals = run_decode(source, sink);
-    publish_stats(totals, /*whole_run=*/true);
-    sink.finish(totals);
-    return totals;
-  }
-  if (reader && reader->encoded())
+    if (sink.wants_results())
+      throw std::invalid_argument(
+          "Session::run: kDecode sessions recover payload, not encode "
+          "results; use a payload / stats / trace sink");
+  } else if (reader && reader->encoded()) {
     throw std::invalid_argument(
         "Session::run: the trace is already encoded; run a kDecode "
         "session or verify_encoded_trace instead of re-encoding the "
         "transmitted stream");
-  if (spec_.direction == Direction::kRoundTrip) {
-    totals = run_roundtrip(source, sink);
-    publish_stats(totals, /*whole_run=*/true);
-    sink.finish(totals);
-    return totals;
   }
-  if (spec_.resolved_policy().adaptive()) {
-    totals = run_adaptive(source, sink);
-    publish_stats(totals, /*whole_run=*/true);
-    sink.finish(totals);
-    return totals;
-  }
+  // RLE volume is tallied per reader; fold only this run's delta into
+  // the monotonic counters so repeated runs don't double-count.
+  const RleTally rle0 = obs_ && reader ? rle_tally(*reader) : RleTally{};
 
+  // Single-lane narrow Burst spans skip the packing pass entirely.
   const std::span<const dbi::Burst> burst_span = source.bursts();
-  if (reader && !sink.wants_payload()) {
-    // mmap replay keeps the double-buffered producer and the zero-copy
-    // chunk views; payload-wanting sinks fall through to the generic
-    // loop, which still serves uncompressed chunks as views.
-    totals = run_replay(*reader, sink);
-  } else if (!burst_span.empty() && spec_.lanes == 1 &&
-             !spec_.geometry.is_wide() && !sink.wants_results() &&
-             !sink.wants_payload()) {
-    // Single-lane narrow Burst spans skip the packing pass entirely.
-    totals = run_bursts(burst_span);
-  } else {
-    totals = run_chunks(source, sink);
+  const StreamStats totals =
+      spec_.direction == Direction::kEncode &&
+              !spec_.resolved_policy().adaptive() && !burst_span.empty() &&
+              spec_.lanes == 1 && !spec_.geometry.is_wide() &&
+              !sink.wants_results() && !sink.wants_payload()
+          ? run_bursts(burst_span)
+          : run_chunks(source, sink);
+
+  if (obs_ && reader) {
+    const RleTally rle = rle_tally(*reader);
+    const std::uint64_t rle_in = rle.compressed - rle0.compressed;
+    const std::uint64_t rle_out = rle.expanded - rle0.expanded;
+    obs_->rle_chunks.add(rle.chunks - rle0.chunks);
+    obs_->rle_bytes_compressed.add(rle_in);
+    obs_->rle_bytes_expanded.add(rle_out);
+    obs_->trace_file_bytes.set(static_cast<double>(reader->file_bytes()));
+    obs_->trace_payload_bytes.set(
+        static_cast<double>(reader->bursts()) *
+        static_cast<double>(spec_.geometry.bytes_per_burst()));
+    obs_->trace_crc_ns.set(static_cast<double>(reader->metrics().crc_ns));
+    if (rle_in > 0)
+      obs_->trace_rle_expand_ratio.set(static_cast<double>(rle_out) /
+                                       static_cast<double>(rle_in));
   }
   publish_stats(totals, /*whole_run=*/true);
   sink.finish(totals);
@@ -875,10 +769,10 @@ SessionReport Session::report() const {
   SessionReport rep;
   rep.scheme = std::string(scheme_name());
   rep.policy = spec_.resolved_policy().describe();
-  rep.kernel = kernel_report();
+  rep.kernel = kernel_routing();
   rep.adaptive = spec_.resolved_policy().adaptive();
   rep.selection = selection_;
-  rep.metrics = metrics_report();
+  if (obs_) rep.metrics = obs_->snapshot();
   return rep;
 }
 

@@ -10,13 +10,14 @@
 //   auto sink = make_stats_sink();             //    corpus / generator
 //   const StreamStats totals = session.run(*source, *sink);
 //
-// Session::run routes to the existing kernels with zero copy
-// preserved: trace-backed sources go through the double-buffered mmap
-// ReplayPipeline, single-lane narrow Burst spans through
-// BatchEncoder::encode_lane, and everything else through the shared
-// engine::StreamEncoder chunk loop — the BatchEncoder entry points and
-// the replay double-buffer are internal dispatch targets, not part of
-// the public surface.
+// Session::run has one chunk loop for every source and direction: it
+// pulls a chunk (trace chunks arrive as zero-copy mmap views, RLE'd
+// ones expanded in Source::next), checks it, runs the direction's step
+// (the shared engine::StreamEncoder for encode, the BatchDecoder for
+// decode, both for a round trip, select::ChunkSelector for adaptive
+// policies) and hands the result to the sink. Single-lane narrow Burst
+// spans skip the packing pass through BatchEncoder::encode_lane /
+// boundary_totals instead.
 //
 // For memory-controller-style incremental traffic (workload::Channel
 // is a thin wrapper over this), write() / write_stream() consume
@@ -95,8 +96,10 @@ struct SessionSpec {
   /// by side (requires narrow x8 geometry, lanes <= 64).
   int lanes = 1;
   CostWeights weights{};  ///< parameterises kOpt / kExhaustive
-  /// 0 or 1: encode on the calling thread. N >= 2: the session owns a
-  /// ShardPool of N workers and shards (lane, group) units across it.
+  /// 0 or 1: encode on the calling thread. N >= 2: an encode or
+  /// round-trip session owns a ShardPool of N workers and shards
+  /// (lane, group) units across it; a kDecode session builds no pool
+  /// (the decoder runs on the calling thread).
   int threads = 0;
   /// Non-null: share this caller-owned pool instead (overrides
   /// `threads`; the pool must outlive the session).
@@ -110,11 +113,9 @@ struct SessionSpec {
   /// candidates, when the name is unknown, the host lacks the required
   /// instruction set, or the variant's envelope covers no path of this
   /// spec's scheme and geometry. See api/kernels.hpp and
-  /// Session::kernel_report(). Selection never changes results — every
+  /// Session::report().kernel. Selection never changes results — every
   /// variant is bit-exact against "swar".
   std::string kernel;
-  /// Trace-backed sources: overlap chunk preparation with encoding.
-  bool double_buffer = true;
   Direction direction = Direction::kEncode;
   /// Round-trip sessions only: called once per chunk between encode
   /// and decode with the materialised transmitted bytes and the
@@ -133,7 +134,7 @@ struct SessionSpec {
   /// Observability: kOff (the default) adds no instrumentation at all —
   /// the hot paths see a null observer and skip every counter. kCounters
   /// makes the session own an obs::Observer (metrics via
-  /// Session::metrics_report()); kFull adds stage-span tracing
+  /// Session::report().metrics); kFull adds stage-span tracing
   /// (Chrome trace_event JSON via Session::observer()). See src/obs/.
   obs::ObsConfig obs{};
   /// Non-null: share this caller-owned observer instead (overrides
@@ -155,9 +156,7 @@ struct SessionSpec {
 /// One unified report of everything a session can tell about itself —
 /// scheme / policy, kernel routing, adaptive selection outcome and the
 /// observer's metrics snapshot — with a single JSON rendering (the
-/// dbitool --report payload). The older kernel_report() /
-/// metrics_report() / selection_report() accessors remain as thin views
-/// of the same data.
+/// dbitool --report payload).
 struct SessionReport {
   std::string scheme;           ///< Session::scheme_name()
   std::string policy;           ///< SchemePolicy::describe()
@@ -184,25 +183,14 @@ class Session {
   /// per-burst reference implementation).
   [[nodiscard]] const dbi::Encoder& scalar_encoder() const;
 
-  /// Which kernel variant serves each engine path under this spec:
-  /// the resolved variant (spec.kernel / DBI_KERNEL / auto) where its
-  /// envelope covers the path, the portable "swar" reference where it
-  /// does not, "n/a" for paths the scheme and geometry never exercise.
-  /// Prefer report().kernel — this remains as a thin view.
-  [[nodiscard]] KernelReport kernel_report() const;
-
   /// Everything the session knows about itself in one struct (with
-  /// to_json()): scheme / policy, kernel routing, the latest adaptive
-  /// selection outcome and the metrics snapshot.
+  /// to_json()): scheme / policy, kernel routing (which variant serves
+  /// each engine path), the latest adaptive selection outcome (empty on
+  /// fixed-scheme sessions or before the first run) and the metrics
+  /// snapshot (empty when observability is off; exact on deterministic
+  /// runs: dbi_bursts_total / dbi_bytes_total equal the summed
+  /// StreamStats).
   [[nodiscard]] SessionReport report() const;
-
-  /// Selection outcome of the latest adaptive run (per-candidate chosen
-  /// counts, costs, probe accuracy). Empty (blocks == 0) on
-  /// fixed-scheme sessions or before the first run. Prefer
-  /// report().selection — this remains as a thin view.
-  [[nodiscard]] const select::SelectionReport& selection_report() const {
-    return selection_;
-  }
 
   /// Streams the whole source into the sink once and returns the
   /// 64-bit totals (also handed to sink.finish()). Restartable: every
@@ -219,14 +207,6 @@ class Session {
   /// bit-exact flag plus the first mismatching (burst, lane, group)
   /// sites with their beat masks.
   [[nodiscard]] const VerifyReport& verify_report() const { return verify_; }
-
-  /// Aggregated metrics snapshot of this session's observer (empty when
-  /// observability is off). Exact on deterministic runs:
-  /// dbi_bursts_total / dbi_bytes_total equal the summed StreamStats.
-  /// Prefer report().metrics — this remains as a thin view.
-  [[nodiscard]] obs::Snapshot metrics_report() const {
-    return obs_ ? obs_->snapshot() : obs::Snapshot{};
-  }
 
   /// The live observer (session-owned or spec.observer), null when off.
   [[nodiscard]] obs::Observer* observer() const { return obs_; }
@@ -267,16 +247,25 @@ class Session {
   [[nodiscard]] engine::ShardPool* pool() const {
     return spec_.pool ? spec_.pool : owned_pool_.get();
   }
+  /// Which kernel variant serves each engine path under this spec:
+  /// the resolved variant where its envelope covers the path, the
+  /// portable "swar" reference where it does not, "n/a" for paths the
+  /// scheme and geometry never exercise.
+  [[nodiscard]] KernelReport kernel_routing() const;
   void require_channel_geometry(const char* what) const;
   /// Folds a completed surface's delta into the observer counters
   /// (bytes derived as bursts x geometry.bytes_per_burst()).
   void publish_stats(const StreamStats& delta, bool whole_run) const;
-  StreamStats run_chunks(Source& source, Sink& sink);
+  [[nodiscard]] std::unique_ptr<engine::StreamEncoder> make_stream_encoder()
+      const;
   StreamStats run_bursts(std::span<const dbi::Burst> bursts);
-  StreamStats run_replay(const trace::TraceReader& reader, Sink& sink);
-  StreamStats run_decode(Source& source, Sink& sink);
-  StreamStats run_roundtrip(Source& source, Sink& sink);
-  StreamStats run_adaptive(Source& source, Sink& sink);
+  /// The one chunk loop behind every other run().
+  StreamStats run_chunks(Source& source, Sink& sink);
+  /// Round-trip step for one encoded slice: wire, fault injector,
+  /// decode, compare into verify_; returns the received payload.
+  std::span<const std::uint8_t> roundtrip_slice(
+      std::int64_t first_burst, std::span<const std::uint8_t> bytes,
+      std::span<const engine::BurstResult> results);
 
   SessionSpec spec_;
   engine::BatchEncoder engine_;
@@ -292,7 +281,9 @@ class Session {
   std::vector<dbi::BusState> lane_states_;
   std::unique_ptr<engine::StreamEncoder> wide_writer_;
   // kRoundTrip runs: the encoder and wire / mask scratch, reused across
-  // runs (reset at the start of each).
+  // runs (reset at the start of each). Encode runs build their encoder
+  // per run and decode scratch lives for one run: a session that kept
+  // them would hold its largest result buffer for its whole lifetime.
   std::unique_ptr<engine::StreamEncoder> roundtrip_enc_;
   std::vector<std::uint8_t> roundtrip_wire_;
   std::vector<std::uint64_t> roundtrip_masks_;

@@ -76,8 +76,7 @@ class Sink {
 [[nodiscard]] std::unique_ptr<Sink> make_result_sink(
     std::vector<engine::BurstResult>& out);
 
-/// Calls `fn(first_burst, results)` once per chunk, in stream order —
-/// the Session twin of trace::ReplayOptions::on_results.
+/// Calls `fn(first_burst, results)` once per chunk, in stream order.
 [[nodiscard]] std::unique_ptr<Sink> make_observer_sink(
     std::function<void(std::int64_t first_burst,
                        std::span<const engine::BurstResult> results)>

@@ -7,10 +7,12 @@
 // Session::run pipeline. Sources with an intrinsic shape (traces,
 // Burst spans) verify the session geometry against it in bind();
 // generators configure themselves for whatever geometry the session
-// asks for. Two fast-path hooks let Session keep the zero-copy routes:
-// trace_reader() hands trace-backed sources to the double-buffered
-// mmap ReplayPipeline, and bursts() lets single-lane narrow streams go
-// through BatchEncoder::encode_lane without a packing pass.
+// asks for. Two hooks expose what a source is backed by: trace_reader()
+// names the binary trace behind trace-backed sources (Session checks
+// its encoded flag against the direction and publishes its I/O
+// counters: RLE volume, CRC time, file and payload bytes), and
+// bursts() lets single-lane narrow streams go through
+// BatchEncoder::encode_lane without a packing pass.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +68,9 @@ class Source {
   /// valid until the next call on this source.
   [[nodiscard]] virtual std::optional<SourceChunk> next() = 0;
 
-  /// Fast-path hook: non-null when the source streams a binary trace
-  /// the session can hand to the mmap replay pipeline unchanged.
+  /// Non-null when the source streams a binary trace: the session
+  /// checks its encoded flag against the direction and publishes its
+  /// trace I/O counters after the run.
   [[nodiscard]] virtual const trace::TraceReader* trace_reader() const {
     return nullptr;
   }

@@ -2,11 +2,10 @@
 // accumulates and reports.
 //
 // It replaces the per-subsystem twins that grew alongside the encode
-// paths — workload::ChannelStats (int64 per-write counters) and
-// trace::ReplayTotals (int64 per-burst counters) are now aliases of
-// this type — so Session, Channel and the replay summaries all speak
-// the same totals, and per-burst / per-write means are derived, never
-// separately accumulated.
+// paths — workload::ChannelStats (int64 per-write counters) is now an
+// alias of this type — so Session, Channel and the replay summaries all
+// speak the same totals, and per-burst / per-write means are derived,
+// never separately accumulated.
 #pragma once
 
 #include <cstdint>

@@ -322,51 +322,6 @@ BurstStats BatchEncoder::encode_packed_wide(std::span<const std::uint8_t> bytes,
   return totals;
 }
 
-void BatchEncoder::encode_wide_lanes(const dbi::WideBusConfig& cfg,
-                                     std::span<WideLaneTask> lanes,
-                                     ShardPool* pool) const {
-  cfg.validate();
-  const int groups = cfg.groups();
-  // Validate every lane before dispatching anything: a bad lane must
-  // not surface only after other units already advanced their states.
-  for (const WideLaneTask& t : lanes)
-    if (t.states.size() != static_cast<std::size_t>(groups))
-      throw std::invalid_argument(
-          "BatchEncoder::encode_wide_lanes: lane needs " +
-          std::to_string(groups) + " group states, got " +
-          std::to_string(t.states.size()));
-  // One unit per (lane, group), or per lane when all groups of a burst
-  // advance together in one vector.
-  const int per_lane = encodes_whole_bursts(cfg) ? 1 : groups;
-  const auto units = static_cast<int>(lanes.size()) * per_lane;
-  // Every unit writes its own slot; totals reduce after the pool
-  // drained, so the run stays barrier- and atomic-free.
-  std::vector<BurstStats> unit_totals(static_cast<std::size_t>(units));
-  auto run_unit = [this, &cfg, lanes, groups, per_lane, &unit_totals](int u) {
-    WideLaneTask& t = lanes[static_cast<std::size_t>(u / per_lane)];
-    const int g = u % per_lane;
-    unit_totals[static_cast<std::size_t>(u)] =
-        per_lane == 1
-            ? encode_packed_wide(t.bytes, cfg, t.states, t.results)
-            : encode_packed_group(t.bytes, cfg, g,
-                                  t.states[static_cast<std::size_t>(g)],
-                                  t.results ? t.results + g : nullptr,
-                                  static_cast<std::size_t>(groups));
-  };
-  if (pool) {
-    pool->run(units, run_unit);
-  } else {
-    for (int u = 0; u < units; ++u) run_unit(u);
-  }
-  for (std::size_t l = 0; l < lanes.size(); ++l) {
-    lanes[l].totals = BurstStats{};
-    for (int g = 0; g < per_lane; ++g)
-      lanes[l].totals +=
-          unit_totals[l * static_cast<std::size_t>(per_lane) +
-                      static_cast<std::size_t>(g)];
-  }
-}
-
 bool BatchEncoder::encodes_whole_bursts(const dbi::WideBusConfig& cfg) const {
   return scheme_ == Scheme::kOpt && trellis_wide8_geometry(cfg) &&
          kernel_->isa() != KernelIsa::kPortable &&
@@ -383,21 +338,6 @@ BurstStats BatchEncoder::encode_lane(std::span<const Burst> bursts,
     if (results) results[i] = r;
   }
   return totals;
-}
-
-void BatchEncoder::encode_lanes(std::span<LaneTask> lanes,
-                                ShardPool* pool) const {
-  auto run_lane = [this, lanes](int i) {
-    LaneTask& t = lanes[static_cast<std::size_t>(i)];
-    if (!t.state)
-      throw std::invalid_argument("BatchEncoder::encode_lanes: null state");
-    t.totals = encode_lane(t.bursts, *t.state, t.results);
-  };
-  if (pool) {
-    pool->run(static_cast<int>(lanes.size()), run_lane);
-  } else {
-    for (int i = 0; i < static_cast<int>(lanes.size()); ++i) run_lane(i);
-  }
 }
 
 BurstStats BatchEncoder::boundary_totals(std::span<const Burst> bursts,

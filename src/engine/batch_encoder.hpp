@@ -30,16 +30,15 @@
 // device: encode_packed_wide / encode_packed_group run the kernels
 // above per group directly over the beat-major packed payload (group
 // g's bytes read at stride groups(), zero widening pass), threading one
-// BusState per group. encode_wide_lanes shards (lane, group) units
-// across a ShardPool, so a single wide lane still parallelises
-// groups()-way — except where the whole-burst SIMD trellis encodes all
-// groups of a burst at once (encodes_whole_bursts), which shards by
-// lane.
+// BusState per group. The engine itself is single-threaded: lane and
+// group sharding across a ShardPool lives in engine::StreamEncoder,
+// which splits a stream into (lane, group) units — or whole lanes where
+// the SIMD trellis encodes all groups of a burst at once
+// (encodes_whole_bursts).
 //
 // Results are compact BurstResult records (inversion mask + stats), not
 // EncodedBursts: callers that need the physical beats call
-// materialize(). BusState is threaded internally per lane; lanes can be
-// sharded across a ShardPool deterministically.
+// materialize().
 #pragma once
 
 #include <memory>
@@ -52,32 +51,12 @@
 #include "core/encoding.hpp"
 #include "core/types.hpp"
 #include "engine/kernel_registry.hpp"
-#include "engine/shard_pool.hpp"
+
+namespace dbi::obs {
+class Observer;
+}  // namespace dbi::obs
 
 namespace dbi::engine {
-
-/// One lane's unit of work for encode_lanes(): an ordered burst stream,
-/// the lane's bus state (threaded through and updated in place), and a
-/// caller-owned output span with one slot per burst.
-struct LaneTask {
-  std::span<const dbi::Burst> bursts;
-  dbi::BusState* state = nullptr;
-  BurstResult* results = nullptr;  ///< nullable: stats-only encode
-  dbi::BurstStats totals;          ///< filled by encode_lanes()
-};
-
-/// One wide lane's unit of work for encode_wide_lanes(): a packed
-/// beat-major burst stream (cfg.bytes_per_burst() bytes per burst), one
-/// BusState per byte group (threaded through and updated in place), and
-/// an optional caller-owned result array with one slot per
-/// (burst, group) pair — burst i's group g lands in
-/// results[i * cfg.groups() + g].
-struct WideLaneTask {
-  std::span<const std::uint8_t> bytes;
-  std::span<dbi::BusState> states;  ///< cfg.groups() entries
-  BurstResult* results = nullptr;   ///< nullable: stats-only encode
-  dbi::BurstStats totals;           ///< filled: summed over all groups
-};
 
 class BatchEncoder {
  public:
@@ -162,38 +141,21 @@ class BatchEncoder {
                                      std::span<dbi::BusState> states,
                                      BurstResult* results = nullptr) const;
 
-  /// One group slice of a wide packed stream — the unit ReplayPipeline
-  /// and encode_wide_lanes shard on. Encodes group `group` of every
-  /// burst in `bytes`, threading `state`; burst i's result is written
-  /// to results[i * results_stride] when `results` is non-null.
+  /// One group slice of a wide packed stream — the unit StreamEncoder
+  /// shards on. Encodes group `group` of every burst in `bytes`,
+  /// threading `state`; burst i's result is written to
+  /// results[i * results_stride] when `results` is non-null.
   dbi::BurstStats encode_packed_group(std::span<const std::uint8_t> bytes,
                                       const dbi::WideBusConfig& cfg, int group,
                                       dbi::BusState& state,
                                       BurstResult* results = nullptr,
                                       std::size_t results_stride = 1) const;
 
-  /// Encodes many independent wide lanes, sharding at group
-  /// granularity: unit (lane l, group g) runs on worker
-  /// (l * cfg.groups() + g) % pool->workers() (deterministic), so even
-  /// a single x64 lane spreads across cfg.groups() workers. When
-  /// encodes_whole_bursts(cfg), lane l is one unit on worker
-  /// l % pool->workers(). Without a pool, units run serially in index
-  /// order; results are identical either way.
-  void encode_wide_lanes(const dbi::WideBusConfig& cfg,
-                         std::span<WideLaneTask> lanes,
-                         ShardPool* pool = nullptr) const;
-
   /// True when encode_packed_wide hands `cfg` to the selected variant's
   /// SIMD whole-burst trellis (OPT, eight full byte groups, burst length
   /// in its envelope): every group of a burst advances in one vector,
   /// so a lane is the natural shard unit, not a (lane, group) pair.
   [[nodiscard]] bool encodes_whole_bursts(const dbi::WideBusConfig& cfg) const;
-
-  /// Encodes many independent lanes. With a pool, lane i runs on worker
-  /// i % pool->workers() (deterministic, work-stealing-free); without
-  /// one, lanes run serially in index order. Results are identical
-  /// either way.
-  void encode_lanes(std::span<LaneTask> lanes, ShardPool* pool = nullptr) const;
 
   /// Sum of per-burst stats with the paper's fixed boundary condition
   /// (state reset to `boundary` before every burst, not threaded).

@@ -22,7 +22,7 @@
 // forces the portable reference everywhere — CI uses this to run the
 // whole tier-1 suite under each compiled-in variant). The public
 // surface (dbi::available_kernels(), SessionSpec::kernel,
-// Session::kernel_report(), dbitool --kernel / kernels) sits on top of
+// Session::report().kernel, dbitool --kernel / kernels) sits on top of
 // this registry; see src/api/kernels.hpp.
 #pragma once
 

@@ -1,10 +1,11 @@
 // StreamEncoder: lane/group-sharded encoding of a packed burst stream,
 // one chunk at a time.
 //
-// This is the shared core behind every streaming front-end: the
-// trace::ReplayPipeline feeds it chunks straight off the mmap'd file,
-// and dbi::Session feeds it chunks pulled from any Source (in-RAM
-// packed spans, generators, trace views). The stream is interpreted
+// This is the one lane-sharding implementation behind every streaming
+// front-end: dbi::Session's chunk loop feeds it chunks pulled from any
+// Source (in-RAM packed spans, generators, zero-copy trace views, lake
+// members), and the adaptive selector and the incremental channel
+// writer drive it the same way. The stream is interpreted
 // like a workload::Channel write sequence: burst g belongs to lane
 // g % lanes, and each (lane, byte group) pair has its own threaded
 // BusState. Each (lane, group) pair is one shard unit — so a single x64

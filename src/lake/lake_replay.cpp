@@ -59,13 +59,9 @@ LakeReplayResult replay_lake(const LakeReader& lake,
     s.geometry = members[k].geometry();
     s.threads = 0;
     s.pool = pool;
-    if (shard_members) {
-      // A sharded member runs serially on its worker: the pool is busy
-      // with members, and a producer thread per member would only
-      // queue for the same CPUs.
-      s.pool = nullptr;
-      s.double_buffer = false;
-    }
+    // A sharded member runs serially on its worker: the pool is busy
+    // with members.
+    if (shard_members) s.pool = nullptr;
     dbi::Session session(s);
     const auto source = dbi::make_trace_source(reader);
     if (options.on_results) {

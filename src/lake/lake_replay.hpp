@@ -49,10 +49,10 @@ struct LakeReplayResult {
 /// spec.threads workers created for the call when spec.threads >= 2.
 /// With a pool and two or more members, min(workers, members) shards
 /// claim members in catalog order and replay each one serially on its
-/// worker (its own Session, no pool, no double buffer); spec.observer,
-/// when set, is attached to that pool. Otherwise members replay in
-/// catalog order on the caller, and a one-member lake's session keeps
-/// the pool for its lanes. Errors are reported for the first failing
+/// worker (its own Session, no pool); spec.observer, when set, is
+/// attached to that pool. Otherwise members replay in catalog order on
+/// the caller, and a one-member lake's session keeps the pool for its
+/// lanes. Errors are reported for the first failing
 /// member in catalog order.
 [[nodiscard]] LakeReplayResult replay_lake(
     const LakeReader& lake, const dbi::SessionSpec& spec,

@@ -1,6 +1,5 @@
 #include "lake/lake_source.hpp"
 
-#include <future>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -17,35 +16,12 @@ namespace {
                   : dbi::Geometry::of(r.config());
 }
 
-/// Pages a freshly opened member in when no CRC pass did: one byte per
-/// page of every chunk payload (uncompressed chunks are views straight
-/// into the mapping, so this walks the file itself).
-void touch_pages(const trace::TraceReader& r) {
-  constexpr std::size_t kPage = 4096;
-  std::vector<std::uint8_t> scratch;
-  std::uint8_t acc = 0;
-  for (std::size_t c = 0; c < r.chunk_count(); ++c) {
-    const auto payload = r.chunk_payload(c, scratch);
-    for (std::size_t off = 0; off < payload.size(); off += kPage)
-      acc ^= payload[off];
-  }
-  volatile std::uint8_t sink = acc;
-  (void)sink;
-}
-
 class LakeSource final : public dbi::Source {
  public:
   LakeSource(const LakeReader& lake, const LakeSourceOptions& options)
       : lake_(lake), opt_(options) {}
 
-  ~LakeSource() override {
-    // Join any in-flight prefetch before the members it touches go away.
-    if (pending_.valid()) pending_.wait();
-  }
-
   void bind(const dbi::Geometry& g) override {
-    if (pending_.valid()) pending_.wait();
-    pending_ = {};
     selected_.clear();
     for (std::size_t i = 0; i < lake_.members().size(); ++i)
       if (lake_.members()[i].geometry() == g) selected_.push_back(i);
@@ -63,8 +39,7 @@ class LakeSource final : public dbi::Source {
     }
     pos_ = 0;
     next_chunk_ = 0;
-    reader_ = open_member(selected_[0], /*prefetching=*/false);
-    spawn_prefetch();
+    reader_ = open_member(selected_[0]);
   }
 
   std::optional<dbi::SourceChunk> next() override {
@@ -88,7 +63,7 @@ class LakeSource final : public dbi::Source {
 
  private:
   [[nodiscard]] std::unique_ptr<trace::TraceReader> open_member(
-      std::size_t member_index, bool prefetching) const {
+      std::size_t member_index) const {
     const LakeMember& m = lake_.members()[member_index];
     auto reader = std::make_unique<trace::TraceReader>(
         trace::TraceReader::open(lake_.member_path(member_index),
@@ -101,16 +76,7 @@ class LakeSource final : public dbi::Source {
       throw LakeError("lake: member " + m.name +
                       " no longer matches its catalog record "
                       "(re-run dbitool lake add)");
-    if (prefetching && !opt_.verify_crc) touch_pages(*reader);
     return reader;
-  }
-
-  void spawn_prefetch() {
-    if (!opt_.readahead || pos_ + 1 >= selected_.size()) return;
-    const std::size_t idx = selected_[pos_ + 1];
-    pending_ = std::async(std::launch::async, [this, idx] {
-      return open_member(idx, /*prefetching=*/true);
-    });
   }
 
   void advance_member() {
@@ -120,12 +86,7 @@ class LakeSource final : public dbi::Source {
       reader_.reset();
       return;
     }
-    if (pending_.valid()) {
-      reader_ = pending_.get();  // rethrows a failed prefetch open here
-    } else {
-      reader_ = open_member(selected_[pos_], /*prefetching=*/false);
-    }
-    spawn_prefetch();
+    reader_ = open_member(selected_[pos_]);
   }
 
   const LakeReader& lake_;
@@ -134,7 +95,6 @@ class LakeSource final : public dbi::Source {
   std::size_t pos_ = 0;
   std::unique_ptr<trace::TraceReader> reader_;  // current member
   std::size_t next_chunk_ = 0;
-  std::future<std::unique_ptr<trace::TraceReader>> pending_;
   std::vector<std::uint8_t> scratch_;
   std::vector<std::uint8_t> mask_scratch_;
   std::vector<std::uint64_t> mask_words_;

@@ -10,12 +10,11 @@
 // are bit-exact against replaying each member file on its own, merged
 // in catalog order.
 //
-// Readahead pipelining: while member N's chunks are being encoded, a
-// background task opens member N+1 (the CRC verification pass pages
-// the whole file in; with verify_crc off, the task touches one byte
-// per page instead), so the encode loop never stalls on cold file
-// I/O. The mmap + POSIX_MADV_SEQUENTIAL advice of MappedFile applies
-// per member as before.
+// Members open lazily on the pulling thread: the next member's
+// TraceReader (and its CRC pass) is opened when the previous member's
+// last chunk has been served, so its open time lands in the session's
+// source_read span. The mmap + POSIX_MADV_SEQUENTIAL advice of
+// MappedFile applies per member.
 #pragma once
 
 #include <memory>
@@ -26,9 +25,6 @@
 namespace dbi::lake {
 
 struct LakeSourceOptions {
-  /// Open (and page in) member N+1 on a background thread while member
-  /// N encodes.
-  bool readahead = true;
   /// Full whole-file CRC pass when opening each member. Off, the
   /// catalog's per-member stale check (LakeReader::open) is the only
   /// integrity guard.

@@ -38,8 +38,6 @@ Observer::Observer(ObsConfig cfg)
   zeros = r.counter("dbi_zeros_total");
   transitions = r.counter("dbi_transitions_total");
   chunks = r.counter("dbi_chunks_total");
-  replay_producer_starved = r.counter("dbi_replay_producer_starved_total");
-  replay_consumer_starved = r.counter("dbi_replay_consumer_starved_total");
   pool_runs = r.counter("dbi_pool_runs_total");
   pool_shards = r.counter("dbi_pool_shards_total");
   rle_chunks = r.counter("dbi_trace_rle_chunks_total");

@@ -12,7 +12,6 @@
 // Metric catalog (see README "Observability" for semantics):
 //   dbi_runs_total, dbi_bursts_total, dbi_bytes_total, dbi_writes_total,
 //   dbi_zeros_total, dbi_transitions_total, dbi_chunks_total,
-//   dbi_replay_producer_starved_total, dbi_replay_consumer_starved_total,
 //   dbi_pool_workers, dbi_pool_runs_total, dbi_pool_shards_total,
 //   dbi_pool_queue_depth, dbi_pool_worker_busy_ns_total{worker=},
 //   dbi_kernel_dispatch_total{kernel=,path=}, dbi_kernel_fallback_total{path=},
@@ -112,7 +111,6 @@ class Observer {
   // Named handles for the wiring sites. Set once in the constructor;
   // incrementing through them is the supported hot-path API.
   Counter runs, bursts, bytes, writes, zeros, transitions, chunks;
-  Counter replay_producer_starved, replay_consumer_starved;
   Counter pool_runs, pool_shards;
   Counter rle_chunks, rle_bytes_compressed, rle_bytes_expanded;
   Gauge pool_workers_gauge, trace_file_bytes, trace_payload_bytes,

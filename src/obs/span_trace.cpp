@@ -43,7 +43,6 @@ struct StageInfo {
 
 constexpr StageInfo kStages[static_cast<int>(Stage::kCount)] = {
     {"source_read", "chunk", "bytes"},
-    {"chunk_prepare", "chunk", "compressed"},
     {"encode_chunk", "chunk", "bursts"},
     {"encode_unit", "lane", "group"},
     {"gather", "lane", "group"},

@@ -31,8 +31,8 @@ namespace dbi::obs {
 /// `dbi_stage_duration_ns` histograms. Order is stable (metric labels
 /// and trace names are derived from it).
 enum class Stage : std::uint8_t {
-  kSourceRead,    ///< Source::next() — payload generation / page-in
-  kChunkPrepare,  ///< replay producer: RLE expand + page warm-up
+  kSourceRead,    ///< Source::next() — payload generation, page-in, RLE
+                  ///< expansion, lake member opens
   kEncodeChunk,   ///< StreamEncoder: one chunk through the engine
   kEncodeUnit,    ///< one (lane, group) unit slice incl. kernel time
   kGather,        ///< multi-lane / wide-bus gather into the lane buffer

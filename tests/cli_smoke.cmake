@@ -34,7 +34,7 @@ run_dbitool(0 encode trace.txt --scheme opt-fixed)
 run_dbitool(0 record --corpus float-tensor --bursts 2000 --seed 5 -o t.dbt)
 run_dbitool(0 inspect t.dbt)
 run_dbitool(0 replay t.dbt --lanes 4 --workers 2)
-run_dbitool(0 replay t.dbt --scheme ac --lanes 1 --no-double-buffer --csv)
+run_dbitool(0 replay t.dbt --scheme ac --lanes 1 --csv)
 run_dbitool(0 record --source uniform --bursts 100 --seed 1 --no-compress
             -o u.dbt)
 run_dbitool(0 corpus)
@@ -137,6 +137,15 @@ run_dbitool(0 verify enc.dbt --metrics vm.prom)
 file(READ "${WORK_DIR}/vm.prom" verify_prom)
 if(NOT verify_prom MATCHES "# TYPE dbi_runs_total counter")
   message(FATAL_ERROR ".prom metrics are not Prometheus text:\n${verify_prom}")
+endif()
+# Trace I/O counters reach every direction, not only replay: a round-trip
+# verify of an RLE'd recording publishes its RLE chunk count.
+run_dbitool(0 record --corpus cacheline-memcpy --bursts 2000 --seed 5
+            -o rle.dbt)
+run_dbitool(0 verify rle.dbt --metrics v.prom)
+file(READ "${WORK_DIR}/v.prom" rle_prom)
+if(NOT rle_prom MATCHES "dbi_trace_rle_chunks_total [1-9]")
+  message(FATAL_ERROR "verify published no RLE chunks:\n${rle_prom}")
 endif()
 run_dbitool(0 record --source uniform --bursts 200 --seed 2 -o om.dbt
             --metrics rec_metrics.json)

@@ -7,8 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "engine/batch_encoder.hpp"
-#include "trace/replay.hpp"
+#include "api/session.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
 #include "workload/corpus.hpp"
@@ -113,7 +112,9 @@ TEST(Corpus, WideRecordingsReplayForEveryScenario) {
   // Every scenario must stream at x32 into a valid wide trace whose
   // replay stats are reproducible.
   const dbi::WideBusConfig cfg{32, 8};
-  const engine::BatchEncoder encoder(dbi::Scheme::kAc);
+  SessionSpec spec;
+  spec.policy = SchemePolicy::fixed(Scheme::kAc);
+  spec.geometry = Geometry::of(cfg);
   for (const CorpusScenario& s : corpus_scenarios()) {
     std::vector<std::uint8_t> bytes(
         static_cast<std::size_t>(cfg.bytes_per_burst()) * 96);
@@ -127,8 +128,10 @@ TEST(Corpus, WideRecordingsReplayForEveryScenario) {
         std::vector<std::uint8_t>(image.begin(), image.end()));
     EXPECT_TRUE(reader.wide()) << s.name;
     EXPECT_EQ(reader.bursts(), 96) << s.name;
-    const trace::ReplayTotals t1 = trace::replay_trace(reader, encoder, {});
-    const trace::ReplayTotals t2 = trace::replay_trace(reader, encoder, {});
+    Session session(spec);
+    const auto source = dbi::make_trace_source(reader);
+    const StreamStats t1 = session.run(*source);
+    const StreamStats t2 = session.run(*source);
     EXPECT_EQ(t1.zeros, t2.zeros) << s.name;
     EXPECT_GT(t1.zeros, 0) << s.name;
   }

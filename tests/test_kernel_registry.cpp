@@ -11,6 +11,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "api/kernels.hpp"
@@ -20,6 +21,8 @@
 #include "engine/batch_encoder.hpp"
 #include "engine/kernel_registry.hpp"
 #include "engine/shard_pool.hpp"
+#include "engine/stream_encoder.hpp"
+#include "obs/observer.hpp"
 #include "trace/format.hpp"
 #include "workload/rng.hpp"
 
@@ -437,32 +440,53 @@ TEST(KernelParity, Crc32AllVariantsMatchBitwiseReference) {
 // ------------------------------------------------- pool determinism
 
 TEST(KernelParity, PooledWideEncodeIsDeterministicPerVariant) {
+  // Two interleaved x64 lanes of 256 bursts: one 32 KB chunk, which
+  // reaches the pool past StreamEncoder's fixed-scheme floor.
   const WideBusConfig cfg{64, 8};
+  constexpr int kLanes = 2;
   const int bursts = 512;
-  const auto bytes = random_bytes(
-      static_cast<std::size_t>(bursts) *
-          static_cast<std::size_t>(cfg.bytes_per_burst()),
-      401);
+  const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
+  const auto bytes = random_bytes(static_cast<std::size_t>(bursts) * bb, 401);
+  std::vector<std::uint8_t> lane0;
+  for (int j = 0; j < bursts; j += kLanes)
+    lane0.insert(lane0.end(),
+                 bytes.begin() + j * static_cast<std::ptrdiff_t>(bb),
+                 bytes.begin() + (j + 1) * static_cast<std::ptrdiff_t>(bb));
+  obs::Observer observer({.level = obs::ObsLevel::kCounters});
   engine::ShardPool pool(3);
+  observer.attach_pool(pool);
   for (const KernelVariant* v : usable_variants()) {
     engine::BatchEncoder enc(Scheme::kAcDc);
     enc.set_kernel(*v);
 
     auto run = [&](engine::ShardPool* p) {
-      std::vector<BusState> states(8);
-      for (int g = 0; g < 8; ++g)
-        states[static_cast<std::size_t>(g)] =
-            BusState::all_ones(cfg.group_config(g));
-      engine::WideLaneTask task;
-      task.bytes = bytes;
-      task.states = states;
-      std::vector<engine::WideLaneTask> lanes{task};
-      enc.encode_wide_lanes(cfg, lanes, p);
-      return lanes[0].totals;
+      engine::StreamEncodeOptions so;
+      so.lanes = kLanes;
+      so.pool = p;
+      engine::StreamEncoder stream(enc, cfg, so);
+      const auto r = stream.encode_chunk(0, bytes, bursts, true);
+      return std::make_tuple(
+          std::vector<engine::BurstResult>(r.begin(), r.end()),
+          stream.zeros(), stream.transitions());
     };
-    const BurstStats serial = run(nullptr);
-    const BurstStats pooled = run(&pool);
+    const auto serial = run(nullptr);
+    const double runs0 = observer.snapshot().value("dbi_pool_runs_total");
+    const auto pooled = run(&pool);
+    EXPECT_GT(observer.snapshot().value("dbi_pool_runs_total"), runs0)
+        << v->name();
     ASSERT_EQ(pooled, serial) << v->name();
+
+    // Lane 0 against the single-call wide encode, result by result.
+    std::vector<BusState> states(8);
+    for (int g = 0; g < 8; ++g)
+      states[static_cast<std::size_t>(g)] =
+          BusState::all_ones(cfg.group_config(g));
+    std::vector<engine::BurstResult> want(lane0.size() / bb * 8);
+    (void)enc.encode_packed_wide(lane0, cfg, states, want.data());
+    const auto& got = std::get<0>(serial);
+    for (std::size_t i = 0; i < want.size(); ++i)
+      ASSERT_EQ(got[(i / 8 * kLanes) * 8 + i % 8], want[i])
+          << v->name() << " lane-0 result " << i;
   }
 }
 
@@ -477,7 +501,7 @@ TEST(KernelSession, SpecPinsVariantAndReportNamesIt) {
     // NEON's encode envelope is empty, but its decode envelope covers
     // this geometry, so construction succeeds for every usable variant.
     Session session(spec);
-    const KernelReport rep = session.kernel_report();
+    const KernelReport rep = session.report().kernel;
     EXPECT_EQ(rep.variant, v->name());
     EXPECT_EQ(rep.isa, engine::isa_name(v->isa()));
     EXPECT_EQ(rep.trellis, "n/a");
@@ -492,25 +516,25 @@ TEST(KernelSession, ReportCoversTrellisAndPlanarPaths) {
   spec.scheme = Scheme::kOpt;
   spec.geometry = Geometry::narrow(8, 8);
   const Session opt(spec);
-  EXPECT_EQ(opt.kernel_report().trellis, "swar");
-  EXPECT_EQ(opt.kernel_report().fixed_encode, "n/a");
+  EXPECT_EQ(opt.report().kernel.trellis, "swar");
+  EXPECT_EQ(opt.report().kernel.fixed_encode, "n/a");
 
   // x64 OPT: the selected variant's whole-burst trellis where it serves
   // the burst length; x16 is outside that geometry.
   const KernelVariant& selected = engine::default_kernel();
   spec.geometry = Geometry::wide(64, 8);
   const Session wide_opt(spec);
-  EXPECT_EQ(wide_opt.kernel_report().trellis,
+  EXPECT_EQ(wide_opt.report().kernel.trellis,
             selected.supports_trellis_wide8(8) ? selected.name() : "swar");
   spec.geometry = Geometry::wide(16, 8);
   const Session x16_opt(spec);
-  EXPECT_EQ(x16_opt.kernel_report().trellis, "swar");
+  EXPECT_EQ(x16_opt.report().kernel.trellis, "swar");
 
   spec.scheme = Scheme::kAc;
   spec.geometry = Geometry::narrow(5, 8);
   const Session planar(spec);
-  EXPECT_EQ(planar.kernel_report().planar_encode, "swar");
-  EXPECT_EQ(planar.kernel_report().fixed_encode, "n/a");
+  EXPECT_EQ(planar.report().kernel.planar_encode, "swar");
+  EXPECT_EQ(planar.report().kernel.fixed_encode, "n/a");
 }
 
 TEST(KernelSession, TrellisDispatchesCountedPerChunk) {
@@ -529,7 +553,7 @@ TEST(KernelSession, TrellisDispatchesCountedPerChunk) {
     Session session(spec);
     const auto source = make_packed_source(bytes);
     (void)session.run(*source);
-    const obs::Snapshot s = session.metrics_report();
+    const obs::Snapshot s = session.report().metrics;
     EXPECT_EQ(s.value("dbi_kernel_dispatch_total",
                       "kernel=\"" + std::string(v->name()) +
                           "\",path=\"encode\""),

@@ -393,21 +393,6 @@ TEST(LakeSource, ConcatenatedSessionMatchesSummedPerFileReplay) {
     EXPECT_EQ(got_masks, ref_masks) << "lanes " << lanes;
   }
 
-  // Readahead off serves the identical stream.
-  SessionSpec spec;
-  spec.policy = SchemePolicy::fixed(Scheme::kAc);
-  spec.geometry = g;
-  LakeSourceOptions no_ra;
-  no_ra.readahead = false;
-  Session s1(spec);
-  Session s2(spec);
-  const auto src1 = make_lake_source(reader);
-  const auto src2 = make_lake_source(reader, no_ra);
-  const StreamStats t1 = s1.run(*src1);
-  const StreamStats t2 = s2.run(*src2);
-  EXPECT_EQ(t1.zeros, t2.zeros);
-  EXPECT_EQ(t1.transitions, t2.transitions);
-
   // No member at the bound geometry: a named, typed error.
   Session s3([] {
     SessionSpec sp;

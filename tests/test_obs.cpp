@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -214,7 +215,7 @@ TEST(Observer, DisabledSessionProducesNothing) {
   const auto source = make_trace_source(reader);
   (void)session.run(*source);
   EXPECT_EQ(session.observer(), nullptr);
-  EXPECT_TRUE(session.metrics_report().points.empty());
+  EXPECT_TRUE(session.report().metrics.points.empty());
 }
 
 TEST(Observer, SnapshotEqualsStreamStatsOnDeterministicReplay) {
@@ -229,7 +230,7 @@ TEST(Observer, SnapshotEqualsStreamStatsOnDeterministicReplay) {
   const StreamStats b = session.run(*source);  // restartable: same totals
   EXPECT_EQ(a, b);
 
-  const Snapshot s = session.metrics_report();
+  const Snapshot s = session.report().metrics;
   EXPECT_EQ(s.value("dbi_runs_total"), 2.0);
   EXPECT_EQ(s.value("dbi_bursts_total"),
             static_cast<double>(a.bursts + b.bursts));
@@ -260,7 +261,7 @@ TEST(Observer, EncodeDispatchCountersAreExactOnSerialReplay) {
   const auto source = make_trace_source(reader);
   (void)session.run(*source);
 
-  const Snapshot s = session.metrics_report();
+  const Snapshot s = session.report().metrics;
   double dispatches = 0;
   for (const engine::KernelVariant* v : engine::registered_kernels())
     dispatches += s.value("dbi_kernel_dispatch_total",
@@ -283,7 +284,7 @@ TEST(Observer, PoolMetricsPublishedOnThreadedReplay) {
   const auto source = make_trace_source(reader);
   (void)session.run(*source);
 
-  const Snapshot s = session.metrics_report();
+  const Snapshot s = session.report().metrics;
   EXPECT_EQ(s.value("dbi_pool_workers"), 2.0);
   EXPECT_GE(s.value("dbi_pool_runs_total"), 1.0);
   EXPECT_GE(s.value("dbi_pool_shards_total"), s.value("dbi_pool_runs_total"));
@@ -333,34 +334,147 @@ TEST(Observer, SharedExternalObserverAggregatesConcurrentSessions) {
 }
 
 TEST(Observer, TraceJsonFromFullSessionParsesAndNamesStages) {
+  // Encode and round-trip runs go through the same chunk loop, so both
+  // name the source and sink stages.
   const auto reader = make_trace(256, 64);
-  SessionSpec spec;
-  spec.scheme = Scheme::kAc;
-  spec.lanes = 2;
-  spec.obs.level = ObsLevel::kFull;
-  Session session(spec);
-  const auto source = make_trace_source(reader);
-  (void)session.run(*source);
+  for (const Direction direction :
+       {Direction::kEncode, Direction::kRoundTrip}) {
+    SessionSpec spec;
+    spec.scheme = Scheme::kAc;
+    spec.lanes = 2;
+    spec.direction = direction;
+    spec.obs.level = ObsLevel::kFull;
+    Session session(spec);
+    const auto source = make_trace_source(reader);
+    (void)session.run(*source);
+    EXPECT_TRUE(session.verify_report().ok());
 
-  ASSERT_NE(session.observer(), nullptr);
-  std::ostringstream os;
-  ASSERT_TRUE(session.observer()->write_trace_json(os));
-  const json::Value doc = json::parse(os.str());
-  const json::Value* events = doc.get("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
-  std::set<std::string> names;
-  for (const json::Value& e : events->array)
-    if (e.get_string("ph") == "X")
-      names.insert(std::string(e.get_string("name")));
-  EXPECT_TRUE(names.count("encode_chunk"));
-  EXPECT_TRUE(names.count("chunk_prepare"));
-  // The stage histograms were fed by the same spans.
-  const Snapshot s = session.metrics_report();
-  const MetricPoint* enc =
-      s.find("dbi_stage_duration_ns", "stage=\"encode_chunk\"");
-  ASSERT_NE(enc, nullptr);
-  EXPECT_GE(enc->count, static_cast<std::uint64_t>(reader.chunk_count()));
+    ASSERT_NE(session.observer(), nullptr);
+    std::ostringstream os;
+    ASSERT_TRUE(session.observer()->write_trace_json(os));
+    const json::Value doc = json::parse(os.str());
+    const json::Value* events = doc.get("traceEvents");
+    ASSERT_NE(events, nullptr);
+    ASSERT_TRUE(events->is_array());
+    std::set<std::string> names;
+    for (const json::Value& e : events->array)
+      if (e.get_string("ph") == "X")
+        names.insert(std::string(e.get_string("name")));
+    const int d = static_cast<int>(direction);
+    EXPECT_TRUE(names.count("encode_chunk")) << d;
+    EXPECT_TRUE(names.count("source_read")) << d;  // RLE expansion lands here
+    EXPECT_TRUE(names.count("sink_write")) << d;
+    // The stage histograms were fed by the same spans.
+    const Snapshot s = session.report().metrics;
+    const MetricPoint* enc =
+        s.find("dbi_stage_duration_ns", "stage=\"encode_chunk\"");
+    ASSERT_NE(enc, nullptr);
+    EXPECT_GE(enc->count, static_cast<std::uint64_t>(reader.chunk_count()));
+  }
+}
+
+/// A zeros-heavy x8 trace image: most 64-burst chunks are RLE'd on
+/// write. With `encode`, the image is the transmitted stream plus masks
+/// of an `encode` session over the same bursts (RAW keeps the zero runs,
+/// so the encoded copy stays RLE'd too).
+trace::TraceReader rle_trace(std::optional<Scheme> encode = std::nullopt) {
+  const BusConfig cfg{8, 8};
+  auto src = workload::make_sparse_source(cfg, 0.9, 17);
+  const auto trace = workload::BurstTrace::collect(*src, 1024);
+  std::ostringstream os(std::ios::binary);
+  trace::TraceWriterOptions opt;
+  opt.bursts_per_chunk = 64;
+  if (encode) {
+    opt.encoded = true;
+    opt.enc_scheme = scheme_to_tag(*encode);
+  }
+  trace::TraceWriter writer(os, cfg, opt);
+  if (encode) {
+    SessionSpec spec;
+    spec.policy = SchemePolicy::fixed(*encode);
+    Session session(spec);
+    const auto source = make_burst_source(trace.bursts());
+    const auto sink = make_encoded_trace_sink(writer);
+    (void)session.run(*source, *sink);
+  } else {
+    for (const Burst& b : trace.bursts()) writer.write(b);
+    writer.finish();
+  }
+  const std::string s = os.str();
+  return trace::TraceReader::from_bytes(
+      std::vector<std::uint8_t>(s.begin(), s.end()));
+}
+
+/// RLE'd chunk streams in `reader`: payloads plus, on encoded traces,
+/// mask streams (the reader tallies each expansion).
+double rle_chunk_count(const trace::TraceReader& reader) {
+  double n = 0;
+  for (std::size_t c = 0; c < reader.chunk_count(); ++c) {
+    const trace::ChunkInfo& info = reader.chunk(c);
+    n += info.compressed() ? 1 : 0;
+    n += (info.mask_flags & trace::kChunkFlagRle) != 0 ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(Observer, TraceIoCountersPublishedInEveryDirection) {
+  const auto payload = rle_trace();
+  const auto encoded = rle_trace(Scheme::kRaw);
+  ASSERT_GT(rle_chunk_count(payload), 0.0);
+  ASSERT_GT(rle_chunk_count(encoded), 0.0);
+
+  struct Case {
+    const char* name;
+    const trace::TraceReader* reader;
+    Direction direction;
+    SchemePolicy policy;
+  };
+  const Case cases[] = {
+      {"encode", &payload, Direction::kEncode, Scheme::kDc},
+      {"roundtrip", &payload, Direction::kRoundTrip, Scheme::kDc},
+      {"adaptive", &payload, Direction::kEncode,
+       SchemePolicy::adaptive_exact({Scheme::kDc, Scheme::kAc})},
+      {"decode", &encoded, Direction::kDecode, Scheme::kRaw},
+  };
+  for (const Case& c : cases) {
+    SessionSpec spec;
+    spec.policy = c.policy;
+    spec.lanes = 2;
+    spec.direction = c.direction;
+    spec.obs.level = ObsLevel::kCounters;
+    Session session(spec);
+    const auto source = make_trace_source(*c.reader);
+    (void)session.run(*source);
+    const Snapshot s = session.report().metrics;
+    EXPECT_EQ(s.value("dbi_trace_rle_chunks_total"),
+              rle_chunk_count(*c.reader))
+        << c.name;
+    EXPECT_GT(s.value("dbi_trace_crc_ns"), 0.0) << c.name;
+    EXPECT_EQ(s.value("dbi_trace_file_bytes"),
+              static_cast<double>(c.reader->file_bytes()))
+        << c.name;
+  }
+}
+
+TEST(Observer, DecodeSessionBuildsNoPool) {
+  const auto encoded = rle_trace(Scheme::kRaw);
+  const auto decode = [&](int threads) {
+    SessionSpec spec;
+    spec.direction = Direction::kDecode;
+    spec.threads = threads;
+    spec.obs.level = ObsLevel::kCounters;
+    Session session(spec);
+    const auto source = make_trace_source(encoded);
+    std::vector<std::uint8_t> bytes;
+    const auto sink = make_payload_sink(bytes);
+    (void)session.run(*source, *sink);
+    EXPECT_EQ(session.report().metrics.value("dbi_pool_workers"), 0.0)
+        << threads;
+    return bytes;
+  };
+  const std::vector<std::uint8_t> serial = decode(0);
+  EXPECT_EQ(serial.size(), static_cast<std::size_t>(encoded.bursts()) * 8);
+  EXPECT_EQ(decode(4), serial);
 }
 
 TEST(Observer, CountersLevelWritesNoTrace) {
@@ -452,7 +566,7 @@ TEST(StreamStatsRegression, ZeroBurstsYieldZeroNotNaN) {
   const StreamStats totals = session.run(*source);
   EXPECT_EQ(totals.bursts, 0);
   EXPECT_EQ(totals.zeros_per_burst(), 0.0);
-  EXPECT_EQ(session.metrics_report().value("dbi_bursts_total"), 0.0);
+  EXPECT_EQ(session.report().metrics.value("dbi_bursts_total"), 0.0);
 }
 
 }  // namespace

@@ -1,19 +1,20 @@
-// ReplayPipeline: streaming replay must be observationally identical —
-// stats and per-burst inversion masks — to the in-memory Channel /
-// BatchEncoder paths, for every Scheme, sharded or serial, buffered or
-// not, compressed or raw.
+// Trace replay through dbi::Session: a trace-source run must be
+// observationally identical — stats and per-burst inversion masks — to
+// the in-memory Channel / BatchEncoder paths, for every Scheme, sharded
+// or serial, compressed or raw.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
+#include "api/session.hpp"
 #include "engine/batch_encoder.hpp"
 #include "engine/shard_pool.hpp"
 #include "obs/observer.hpp"
 #include "power/interface_energy.hpp"
 #include "sim/experiments.hpp"
-#include "trace/replay.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
 #include "workload/channel.hpp"
@@ -69,6 +70,51 @@ Reference reference_replay(const workload::BurstTrace& trace,
   return ref;
 }
 
+/// How a test replays a trace through the session.
+struct ReplaySpec {
+  Scheme scheme = Scheme::kAc;
+  CostWeights weights{};
+  int lanes = 1;
+  bool reset_per_burst = false;
+  engine::ShardPool* pool = nullptr;
+  obs::Observer* observer = nullptr;
+};
+
+SessionSpec session_spec(const TraceReader& reader, const ReplaySpec& r) {
+  SessionSpec spec;
+  spec.policy = SchemePolicy::fixed(r.scheme);
+  spec.geometry = reader.wide() ? Geometry::of(reader.header().wide_config())
+                                : Geometry::of(reader.config());
+  spec.weights = r.weights;
+  spec.lanes = r.lanes;
+  spec.state_policy = r.reset_per_burst ? StatePolicy::kResetPerBurst
+                                        : StatePolicy::kThread;
+  spec.pool = r.pool;
+  spec.observer = r.observer;
+  return spec;
+}
+
+/// One trace-source Session run. With `masks` non-null, an observer sink
+/// collects every (burst, group) inversion mask in stream order;
+/// otherwise the run is stats-only.
+StreamStats replay(const TraceReader& reader, const ReplaySpec& r,
+                   std::vector<std::uint64_t>* masks = nullptr) {
+  Session session(session_spec(reader, r));
+  const auto source = make_trace_source(reader);
+  if (!masks) return session.run(*source);
+  const int groups = reader.wide() ? reader.header().wide_config().groups() : 1;
+  const auto sink = make_observer_sink(
+      [masks, groups](std::int64_t first,
+                      std::span<const engine::BurstResult> results) {
+        const auto base = static_cast<std::size_t>(first) *
+                          static_cast<std::size_t>(groups);
+        EXPECT_EQ(base, masks->size());  // stream order, no gaps
+        for (const engine::BurstResult& b : results)
+          masks->push_back(b.invert_mask);
+      });
+  return session.run(*source, *sink);
+}
+
 TEST(Replay, MatchesPerBurstEngineForEverySchemeWithMasks) {
   const BusConfig cfg{8, 8};
   const auto trace = random_trace(cfg, 333, 7);  // several uneven chunks
@@ -80,16 +126,9 @@ TEST(Replay, MatchesPerBurstEngineForEverySchemeWithMasks) {
     for (const int lanes : {1, 3, 8}) {
       const Reference ref = reference_replay(trace, encoder, lanes);
 
-      std::vector<std::uint64_t> masks(trace.size());
-      ReplayOptions opt;
-      opt.lanes = lanes;
-      opt.on_results = [&](std::int64_t first,
-                           std::span<const engine::BurstResult> results) {
-        for (std::size_t i = 0; i < results.size(); ++i)
-          masks[static_cast<std::size_t>(first) + i] =
-              results[i].invert_mask;
-      };
-      const ReplayTotals totals = replay_trace(reader, encoder, opt);
+      std::vector<std::uint64_t> masks;
+      const StreamStats totals = replay(
+          reader, {.scheme = s, .weights = w, .lanes = lanes}, &masks);
       EXPECT_EQ(totals.bursts, static_cast<std::int64_t>(trace.size()));
       EXPECT_EQ(totals.zeros, ref.zeros) << scheme_name(s) << " lanes "
                                          << lanes;
@@ -107,9 +146,9 @@ TEST(Replay, ExhaustiveSchemeFallsBackToScalarAndMatches) {
                                      CostWeights{0.5, 0.5});
   const auto reader = reader_for(trace, 16);
   const Reference ref = reference_replay(trace, encoder, 2);
-  ReplayOptions opt;
-  opt.lanes = 2;
-  const ReplayTotals totals = replay_trace(reader, encoder, opt);
+  const StreamStats totals = replay(reader, {.scheme = Scheme::kExhaustive,
+                                             .weights = CostWeights{0.5, 0.5},
+                                             .lanes = 2});
   EXPECT_EQ(totals.zeros, ref.zeros);
   EXPECT_EQ(totals.transitions, ref.transitions);
 }
@@ -143,63 +182,53 @@ TEST(Replay, MatchesChannelWriteStream) {
     workload::Channel channel(ccfg, s);
     const workload::ChannelStats want = channel.write_stream(data);
 
-    const engine::BatchEncoder encoder(s);
     const auto reader = reader_for(trace, 128);
-    ReplayOptions opt;
-    opt.lanes = ccfg.lanes;
-    const ReplayTotals got = replay_trace(reader, encoder, opt);
+    const StreamStats got = replay(reader, {.scheme = s, .lanes = ccfg.lanes});
     EXPECT_EQ(got.bursts, kWrites * ccfg.lanes);
     EXPECT_EQ(got.zeros, want.zeros) << scheme_name(s);
     EXPECT_EQ(got.transitions, want.transitions) << scheme_name(s);
   }
 }
 
-TEST(Replay, PoolSerialAndBufferingModesAgree) {
+TEST(Replay, PoolAndSerialAgree) {
   // 4096-burst x8 chunks (32 KB) reach the pool past StreamEncoder's
   // fixed-scheme floor; the 500-burst tail chunk stays on the caller.
   const auto trace = random_trace(BusConfig{8, 8}, 3 * 4096 + 500, 21);
-  const engine::BatchEncoder encoder(Scheme::kAcDc);
   const auto reader = reader_for(trace, 4096);
 
-  ReplayOptions serial;
-  serial.lanes = 4;
-  serial.double_buffer = false;
-  const ReplayTotals want = replay_trace(reader, encoder, serial);
+  std::vector<std::uint64_t> want_masks;
+  const StreamStats want =
+      replay(reader, {.scheme = Scheme::kAcDc, .lanes = 4}, &want_masks);
 
   obs::Observer observer({.level = obs::ObsLevel::kCounters});
   engine::ShardPool pool(3);
-  observer.attach_pool(pool);
-  for (const bool double_buffer : {false, true}) {
-    ReplayOptions opt;
-    opt.lanes = 4;
-    opt.pool = &pool;
-    opt.double_buffer = double_buffer;
-    const double runs0 = observer.snapshot().value("dbi_pool_runs_total");
-    const ReplayTotals got = replay_trace(reader, encoder, opt);
-    EXPECT_EQ(got.zeros, want.zeros) << double_buffer;
-    EXPECT_EQ(got.transitions, want.transitions) << double_buffer;
-    EXPECT_GT(observer.snapshot().value("dbi_pool_runs_total"), runs0)
-        << double_buffer;
-  }
+  std::vector<std::uint64_t> got_masks;
+  const StreamStats got = replay(reader,
+                                 {.scheme = Scheme::kAcDc,
+                                  .lanes = 4,
+                                  .pool = &pool,
+                                  .observer = &observer},
+                                 &got_masks);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got_masks, want_masks);
+  EXPECT_GT(observer.snapshot().value("dbi_pool_runs_total"), 0.0);
 }
 
 TEST(Replay, CompressedAndRawTracesReplayIdentically) {
   const BusConfig cfg{8, 8};
   auto src = workload::make_sparse_source(cfg, 0.85, 23);
   const auto trace = workload::BurstTrace::collect(*src, 700);
-  const engine::BatchEncoder encoder(Scheme::kDc);
-
   const auto compressed = reader_for(trace, 64, true);
   const auto raw = reader_for(trace, 64, false);
   ASSERT_TRUE(compressed.chunk(0).compressed());
   ASSERT_FALSE(raw.chunk(0).compressed());
 
-  ReplayOptions opt;
-  opt.lanes = 2;
-  const ReplayTotals a = replay_trace(compressed, encoder, opt);
-  const ReplayTotals b = replay_trace(raw, encoder, opt);
-  EXPECT_EQ(a.zeros, b.zeros);
-  EXPECT_EQ(a.transitions, b.transitions);
+  const ReplaySpec spec{.scheme = Scheme::kDc, .lanes = 2};
+  std::vector<std::uint64_t> masks_a, masks_b;
+  const StreamStats a = replay(compressed, spec, &masks_a);
+  const StreamStats b = replay(raw, spec, &masks_b);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(masks_a, masks_b);
 }
 
 TEST(Replay, ResetPerBurstMatchesBoundaryTotals) {
@@ -209,29 +238,26 @@ TEST(Replay, ResetPerBurstMatchesBoundaryTotals) {
 
   const BurstStats want = encoder.boundary_totals(
       trace.bursts(), BusState::all_ones(trace.config()));
-  ReplayOptions opt;
-  opt.lanes = 3;
-  opt.reset_state_per_burst = true;
-  const ReplayTotals got = replay_trace(reader, encoder, opt);
+  const StreamStats got = replay(
+      reader,
+      {.scheme = Scheme::kOptFixed, .lanes = 3, .reset_per_burst = true});
   EXPECT_EQ(got.zeros, want.zeros);
   EXPECT_EQ(got.transitions, want.transitions);
 }
 
 TEST(Replay, RunIsRestartable) {
   const auto trace = random_trace(BusConfig{8, 8}, 120, 31);
-  const engine::BatchEncoder encoder(Scheme::kAc);
   const auto reader = reader_for(trace, 50);
-  ReplayOptions opt;
-  opt.lanes = 2;
-  ReplayPipeline pipeline(reader, encoder, opt);
-  const ReplayTotals first = pipeline.run();
-  const ReplayTotals second = pipeline.run();
-  EXPECT_EQ(first.zeros, second.zeros);
-  EXPECT_EQ(first.transitions, second.transitions);
+  Session session(session_spec(reader, {.scheme = Scheme::kAc, .lanes = 2}));
+  const auto source = make_trace_source(reader);
+  const StreamStats first = session.run(*source);
+  const StreamStats second = session.run(*source);
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(first.bursts, 120);
 }
 
 TEST(Replay, SummaryComputesMeansAndEnergy) {
-  ReplayTotals totals;
+  StreamStats totals;
   totals.bursts = 100;
   totals.zeros = 2500;
   totals.transitions = 900;
@@ -248,12 +274,14 @@ TEST(Replay, SummaryComputesMeansAndEnergy) {
   EXPECT_DOUBLE_EQ(with_pod.interface_pj, want);
 }
 
-TEST(Replay, RejectsBadLaneCounts) {
-  ReplayOptions opt;
-  opt.lanes = 0;
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
-  opt.lanes = 1 << 17;
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
+TEST(Replay, SpecRejectsBadLaneCounts) {
+  SessionSpec spec;
+  spec.lanes = 0;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.lanes = 1 << 17;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.lanes = 65536;
+  EXPECT_NO_THROW(spec.validate());
 }
 
 // ------------------------------------------------- wide multi-group replay
@@ -345,28 +373,18 @@ TEST(WideReplay, MatchesScalarPerGroupForEverySchemeWithMasks) {
   const CostWeights w{0.56, 0.44};
   for (const int width : {16, 32, 64, 12}) {
     const WideBusConfig cfg{width, 8};
-    const int groups = cfg.groups();
-    const auto payload = wide_payload(cfg, 150, 21 + static_cast<std::uint64_t>(width));
+    const auto payload =
+        wide_payload(cfg, 150, 21 + static_cast<std::uint64_t>(width));
     for (Scheme s : {Scheme::kRaw, Scheme::kDc, Scheme::kAc, Scheme::kAcDc,
                      Scheme::kOpt, Scheme::kOptFixed}) {
-      const engine::BatchEncoder encoder(s, w);
       const auto reader = wide_reader_for(cfg, payload);
       ASSERT_TRUE(reader.wide());
       for (const int lanes : {1, 3}) {
-        const WideReference ref =
-            wide_reference(cfg, payload, s, w, lanes);
+        const WideReference ref = wide_reference(cfg, payload, s, w, lanes);
 
-        std::vector<std::uint64_t> masks(ref.masks.size());
-        ReplayOptions opt;
-        opt.lanes = lanes;
-        opt.on_results = [&](std::int64_t first,
-                             std::span<const engine::BurstResult> results) {
-          const auto base =
-              static_cast<std::size_t>(first) * static_cast<std::size_t>(groups);
-          for (std::size_t i = 0; i < results.size(); ++i)
-            masks[base + i] = results[i].invert_mask;
-        };
-        const ReplayTotals totals = replay_trace(reader, encoder, opt);
+        std::vector<std::uint64_t> masks;
+        const StreamStats totals = replay(
+            reader, {.scheme = s, .weights = w, .lanes = lanes}, &masks);
         EXPECT_EQ(totals.bursts, 150) << scheme_name(s);
         EXPECT_EQ(totals.zeros, ref.zeros)
             << scheme_name(s) << " width " << width << " lanes " << lanes;
@@ -383,55 +401,56 @@ TEST(WideReplay, ResetStatePerBurstMatchesScalarBoundary) {
   const WideBusConfig cfg{32, 8};
   const CostWeights w{0.5, 0.5};
   const auto payload = wide_payload(cfg, 90, 5);
-  const engine::BatchEncoder encoder(Scheme::kAcDc, w);
   const auto reader = wide_reader_for(cfg, payload);
   const WideReference ref =
       wide_reference(cfg, payload, Scheme::kAcDc, w, 2, true);
 
-  ReplayOptions opt;
-  opt.lanes = 2;
-  opt.reset_state_per_burst = true;
-  const ReplayTotals totals = replay_trace(reader, encoder, opt);
+  std::vector<std::uint64_t> masks;
+  const StreamStats totals = replay(reader,
+                                    {.scheme = Scheme::kAcDc,
+                                     .weights = w,
+                                     .lanes = 2,
+                                     .reset_per_burst = true},
+                                    &masks);
   EXPECT_EQ(totals.zeros, ref.zeros);
   EXPECT_EQ(totals.transitions, ref.transitions);
+  EXPECT_EQ(masks, ref.masks);
 }
 
-TEST(WideReplay, PoolAndDoubleBufferDoNotChangeResults) {
+TEST(WideReplay, PoolDoesNotChangeResults) {
   const WideBusConfig cfg{64, 8};
   const auto payload = wide_payload(cfg, 4 * 512 + 100, 77);
-  const engine::BatchEncoder encoder(Scheme::kAc);
-  // Five chunks so the producer/consumer hand-off actually cycles; the
-  // 512-burst x64 chunks (32 KB) reach the pool past StreamEncoder's
+  // The 512-burst x64 chunks (32 KB) reach the pool past StreamEncoder's
   // fixed-scheme floor, the 100-burst tail stays on the caller.
   const auto reader = wide_reader_for(cfg, payload, 512);
 
-  ReplayOptions serial;
-  serial.lanes = 4;
-  serial.double_buffer = false;
-  const ReplayTotals want = replay_trace(reader, encoder, serial);
+  std::vector<std::uint64_t> want_masks;
+  const StreamStats want =
+      replay(reader, {.scheme = Scheme::kAc, .lanes = 4}, &want_masks);
 
   obs::Observer observer({.level = obs::ObsLevel::kCounters});
   engine::ShardPool pool(3);  // != lanes * groups on purpose
-  observer.attach_pool(pool);
-  ReplayOptions sharded;
-  sharded.lanes = 4;
-  sharded.pool = &pool;
-  sharded.double_buffer = true;
-  const ReplayTotals got = replay_trace(reader, encoder, sharded);
-  EXPECT_EQ(got.zeros, want.zeros);
-  EXPECT_EQ(got.transitions, want.transitions);
-  EXPECT_EQ(got.bursts, want.bursts);
+  std::vector<std::uint64_t> got_masks;
+  const StreamStats got = replay(reader,
+                                 {.scheme = Scheme::kAc,
+                                  .lanes = 4,
+                                  .pool = &pool,
+                                  .observer = &observer},
+                                 &got_masks);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got_masks, want_masks);
   EXPECT_GT(observer.snapshot().value("dbi_pool_runs_total"), 0.0);
 
   // The exhaustive-search fallback must ride along on wide traces too.
   const WideBusConfig small{12, 4};
   const auto small_payload = wide_payload(small, 40, 3);
   const auto small_reader = wide_reader_for(small, small_payload);
-  const engine::BatchEncoder ex(Scheme::kExhaustive, CostWeights{0.5, 0.5});
-  const WideReference ref = wide_reference(small, small_payload,
-                                           Scheme::kExhaustive,
-                                           CostWeights{0.5, 0.5}, 1);
-  const ReplayTotals ex_totals = replay_trace(small_reader, ex, {});
+  const WideReference ref =
+      wide_reference(small, small_payload, Scheme::kExhaustive,
+                     CostWeights{0.5, 0.5}, 1);
+  const StreamStats ex_totals = replay(
+      small_reader,
+      {.scheme = Scheme::kExhaustive, .weights = CostWeights{0.5, 0.5}});
   EXPECT_EQ(ex_totals.zeros, ref.zeros);
   EXPECT_EQ(ex_totals.transitions, ref.transitions);
 }

@@ -244,7 +244,7 @@ TEST(AdaptiveExact, StrictlyBeatsBestFixedSchemeOnMixedCorpus) {
   EXPECT_LT(adaptive_cost, best_fixed)
       << "mixed-block coding must strictly beat the best fixed scheme";
 
-  const select::SelectionReport& report = session.selection_report();
+  const select::SelectionReport report = session.report().selection;
   EXPECT_EQ(report.mode, SchemePolicy::Mode::kAdaptiveExact);
   EXPECT_EQ(report.bursts, 1536);
   EXPECT_DOUBLE_EQ(report.selected_cost, adaptive_cost);
@@ -421,7 +421,7 @@ TEST(AdaptivePredicted, DeterministicAcrossRuns) {
     Session session(adaptive_spec(policy));
     const auto source = make_packed_source(payload);
     totals = session.run(*source);
-    report = session.selection_report();
+    report = session.report().selection;
   };
   StreamStats t1, t2;
   select::SelectionReport r1, r2;
@@ -510,7 +510,7 @@ TEST(AdaptiveExact, BytesCostModelRuns) {
   const auto source = make_packed_source(payload);
   const StreamStats totals = session.run(*source);
   EXPECT_EQ(totals.bursts, 512);
-  const select::SelectionReport& report = session.selection_report();
+  const select::SelectionReport report = session.report().selection;
   EXPECT_EQ(report.cost_model, CostModel::kBytes);
   EXPECT_GT(report.selected_cost, 0.0);
   EXPECT_LE(report.selected_cost, report.best_trial_cost);

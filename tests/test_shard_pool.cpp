@@ -16,6 +16,7 @@
 
 #include "engine/batch_encoder.hpp"
 #include "engine/shard_pool.hpp"
+#include "engine/stream_encoder.hpp"
 #include "obs/observer.hpp"
 #include "test_util.hpp"
 
@@ -199,46 +200,66 @@ TEST(ShardPool, DefaultWorkersCountsTheAffinityMask) {
 #endif
 }
 
-TEST(ShardPool, ShardedEncodeLanesMatchesSerial) {
-  // The engine's multi-lane entry point must yield identical results
-  // and identical threaded states with and without a pool.
+TEST(ShardPool, ShardedStreamEncodeMatchesSerial) {
+  // Interleaved lanes through the shared StreamEncoder core (burst g on
+  // lane g % lanes) must yield identical results and identical threaded
+  // states with and without a pool, and every lane must match its own
+  // per-burst encode result by result. 9 lanes x 512 x8 bursts is one
+  // 36 KB chunk, past the fixed-scheme pool floor.
   const BusConfig cfg{8, 8};
   constexpr int kLanes = 9;
-  constexpr int kBursts = 64;
+  constexpr int kBursts = 512;  // per lane
 
   std::vector<std::vector<Burst>> lanes;
   for (int l = 0; l < kLanes; ++l)
-    lanes.push_back(
-        test::random_bursts(cfg, kBursts, 1000 + static_cast<std::uint64_t>(l)));
-
-  const BatchEncoder batch(Scheme::kOptFixed);
-
-  auto encode_all = [&](ShardPool* pool) {
-    std::vector<BusState> states(kLanes, BusState::all_ones(cfg));
-    std::vector<std::vector<BurstResult>> results(
-        kLanes, std::vector<BurstResult>(kBursts));
-    std::vector<LaneTask> tasks(kLanes);
+    lanes.push_back(test::random_bursts(
+        cfg, kBursts, 1000 + static_cast<std::uint64_t>(l) * kBursts));
+  std::vector<std::uint8_t> payload;
+  for (int i = 0; i < kBursts; ++i)
     for (int l = 0; l < kLanes; ++l) {
-      tasks[static_cast<std::size_t>(l)] = LaneTask{
-          lanes[static_cast<std::size_t>(l)],
-          &states[static_cast<std::size_t>(l)],
-          results[static_cast<std::size_t>(l)].data(), BurstStats{}};
+      const Burst& b =
+          lanes[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)];
+      for (int t = 0; t < cfg.burst_length; ++t)
+        payload.push_back(static_cast<std::uint8_t>(b.word(t)));
     }
-    batch.encode_lanes(tasks, pool);
-    return std::tuple{states, results, tasks};
-  };
 
-  const auto [serial_states, serial_results, serial_tasks] =
-      encode_all(nullptr);
+  obs::Observer observer({.level = obs::ObsLevel::kCounters});
   ShardPool pool(4);
-  const auto [pool_states, pool_results, pool_tasks] = encode_all(&pool);
+  observer.attach_pool(pool);
+  for (const Scheme scheme : {Scheme::kAcDc, Scheme::kOptFixed}) {
+    const BatchEncoder batch(scheme);
+    auto encode_all = [&](ShardPool* p) {
+      std::vector<BusState> states(kLanes, BusState::all_ones(cfg));
+      StreamEncodeOptions so;
+      so.lanes = kLanes;
+      so.pool = p;
+      StreamEncoder enc(batch, cfg, so, states);
+      const auto r = enc.encode_chunk(0, payload, kLanes * kBursts, true);
+      return std::tuple{states, std::vector<BurstResult>(r.begin(), r.end()),
+                        enc.zeros(), enc.transitions()};
+    };
 
-  EXPECT_EQ(serial_states, pool_states);
-  EXPECT_EQ(serial_results, pool_results);
-  for (int l = 0; l < kLanes; ++l)
-    EXPECT_EQ(serial_tasks[static_cast<std::size_t>(l)].totals,
-              pool_tasks[static_cast<std::size_t>(l)].totals)
-        << "lane " << l;
+    const auto serial = encode_all(nullptr);
+    const double runs0 = observer.snapshot().value("dbi_pool_runs_total");
+    const auto pooled = encode_all(&pool);
+    EXPECT_GT(observer.snapshot().value("dbi_pool_runs_total"), runs0)
+        << scheme_name(scheme);
+    EXPECT_EQ(serial, pooled) << scheme_name(scheme);
+
+    const auto& results = std::get<1>(serial);
+    for (int l = 0; l < kLanes; ++l) {
+      BusState state = BusState::all_ones(cfg);
+      std::vector<BurstResult> want(kBursts);
+      (void)batch.encode_lane(lanes[static_cast<std::size_t>(l)], state,
+                              want.data());
+      EXPECT_EQ(state, std::get<0>(serial)[static_cast<std::size_t>(l)])
+          << scheme_name(scheme) << " lane " << l;
+      for (int i = 0; i < kBursts; ++i)
+        ASSERT_EQ(results[static_cast<std::size_t>(i * kLanes + l)],
+                  want[static_cast<std::size_t>(i)])
+            << scheme_name(scheme) << " lane " << l << " burst " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -7,11 +7,14 @@
 
 #include <cstdint>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "core/encoder.hpp"
 #include "engine/batch_encoder.hpp"
 #include "engine/shard_pool.hpp"
+#include "engine/stream_encoder.hpp"
+#include "obs/observer.hpp"
 #include "workload/rng.hpp"
 
 namespace dbi {
@@ -162,62 +165,73 @@ TEST(WideBus, ParityAtOddBurstLengthsAndWidths) {
   }
 }
 
-TEST(WideBus, EncodeWideLanesMatchesSerialAndPool) {
+TEST(WideBus, StreamEncodeMatchesSerialAndPool) {
   const WideBusConfig cfg{64, 8};
   const int groups = cfg.groups();
+  const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
   constexpr int kLanes = 3;
-  constexpr int kBursts = 64;
+  constexpr int kBursts = 3 * 192;  // 36 KB: past the fixed-scheme floor
   const CostWeights w{0.56, 0.44};
+  const auto payload = random_wide_bytes(cfg, kBursts, 900);
+  // Lane 0's bursts (stream bursts 0, 3, 6, ...) back to back.
+  std::vector<std::uint8_t> lane0;
+  for (int j = 0; j < kBursts; j += kLanes)
+    lane0.insert(lane0.end(),
+                 payload.begin() + static_cast<std::ptrdiff_t>(
+                                       static_cast<std::size_t>(j) * bb),
+                 payload.begin() + static_cast<std::ptrdiff_t>(
+                                       static_cast<std::size_t>(j + 1) * bb));
+
+  obs::Observer observer({.level = obs::ObsLevel::kCounters});
+  engine::ShardPool pool(5);  // deliberately != lanes * groups
+  observer.attach_pool(pool);
   // AC shards (lane, group) units; OPT on x64 shards whole lanes when
   // the selected variant runs the whole-burst trellis.
   for (const Scheme scheme : {Scheme::kAc, Scheme::kOpt}) {
     const engine::BatchEncoder batch(scheme, w);
 
-    std::vector<std::vector<std::uint8_t>> lane_bytes;
-    for (int l = 0; l < kLanes; ++l)
-      lane_bytes.push_back(random_wide_bytes(
-          cfg, kBursts, 900 + static_cast<std::uint64_t>(l)));
-
-    auto run = [&](engine::ShardPool* pool) {
-      std::vector<std::vector<BusState>> states(kLanes);
-      std::vector<std::vector<engine::BurstResult>> results(kLanes);
-      std::vector<engine::WideLaneTask> tasks(kLanes);
-      for (int l = 0; l < kLanes; ++l) {
-        states[static_cast<std::size_t>(l)].resize(
-            static_cast<std::size_t>(groups));
-        for (int g = 0; g < groups; ++g)
-          states[static_cast<std::size_t>(l)][static_cast<std::size_t>(g)] =
-              BusState::all_ones(cfg.group_config(g));
-        results[static_cast<std::size_t>(l)].resize(
-            static_cast<std::size_t>(kBursts) *
-            static_cast<std::size_t>(groups));
-        tasks[static_cast<std::size_t>(l)] = engine::WideLaneTask{
-            lane_bytes[static_cast<std::size_t>(l)],
-            states[static_cast<std::size_t>(l)],
-            results[static_cast<std::size_t>(l)].data(),
-            {}};
-      }
-      batch.encode_wide_lanes(cfg, tasks, pool);
-      return std::make_tuple(std::move(states), std::move(results),
-                             tasks[0].totals, tasks[kLanes - 1].totals);
+    auto run = [&](engine::ShardPool* p) {
+      std::vector<BusState> states(static_cast<std::size_t>(kLanes * groups));
+      for (std::size_t u = 0; u < states.size(); ++u)
+        states[u] = BusState::all_ones(
+            cfg.group_config(static_cast<int>(u) % groups));
+      engine::StreamEncodeOptions so;
+      so.lanes = kLanes;
+      so.pool = p;
+      engine::StreamEncoder enc(batch, cfg, so, states);
+      const auto r = enc.encode_chunk(0, payload, kBursts, true);
+      return std::make_tuple(
+          std::move(states),
+          std::vector<engine::BurstResult>(r.begin(), r.end()), enc.zeros(),
+          enc.transitions());
     };
 
     const auto serial = run(nullptr);
-    engine::ShardPool pool(5);  // deliberately != lanes * groups
+    const double runs0 = observer.snapshot().value("dbi_pool_runs_total");
     const auto sharded = run(&pool);
-    EXPECT_EQ(std::get<0>(serial), std::get<0>(sharded));
-    EXPECT_EQ(std::get<1>(serial), std::get<1>(sharded));
-    EXPECT_EQ(std::get<2>(serial), std::get<2>(sharded));
-    EXPECT_EQ(std::get<3>(serial), std::get<3>(sharded));
+    EXPECT_GT(observer.snapshot().value("dbi_pool_runs_total"), runs0)
+        << scheme_name(scheme);
+    EXPECT_EQ(serial, sharded) << scheme_name(scheme);
 
-    // And the serial run must equal the single-call wide encode.
+    // Lane 0 must equal the single-call wide encode, result by result.
     std::vector<BusState> states(static_cast<std::size_t>(groups));
     for (int g = 0; g < groups; ++g)
       states[static_cast<std::size_t>(g)] =
           BusState::all_ones(cfg.group_config(g));
-    const BurstStats direct =
-        batch.encode_packed_wide(lane_bytes[0], cfg, states);
-    EXPECT_EQ(direct, std::get<2>(serial));
+    std::vector<engine::BurstResult> want(lane0.size() / bb *
+                                          static_cast<std::size_t>(groups));
+    (void)batch.encode_packed_wide(lane0, cfg, states, want.data());
+    const auto& got = std::get<1>(serial);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const std::size_t burst = i / static_cast<std::size_t>(groups) * kLanes;
+      const std::size_t g = i % static_cast<std::size_t>(groups);
+      ASSERT_EQ(got[burst * static_cast<std::size_t>(groups) + g], want[i])
+          << scheme_name(scheme) << " lane-0 result " << i;
+    }
+    for (int g = 0; g < groups; ++g)
+      EXPECT_EQ(std::get<0>(serial)[static_cast<std::size_t>(g)],
+                states[static_cast<std::size_t>(g)])
+          << scheme_name(scheme) << " group " << g;
   }
 }
 

@@ -104,9 +104,8 @@ struct Args {
 Args parse_args(int argc, char** argv) {
   // Flags that take no value; everything else spelled --key expects one.
   static const std::set<std::string> kBoolFlags = {
-      "no-compress", "no-double-buffer", "wide",     "reset",
-      "json",        "fork",             "verify",   "stats",
-      "shutdown",    "decode"};
+      "no-compress", "wide",   "reset",    "json", "fork",
+      "verify",      "stats",  "shutdown", "decode"};
   Args args;
   if (argc >= 2) args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
@@ -159,9 +158,9 @@ const std::map<std::string, std::set<std::string>>& allowed_flags() {
                   "chunk", "no-compress", "wide", "output", "p-one", "p-zero",
                   "p-stay", "encode", "alpha", "lanes", "reset", "kernel",
                   "metrics", "trace-json", "select", "cost", "report"}},
-      {"replay", {"scheme", "alpha", "lanes", "workers", "no-double-buffer",
-                  "pod", "cload-pf", "gbps", "kernel", "metrics",
-                  "trace-json", "select", "cost", "report"}},
+      {"replay", {"scheme", "alpha", "lanes", "workers", "pod", "cload-pf",
+                  "gbps", "kernel", "metrics", "trace-json", "select", "cost",
+                  "report"}},
       {"inspect", {"json"}},
       {"convert", {"chunk", "no-compress"}},
       {"corpus", {"width", "bl", "bursts", "seed", "select", "cost"}},
@@ -328,8 +327,8 @@ Geometry parse_geometry(const Args& args, int default_width = 8) {
 }
 
 /// The one SessionSpec producer every encode-path subcommand uses:
-/// --scheme / --alpha / --lanes / --workers / --no-double-buffer over a
-/// given geometry. `default_scheme` lets subcommands keep their
+/// --scheme / --alpha / --lanes / --workers / --kernel over a given
+/// geometry. `default_scheme` lets subcommands keep their
 /// historical default.
 SessionSpec session_spec(const Args& args, const Geometry& geometry,
                          const std::string& default_scheme = "opt") {
@@ -341,7 +340,6 @@ SessionSpec session_spec(const Args& args, const Geometry& geometry,
       CostWeights::ac_dc_tradeoff(args.get_double("alpha", 0.5));
   spec.lanes = static_cast<int>(args.get_long("lanes", 1));
   spec.threads = static_cast<int>(args.get_long("workers", 0));
-  spec.double_buffer = args.options.count("no-double-buffer") == 0;
   spec.kernel = args.get("kernel", "");
   // A typo'd kernel name is a usage error (exit 64, like an unknown
   // flag); an unavailable ISA or an envelope mismatch is left to the
@@ -1757,7 +1755,7 @@ int usage() {
       "                  must reproduce the stored masks. exit 1 on\n"
       "                  mismatch)\n"
       "  dbitool replay  TRACE.dbt [--scheme SCHEME] [--alpha 0.5]\n"
-      "                  [--lanes 4] [--workers N] [--no-double-buffer]\n"
+      "                  [--lanes 4] [--workers N]\n"
       "                  [--pod pod135] [--cload-pf 3] [--gbps 12]\n"
       "                  [--kernel auto|swar|avx2-fixed8|...] [--csv]\n"
       "                  [--select exact[:LIST]|predict[:LIST]\n"

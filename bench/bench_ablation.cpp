@@ -14,9 +14,9 @@
 #include "power/interface_energy.hpp"
 #include "sim/experiments.hpp"
 #include "sim/table.hpp"
+#include "util/rng.hpp"
 #include "workload/channel.hpp"
 #include "workload/generators.hpp"
-#include "workload/rng.hpp"
 
 namespace {
 
@@ -87,7 +87,7 @@ void boundary_study() {
   (void)lane;
   for (Scheme s : {Scheme::kAc, Scheme::kAcDc, Scheme::kOptFixed}) {
     workload::Channel channel(cfg, make_encoder(s, CostWeights{1, 1}));
-    workload::Xoshiro256 rng(9);  // same data for every scheme
+    util::Xoshiro256 rng(9);  // same data for every scheme
     for (int i = 0; i < 4000; ++i) {
       std::vector<std::uint8_t> line(32);
       for (auto& b : line) b = static_cast<std::uint8_t>(rng.next());

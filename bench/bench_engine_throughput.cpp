@@ -11,8 +11,10 @@
 // itself: Session::run vs the direct BatchEncoder entry points on the
 // same payload (the only place the bench touches the engine directly —
 // it is the overhead reference the CI gate holds Session against,
-// acceptance <= 2%). Emits a single JSON object so the numbers can be
-// tracked as a trajectory across commits (BENCH_*.json, gated by
+// acceptance <= 2%). A last, ungated section reports the per-burst
+// OPT (Fixed) references: the gate-level netlist and the scalar trellis
+// at burst lengths 2-32. Emits a single JSON object so the numbers can
+// be tracked as a trajectory across commits (BENCH_*.json, gated by
 // tools/bench_compare.py).
 //
 //   ./bench_engine_throughput [bursts-per-lane] [lanes] [workers]
@@ -30,10 +32,11 @@
 #include "engine/batch_decoder.hpp"
 #include "engine/batch_encoder.hpp"
 #include "engine/shard_pool.hpp"
+#include "hw/hw_encoder.hpp"
 #include "select/scheme_policy.hpp"
+#include "util/rng.hpp"
 #include "workload/corpus.hpp"
 #include "workload/generators.hpp"
-#include "workload/rng.hpp"
 
 namespace {
 
@@ -89,7 +92,7 @@ SchemeReport run_scheme(Scheme scheme, const CostWeights& w,
   // path routes straight to the engine's lane kernel).
   {
     SessionSpec spec;
-    spec.scheme = scheme;
+    spec.policy = scheme;
     spec.geometry = Geometry::of(cfg);
     spec.weights = w;
     Session session(spec);
@@ -111,7 +114,7 @@ SchemeReport run_scheme(Scheme scheme, const CostWeights& w,
   // (burst g -> lane g % L, each lane threading its own state).
   {
     SessionSpec spec;
-    spec.scheme = scheme;
+    spec.policy = scheme;
     spec.geometry = Geometry::of(cfg);
     spec.lanes = static_cast<int>(lanes.size());
     spec.weights = w;
@@ -150,7 +153,7 @@ WideReport run_wide(Scheme scheme, const CostWeights& w, int width,
   std::vector<std::uint8_t> bytes(
       static_cast<std::size_t>(bursts) *
       static_cast<std::size_t>(cfg.bytes_per_burst()));
-  workload::Xoshiro256 rng(7 + static_cast<std::uint64_t>(width));
+  util::Xoshiro256 rng(7 + static_cast<std::uint64_t>(width));
   for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next());
 
   // (a) per-group scalar loop: materialised group Bursts through the
@@ -191,7 +194,7 @@ WideReport run_wide(Scheme scheme, const CostWeights& w, int width,
   }
 
   SessionSpec spec;
-  spec.scheme = scheme;
+  spec.policy = scheme;
   spec.geometry = Geometry::wide(width, 8);
   spec.weights = w;
 
@@ -249,7 +252,7 @@ DecodeReport run_decode_narrow(Scheme scheme, int bursts, int repeats) {
   const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
 
   std::vector<std::uint8_t> payload(static_cast<std::size_t>(bursts) * bb);
-  workload::Xoshiro256 rng(21);
+  util::Xoshiro256 rng(21);
   for (std::uint8_t& b : payload) b = static_cast<std::uint8_t>(rng.next());
 
   // Untimed: encode the stream and materialise the wire bytes.
@@ -317,7 +320,7 @@ DecodeReport run_decode_wide(Scheme scheme, int bursts, int repeats) {
   const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
 
   std::vector<std::uint8_t> payload(static_cast<std::size_t>(bursts) * bb);
-  workload::Xoshiro256 rng(23);
+  util::Xoshiro256 rng(23);
   for (std::uint8_t& b : payload) b = static_cast<std::uint8_t>(rng.next());
 
   const engine::BatchEncoder engine(scheme);
@@ -421,7 +424,7 @@ struct KernelWorkload {
                               narrow_cfg.bytes_per_burst()));
     wide_payload.resize(static_cast<std::size_t>(bursts) *
                         static_cast<std::size_t>(wide_cfg.bytes_per_burst()));
-    workload::Xoshiro256 rng(31);
+    util::Xoshiro256 rng(31);
     for (std::uint8_t& b : narrow_payload)
       b = static_cast<std::uint8_t>(rng.next());
     for (std::uint8_t& b : wide_payload)
@@ -623,7 +626,7 @@ FacadeReport facade_narrow(const std::vector<Burst>& lane, int repeats) {
   const double total = static_cast<double>(lane.size()) * repeats;
   const engine::BatchEncoder batch(Scheme::kAc);
   SessionSpec spec;
-  spec.scheme = Scheme::kAc;
+  spec.policy = Scheme::kAc;
   spec.geometry = Geometry::of(cfg);
   Session session(spec);
 
@@ -669,7 +672,7 @@ FacadeReport facade_wide(std::span<const std::uint8_t> bytes, int width,
   const double total = bursts * repeats;
   const engine::BatchEncoder batch(Scheme::kAc);
   SessionSpec spec;
-  spec.scheme = Scheme::kAc;
+  spec.policy = Scheme::kAc;
   spec.geometry = Geometry::wide(width, 8);
   Session session(spec);
 
@@ -707,6 +710,34 @@ FacadeReport facade_wide(std::span<const std::uint8_t> bytes, int width,
 }
 
 }  // namespace
+
+struct ReferenceReport {
+  std::string path;
+  int burst_length = 0;
+  double mbps = 0;
+};
+
+/// Per-burst reference encoder throughput: uniform x8 bursts of length
+/// `bl`, cycled, each encoded from the all-ones boundary (the only
+/// state the gate-level designs accept).
+ReferenceReport run_reference(const std::string& path, const Encoder& encoder,
+                              int bl, int encodes) {
+  const BusConfig cfg{8, bl};
+  const auto src = workload::make_uniform_source(cfg, 13);
+  std::vector<Burst> bursts;
+  for (int i = 0; i < 256; ++i) bursts.push_back(src->next());
+  const BusState boundary = BusState::all_ones(cfg);
+  std::int64_t sink = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < encodes; ++i) {
+    const EncodedBurst e =
+        encoder.encode(bursts[static_cast<std::size_t>(i % 256)], boundary);
+    sink += e.beat(0).dq;
+  }
+  const double dt = seconds_since(t0);
+  if (sink == 42) std::puts("");
+  return {path, bl, encodes / dt / 1e6};
+}
 
 int main(int argc, char** argv) {
   const int bursts_per_lane = argc > 1 ? std::atoi(argv[1]) : 16384;
@@ -993,7 +1024,7 @@ int main(int argc, char** argv) {
     std::vector<std::uint8_t> wide_bytes(
         static_cast<std::size_t>(bursts_per_lane) *
         static_cast<std::size_t>(WideBusConfig{64, 8}.bytes_per_burst()));
-    workload::Xoshiro256 rng(11);
+    util::Xoshiro256 rng(11);
     for (std::uint8_t& b : wide_bytes)
       b = static_cast<std::uint8_t>(rng.next());
     const int narrow_repeats = static_cast<int>(
@@ -1012,6 +1043,28 @@ int main(int argc, char** argv) {
                   "\"session_vs_engine\": %.3f}",
                   first ? "" : ",\n", r.label.c_str(), r.engine_mbps,
                   r.session_mbps, r.ratio);
+      first = false;
+    }
+    std::printf("\n  ],\n");
+  }
+
+  // OPT (Fixed) per-burst references, report-only (no gate): the
+  // gate-level netlist of the Fig. 5 datapath, the cost the hardware
+  // equivalence tests pay per burst, and the scalar trellis across
+  // burst lengths.
+  {
+    const hw::HwEncoder gate_level(hw::build_dbi_opt_fixed());
+    const auto trellis = make_opt_fixed_encoder();
+    std::vector<ReferenceReport> reports = {
+        run_reference("gate_level", gate_level, 8, 2048)};
+    for (const int bl : {2, 4, 8, 16, 32})
+      reports.push_back(run_reference("scalar_trellis", *trellis, bl, 32768));
+    std::printf("  \"opt_fixed_reference\": [\n");
+    first = true;
+    for (const ReferenceReport& r : reports) {
+      std::printf("%s    {\"path\": \"%s\", \"burst_length\": %d, "
+                  "\"mbursts_per_s\": %.3f}",
+                  first ? "" : ",\n", r.path.c_str(), r.burst_length, r.mbps);
       first = false;
     }
     std::printf("\n  ]\n}\n");

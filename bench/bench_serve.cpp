@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <random>
 #include <span>
 #include <string>
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "api/geometry.hpp"
+#include "core/encoder.hpp"
 #include "engine/batch_encoder.hpp"
 #include "engine/stream_encoder.hpp"
 #include "obs/metrics.hpp"
@@ -155,10 +157,14 @@ int main(int argc, char** argv) {
       argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 4096;
   const int workers = argc > 3 ? std::atoi(argv[3]) : 0;
   const std::string scheme_name = argc > 4 ? argv[4] : "ac";
+  const std::optional<dbi::Scheme> parsed = dbi::scheme_from_slug(scheme_name);
+  if (!parsed) {
+    std::fprintf(stderr, "bench_serve: unknown scheme '%s' (%s)\n",
+                 scheme_name.c_str(), dbi::scheme_slug_list().c_str());
+    return 2;
+  }
+  const dbi::Scheme scheme = *parsed;
   const dbi::Geometry g = dbi::Geometry::narrow(8, 8);
-  const dbi::Scheme scheme = scheme_name == "raw" ? dbi::Scheme::kRaw
-                             : scheme_name == "dc" ? dbi::Scheme::kDc
-                                                   : dbi::Scheme::kAc;
   const auto bpb = static_cast<std::size_t>(g.bytes_per_burst());
 
   // One pipelining window's worth of payload per tenant is enough: the

@@ -31,9 +31,9 @@
 #include "lake/lake_replay.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
+#include "util/rng.hpp"
 #include "workload/channel.hpp"
 #include "workload/corpus.hpp"
-#include "workload/rng.hpp"
 
 namespace {
 
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   // The interleaved channel byte stream (beat-major, like a x(8*lanes)
   // device) — the exact input Channel::write_stream consumes.
   std::vector<std::uint8_t> data(static_cast<std::size_t>(writes) * bpw);
-  workload::Xoshiro256 rng(2026);
+  util::Xoshiro256 rng(2026);
   for (std::uint8_t& b : data) b = static_cast<std::uint8_t>(rng.next());
 
   // Record the same bursts, in channel write order (write w emits lane
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
 
     {
       SessionSpec spec;
-      spec.scheme = scheme;
+      spec.policy = scheme;
       spec.geometry = Geometry::of(reader.config());
       spec.lanes = lanes;
       spec.weights = w;
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
   long long obs_spans = 0;
   {
     SessionSpec spec;
-    spec.scheme = Scheme::kAc;
+    spec.policy = Scheme::kAc;
     spec.geometry = Geometry::of(reader.config());
     spec.lanes = lanes;
     spec.weights = w;
@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
         (static_cast<double>(sparse_bursts) *
          static_cast<double>(ccfg.lane.bytes_per_burst()));
     SessionSpec spec;
-    spec.scheme = Scheme::kAc;
+    spec.policy = Scheme::kAc;
     spec.geometry = Geometry::of(sparse_reader.config());
     spec.lanes = lanes;
     spec.pool = &pool;
@@ -277,7 +277,7 @@ int main(int argc, char** argv) {
     std::vector<std::uint8_t> wide_data(
         static_cast<std::size_t>(wide_bursts) *
         static_cast<std::size_t>(wcfg.bytes_per_burst()));
-    workload::Xoshiro256 wide_rng(4096);
+    util::Xoshiro256 wide_rng(4096);
     for (std::uint8_t& b : wide_data)
       b = static_cast<std::uint8_t>(wide_rng.next());
 
@@ -295,7 +295,7 @@ int main(int argc, char** argv) {
         static_cast<double>(wide_bursts) * static_cast<double>(repeats);
 
     SessionSpec spec;
-    spec.scheme = Scheme::kAc;
+    spec.policy = Scheme::kAc;
     spec.geometry = Geometry::of(wcfg);
     spec.lanes = 1;  // zero-copy in-place path; groups shard the pool
     spec.pool = &pool;
@@ -366,7 +366,7 @@ int main(int argc, char** argv) {
       trace::TraceWriterOptions wopt;
       wopt.compress = false;  // uniform bytes are incompressible
       trace::TraceWriter writer(member_path, lane, wopt);
-      workload::Xoshiro256 member_rng(static_cast<std::uint64_t>(100 + m));
+      util::Xoshiro256 member_rng(static_cast<std::uint64_t>(100 + m));
       std::vector<Word> burst(static_cast<std::size_t>(lane.burst_length));
       for (std::int64_t i = 0; i < member_bursts[m]; ++i) {
         for (Word& word : burst)
@@ -380,7 +380,7 @@ int main(int argc, char** argv) {
     const auto lake_reader = lake::LakeReader::open(lake_dir);
 
     SessionSpec spec;
-    spec.scheme = Scheme::kAc;
+    spec.policy = Scheme::kAc;
     spec.geometry = Geometry::of(lane);
     spec.lanes = lanes;
     spec.weights = w;

@@ -65,7 +65,7 @@ int main() {
   // the ASCII-text corpus scenario over a x32 bus, DBI AC.
   {
     SessionSpec spec;
-    spec.scheme = Scheme::kAc;
+    spec.policy = Scheme::kAc;
     spec.geometry = Geometry::wide(32);
     Session session(spec);
     const auto source = make_corpus_source("ascii-text", 100000, /*seed=*/1);

@@ -47,33 +47,21 @@ void SessionSpec::validate() const {
   if (fault_injector && direction != Direction::kRoundTrip)
     throw std::invalid_argument(
         "SessionSpec: fault_injector only applies to kRoundTrip sessions");
-  if (resolved_policy().adaptive() && direction != Direction::kEncode)
+  if (policy.adaptive() && direction != Direction::kEncode)
     throw std::invalid_argument(
         "SessionSpec: adaptive scheme policies are encode-only (decode and "
         "round-trip take their schemes from the trace's tags)");
 }
 
-namespace {
-
-/// The scheme the session's own BatchEncoder runs: the pinned policy
-/// scheme when one is set, else the deprecated spec.scheme slot.
-/// Adaptive sessions spin up per-candidate engines in run_adaptive and
-/// use this one only for kernel introspection and decode.
-Scheme session_engine_scheme(const SessionSpec& spec) {
-  const SchemePolicy p = spec.resolved_policy();
-  return p.mode() == SchemePolicy::Mode::kFixed ? p.fixed_scheme()
-                                                : spec.scheme;
-}
-
-}  // namespace
-
+// The session's own BatchEncoder runs the pinned scheme of a fixed
+// policy. Adaptive sessions spin up per-candidate engines in the
+// selector and use this one (built for the first candidate) only for
+// kernel routing. Validation runs first: an invalid adaptive policy may
+// have no candidates.
 Session::Session(const SessionSpec& spec)
-    : spec_(spec), engine_(session_engine_scheme(spec_), spec_.weights) {
-  spec_.validate();
-  // Keep the deprecated scheme slot coherent with a pinned policy so
-  // the kernel report and pre-policy readers agree with what runs.
-  if (spec_.policy.mode() == SchemePolicy::Mode::kFixed)
-    spec_.scheme = spec_.policy.fixed_scheme();
+    : spec_(spec),
+      engine_((spec_.validate(), spec_.policy.candidates().front()),
+              spec_.weights) {
   // Kernel selection: resolve the spec's pin (unknown names and absent
   // ISAs throw there, naming the candidates), hand the variant to both
   // engine directions, then reject a pin whose envelope covers no path
@@ -86,7 +74,7 @@ Session::Session(const SessionSpec& spec)
   // single-scheme envelope strictness below does not apply to them.
   if (!spec_.kernel.empty() && spec_.kernel != "auto" &&
       kernel.isa() != engine::KernelIsa::kPortable &&
-      !spec_.resolved_policy().adaptive()) {
+      !spec_.policy.adaptive()) {
     const KernelReport rep = kernel_routing();
     if (rep.fixed_encode != kernel.name() && rep.trellis != kernel.name() &&
         rep.decode != kernel.name())
@@ -145,14 +133,8 @@ void Session::publish_stats(const StreamStats& delta, bool whole_run) const {
 }
 
 std::string_view Session::scheme_name() const {
-  switch (spec_.resolved_policy().mode()) {
-    case SchemePolicy::Mode::kAdaptiveExact:
-      return "adaptive-exact";
-    case SchemePolicy::Mode::kAdaptivePredicted:
-      return "adaptive-predicted";
-    default:
-      return engine_.name();
-  }
+  return spec_.policy.adaptive() ? SchemePolicy::mode_name(spec_.policy.mode())
+                                 : engine_.name();
 }
 
 const dbi::Encoder& Session::scalar_encoder() const {
@@ -175,7 +157,8 @@ KernelReport Session::kernel_routing() const {
   // kExhaustive bypasses the engine kernels entirely.
   const bool has_byte_group = wide ? width >= 8 : width == 8;
   const bool has_narrow_group = wide ? width % 8 != 0 : width != 8;
-  const auto rule = engine::fixed8_rule(spec_.scheme);
+  const Scheme scheme = engine_.scheme();
+  const auto rule = engine::fixed8_rule(scheme);
   if (rule) {
     rep.fixed_encode =
         !has_byte_group ? "n/a"
@@ -184,11 +167,10 @@ KernelReport Session::kernel_routing() const {
     rep.planar_encode =
         has_narrow_group ? engine::portable_kernel().name() : "n/a";
     rep.trellis = "n/a";
-  } else if (spec_.scheme == Scheme::kOpt ||
-             spec_.scheme == Scheme::kOptFixed) {
+  } else if (scheme == Scheme::kOpt || scheme == Scheme::kOptFixed) {
     rep.fixed_encode = "n/a";
     rep.planar_encode = "n/a";
-    rep.trellis = spec_.scheme == Scheme::kOpt && wide &&
+    rep.trellis = scheme == Scheme::kOpt && wide &&
                           engine::trellis_wide8_geometry(
                               spec_.geometry.wide_bus()) &&
                           k.supports_trellis_wide8(bl)
@@ -218,7 +200,7 @@ KernelReport Session::kernel_routing() const {
 }
 
 void Session::require_channel_geometry(const char* what) const {
-  if (spec_.resolved_policy().adaptive())
+  if (spec_.policy.adaptive())
     throw std::logic_error(
         std::string("Session::") + what +
         ": the incremental write surface encodes with one fixed scheme; "
@@ -500,7 +482,7 @@ std::span<const std::uint8_t> Session::roundtrip_slice(
 
 StreamStats Session::run_chunks(Source& source, Sink& sink) {
   enum class Step { kEncode, kDecode, kRoundTrip, kAdaptive };
-  const SchemePolicy policy = spec_.resolved_policy();
+  const SchemePolicy& policy = spec_.policy;
   const Step step = spec_.direction == Direction::kDecode ? Step::kDecode
                     : spec_.direction == Direction::kRoundTrip
                         ? Step::kRoundTrip
@@ -733,7 +715,7 @@ StreamStats Session::run(Source& source, Sink& sink) {
   const std::span<const dbi::Burst> burst_span = source.bursts();
   const StreamStats totals =
       spec_.direction == Direction::kEncode &&
-              !spec_.resolved_policy().adaptive() && !burst_span.empty() &&
+              !spec_.policy.adaptive() && !burst_span.empty() &&
               spec_.lanes == 1 && !spec_.geometry.is_wide() &&
               !sink.wants_results() && !sink.wants_payload()
           ? run_bursts(burst_span)
@@ -768,9 +750,9 @@ StreamStats Session::run(Source& source) {
 SessionReport Session::report() const {
   SessionReport rep;
   rep.scheme = std::string(scheme_name());
-  rep.policy = spec_.resolved_policy().describe();
+  rep.policy = spec_.policy.describe();
   rep.kernel = kernel_routing();
-  rep.adaptive = spec_.resolved_policy().adaptive();
+  rep.adaptive = spec_.policy.adaptive();
   rep.selection = selection_;
   if (obs_) rep.metrics = obs_->snapshot();
   return rep;

@@ -1,10 +1,10 @@
 // dbi::Session — the one public front-end over every encode path.
 //
-// Construct it from a SessionSpec (scheme, Geometry, lanes, cost
-// weights, threading, state-reset policy) and drive it with one pair
-// of abstractions:
+// Construct it from a SessionSpec (scheme policy, Geometry, lanes,
+// cost weights, threading, state-reset policy) and drive it with one
+// pair of abstractions:
 //
-//   Session session(SessionSpec{.scheme = Scheme::kAc,
+//   Session session(SessionSpec{.policy = Scheme::kAc,
 //                               .geometry = Geometry::wide(64)});
 //   auto source = make_trace_source(reader);   // or packed / bursts /
 //   auto sink = make_stats_sink();             //    corpus / generator
@@ -79,16 +79,11 @@ enum class Direction {
 };
 
 struct SessionSpec {
-  /// Deprecated shim: the pre-policy scheme slot. Still assignable —
-  /// with a default-constructed `policy` it governs exactly as before.
-  /// New code should set `policy` instead.
-  Scheme scheme = Scheme::kOpt;
-  /// How the session chooses the encoding scheme. The default
-  /// (SchemePolicy::Mode::kFollowScheme) defers to `scheme` above;
-  /// SchemePolicy::fixed() pins one scheme; the adaptive modes
-  /// re-select per block of policy.block_bursts() bursts ("mixed-block"
-  /// coding; encode-direction runs only). A bare Scheme converts
-  /// implicitly, so `spec.policy = Scheme::kAc;` also works.
+  /// How the session chooses the encoding scheme: SchemePolicy::fixed()
+  /// pins one (the default is fixed(Scheme::kOpt), and a bare Scheme
+  /// converts implicitly, so `spec.policy = Scheme::kAc;` works); the
+  /// adaptive modes re-select per block of policy.block_bursts() bursts
+  /// ("mixed-block" coding; encode-direction runs only).
   SchemePolicy policy{};
   Geometry geometry{};  ///< narrow x8 BL8 by default
   /// Interleaved lane streams: burst g of a run() source goes to lane
@@ -142,14 +137,6 @@ struct SessionSpec {
   /// into one metrics registry / trace, e.g. dbitool's scheme sweeps.
   obs::Observer* observer = nullptr;
 
-  /// The policy this spec effectively runs: `policy` when set, else the
-  /// deprecated `scheme` slot wrapped as a fixed policy.
-  [[nodiscard]] SchemePolicy resolved_policy() const {
-    return policy.mode() == SchemePolicy::Mode::kFollowScheme
-               ? SchemePolicy::fixed(scheme)
-               : policy;
-  }
-
   void validate() const;
 };
 
@@ -177,6 +164,8 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   [[nodiscard]] const SessionSpec& spec() const { return spec_; }
+  /// The fixed scheme's display name ("DBI AC"), or an adaptive
+  /// policy's mode name ("adaptive-exact").
   [[nodiscard]] std::string_view scheme_name() const;
 
   /// The scalar encoder this session is bit-exact against (the paper's
@@ -247,10 +236,11 @@ class Session {
   [[nodiscard]] engine::ShardPool* pool() const {
     return spec_.pool ? spec_.pool : owned_pool_.get();
   }
-  /// Which kernel variant serves each engine path under this spec:
-  /// the resolved variant where its envelope covers the path, the
-  /// portable "swar" reference where it does not, "n/a" for paths the
-  /// scheme and geometry never exercise.
+  /// Which kernel variant serves each engine path for the session
+  /// engine's scheme (an adaptive policy's first candidate): the
+  /// resolved variant where its envelope covers the path, the portable
+  /// "swar" reference where it does not, "n/a" for paths the scheme and
+  /// geometry never exercise.
   [[nodiscard]] KernelReport kernel_routing() const;
   void require_channel_geometry(const char* what) const;
   /// Folds a completed surface's delta into the observer counters

@@ -1,11 +1,9 @@
 // dbi::StreamStats: the one 64-bit aggregate every streaming front-end
 // accumulates and reports.
 //
-// It replaces the per-subsystem twins that grew alongside the encode
-// paths — workload::ChannelStats (int64 per-write counters) is now an
-// alias of this type — so Session, Channel and the replay summaries all
-// speak the same totals, and per-burst / per-write means are derived,
-// never separately accumulated.
+// Session, Channel and the replay summaries all speak these totals, and
+// per-burst / per-write means are derived, never separately
+// accumulated.
 #pragma once
 
 #include <cstdint>

@@ -25,15 +25,6 @@ void VerifyReport::record(std::int64_t burst, int lane, int group,
     sites.push_back(MismatchSite{burst, lane, group, beat_mask});
 }
 
-std::uint8_t scheme_to_tag(Scheme s) {
-  return static_cast<std::uint8_t>(1 + static_cast<int>(s));
-}
-
-std::optional<Scheme> scheme_from_tag(std::uint8_t tag) {
-  if (tag < 1 || tag > 7) return std::nullopt;
-  return static_cast<Scheme>(tag - 1);
-}
-
 VerifyReport verify_encoded_trace(const trace::TraceReader& reader,
                                   const VerifyOptions& options) {
   if (!reader.encoded())

@@ -8,7 +8,8 @@
 //     transmitted stream in between.
 //   * Encoded-trace verify (verify_encoded_trace / dbitool verify):
 //     the trace's transmitted stream is decoded and re-encoded with
-//     the scheme recorded in its header (or an override), and the
+//     the scheme recorded in its header (a scheme_to_tag() byte, see
+//     core/encoder.hpp) or an override, and the
 //     re-derived DBI decisions are compared against the stored mask
 //     stream. This catches data/DBI coherence violations (corrupted or
 //     misaligned masks); a corruption that yields another LEGAL
@@ -83,10 +84,5 @@ struct VerifyOptions {
 /// is not encoded or no scheme is available.
 [[nodiscard]] VerifyReport verify_encoded_trace(
     const trace::TraceReader& reader, const VerifyOptions& options = {});
-
-/// Header metadata mapping: byte 17 of an encoded trace is
-/// 1 + static_cast<int>(scheme); 0 means "not recorded".
-[[nodiscard]] std::uint8_t scheme_to_tag(Scheme s);
-[[nodiscard]] std::optional<Scheme> scheme_from_tag(std::uint8_t tag);
 
 }  // namespace dbi

@@ -2,7 +2,10 @@
 // paper, plus the ablation variants this reproduction adds.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <string_view>
 
 #include "core/burst.hpp"
@@ -22,7 +25,24 @@ enum class Scheme {
   kExhaustive,  ///< brute-force reference (2^burst_length patterns)
 };
 
+// Every spelling of a scheme reads one table (encoder.cpp), one row per
+// Scheme: a display name, a slug and a tag. Unknown schemes throw
+// std::invalid_argument.
+
+/// Display name ("DBI DC", "DBI OPT (Fixed)"): tables, reports, bench
+/// JSON labels and the scalar encoders' Encoder::name().
 [[nodiscard]] std::string_view scheme_name(Scheme s);
+/// Short machine-friendly slug ("dc", "acdc", "opt-fixed"): CLI flags,
+/// metric labels, policy descriptions and report JSON.
+[[nodiscard]] std::string_view scheme_slug(Scheme s);
+[[nodiscard]] std::optional<Scheme> scheme_from_slug(std::string_view slug);
+/// Every slug, '|'-separated, for usage messages.
+[[nodiscard]] std::string scheme_slug_list();
+/// On-disk and wire tag (trace header byte 17, v3 chunk flags, lake
+/// catalog, dbid hello): 1 + the enum value; 0 means "not recorded".
+[[nodiscard]] std::uint8_t scheme_to_tag(Scheme s);
+/// nullopt for 0 and for every byte no scheme owns.
+[[nodiscard]] std::optional<Scheme> scheme_from_tag(std::uint8_t tag);
 
 /// A DBI encoder. Stateless: the caller threads the bus history
 /// (last transmitted beat) through consecutive encode() calls, which is

@@ -13,7 +13,9 @@ namespace {
 
 class AcEncoder final : public Encoder {
  public:
-  [[nodiscard]] std::string_view name() const override { return "DBI AC"; }
+  [[nodiscard]] std::string_view name() const override {
+    return scheme_name(Scheme::kAc);
+  }
 
   [[nodiscard]] EncodedBurst encode(const Burst& data,
                                     const BusState& prev) const override {

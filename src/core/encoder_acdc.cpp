@@ -13,7 +13,9 @@ namespace {
 
 class AcDcEncoder final : public Encoder {
  public:
-  [[nodiscard]] std::string_view name() const override { return "DBI ACDC"; }
+  [[nodiscard]] std::string_view name() const override {
+    return scheme_name(Scheme::kAcDc);
+  }
 
   [[nodiscard]] EncodedBurst encode(const Burst& data,
                                     const BusState& prev) const override {

@@ -15,7 +15,9 @@ namespace {
 
 class DcEncoder final : public Encoder {
  public:
-  [[nodiscard]] std::string_view name() const override { return "DBI DC"; }
+  [[nodiscard]] std::string_view name() const override {
+    return scheme_name(Scheme::kDc);
+  }
 
   [[nodiscard]] EncodedBurst encode(const Burst& data,
                                     const BusState& /*prev*/) const override {

@@ -17,7 +17,7 @@ class ExhaustiveEncoder final : public Encoder {
   explicit ExhaustiveEncoder(const CostWeights& w) : w_(w) { w_.validate(); }
 
   [[nodiscard]] std::string_view name() const override {
-    return "EXHAUSTIVE";
+    return scheme_name(Scheme::kExhaustive);
   }
 
   [[nodiscard]] EncodedBurst encode(const Burst& data,

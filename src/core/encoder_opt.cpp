@@ -17,7 +17,9 @@ class OptEncoder final : public Encoder {
  public:
   explicit OptEncoder(const CostWeights& w) : w_(w) { w_.validate(); }
 
-  [[nodiscard]] std::string_view name() const override { return "DBI OPT"; }
+  [[nodiscard]] std::string_view name() const override {
+    return scheme_name(Scheme::kOpt);
+  }
 
   [[nodiscard]] EncodedBurst encode(const Burst& data,
                                     const BusState& prev) const override {
@@ -56,8 +58,8 @@ std::unique_ptr<Encoder> make_opt_encoder(const CostWeights& w) {
 }
 
 std::unique_ptr<Encoder> make_opt_fixed_encoder() {
-  return std::make_unique<OptIntEncoder>(IntCostWeights{1, 1},
-                                         "DBI OPT (Fixed)");
+  return std::make_unique<OptIntEncoder>(
+      IntCostWeights{1, 1}, std::string(scheme_name(Scheme::kOptFixed)));
 }
 
 std::unique_ptr<Encoder> make_opt_int_encoder(const IntCostWeights& w) {

@@ -7,7 +7,9 @@ namespace {
 
 class RawEncoder final : public Encoder {
  public:
-  [[nodiscard]] std::string_view name() const override { return "RAW"; }
+  [[nodiscard]] std::string_view name() const override {
+    return scheme_name(Scheme::kRaw);
+  }
 
   [[nodiscard]] EncodedBurst encode(const Burst& data,
                                     const BusState& /*prev*/) const override {

@@ -8,7 +8,7 @@
 #include "core/encoder.hpp"
 #include "hw/hw_design.hpp"
 #include "netlist/sim.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi::hw {
 
@@ -73,7 +73,7 @@ FaultStudyResult run_fault_study(const workload::BurstTrace& trace,
     if (netlist::is_physical(design.net.gate(id).kind)) sites.push_back(id);
   if (options.max_sites > 0 &&
       sites.size() > static_cast<std::size_t>(options.max_sites)) {
-    workload::Xoshiro256 rng(options.seed);
+    util::Xoshiro256 rng(options.seed);
     for (std::size_t i = sites.size() - 1; i > 0; --i)
       std::swap(sites[i], sites[rng.next_below(i + 1)]);
     sites.resize(static_cast<std::size_t>(options.max_sites));

@@ -11,6 +11,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/encoder.hpp"
 #include "trace/format.hpp"
 #include "trace/probe.hpp"
 #include "trace/trace_reader.hpp"
@@ -200,7 +201,7 @@ void LakeReader::parse(std::vector<std::uint8_t> image, bool verify_crc) {
           throw LakeError("lake: " + where +
                           " is version 3 but not a mixed-scheme encoded "
                           "trace (enc_scheme = 0xFF)");
-      } else if (m.enc_scheme > 7) {
+      } else if (m.enc_scheme != 0 && !scheme_from_tag(m.enc_scheme)) {
         throw LakeError("lake: " + where + " encode scheme tag " +
                         std::to_string(m.enc_scheme) + " out of range");
       }

@@ -1,12 +1,12 @@
-// dbi::SchemePolicy — how a Session chooses the encoding scheme.
+// dbi::SchemePolicy — how a Session chooses the encoding scheme
+// (SessionSpec::policy is the one place a session names it).
 //
-// Historically SessionSpec carried one bare Scheme for the whole
-// stream. Real traffic is heterogeneous (sparse pages next to
-// high-entropy tensors), and the paper's central result is that no
-// single scheme is optimal across data statistics — so the policy type
-// generalises the slot:
+// Real traffic is heterogeneous (sparse pages next to high-entropy
+// tensors), and the paper's central result is that no single scheme is
+// optimal across data statistics — so a policy either pins one scheme
+// for the whole stream or re-selects per block:
 //
-//   spec.policy = SchemePolicy::fixed(Scheme::kAc);        // old behaviour
+//   spec.policy = Scheme::kAc;                             // fixed(ac)
 //   spec.policy = SchemePolicy::adaptive_exact(            // mixed-block
 //       {Scheme::kDc, Scheme::kAc, Scheme::kOpt},
 //       CostModel::kTransitions);
@@ -21,11 +21,6 @@
 // `probe_interval`-th block to re-fit. Encoded traces written by an
 // adaptive session carry a per-chunk scheme tag (trace format v3) so
 // decode and verify stay self-describing.
-//
-// SessionSpec::scheme remains assignable as a deprecated shim: a bare
-// Scheme converts implicitly to a fixed() policy, and a
-// default-constructed policy (Mode::kFollowScheme) defers to the old
-// enum slot, so every pre-policy caller compiles and behaves unchanged.
 #pragma once
 
 #include <cstdint>
@@ -45,29 +40,6 @@ enum class CostModel : std::uint8_t {
   kBytes,        ///< RLE-compressed transmitted byte volume
 };
 
-/// Short machine-friendly scheme slug ("dc", "acdc", "opt-fixed") — the
-/// spelling dbitool flags, metric labels and report JSON use, as
-/// opposed to core scheme_name()'s display form ("DBI DC").
-[[nodiscard]] constexpr std::string_view scheme_slug(Scheme s) {
-  switch (s) {
-    case Scheme::kRaw:
-      return "raw";
-    case Scheme::kDc:
-      return "dc";
-    case Scheme::kAc:
-      return "ac";
-    case Scheme::kAcDc:
-      return "acdc";
-    case Scheme::kOpt:
-      return "opt";
-    case Scheme::kOptFixed:
-      return "opt-fixed";
-    case Scheme::kExhaustive:
-      return "exhaustive";
-  }
-  return "?";
-}
-
 [[nodiscard]] constexpr std::string_view cost_model_name(CostModel m) {
   switch (m) {
     case CostModel::kTransitions:
@@ -83,7 +55,6 @@ enum class CostModel : std::uint8_t {
 class SchemePolicy {
  public:
   enum class Mode : std::uint8_t {
-    kFollowScheme,      ///< default-constructed: SessionSpec::scheme governs
     kFixed,             ///< one scheme for the whole stream
     kAdaptiveExact,     ///< encode-all-candidates, keep the cheapest
     kAdaptivePredicted  ///< feature model + periodic exact probe
@@ -94,10 +65,10 @@ class SchemePolicy {
   /// Every Nth block of a predicted session is exact-probed to re-fit.
   static constexpr int kDefaultProbeInterval = 16;
 
-  SchemePolicy() = default;
-  /// Implicit shim: a bare Scheme is a fixed policy, so
-  /// `spec.policy = Scheme::kAc;` reads like the old enum slot.
-  SchemePolicy(Scheme s) : mode_(Mode::kFixed), candidates_{s} {}  // NOLINT
+  /// fixed(Scheme::kOpt), so a default SessionSpec runs DBI OPT.
+  SchemePolicy() : SchemePolicy(Scheme::kOpt) {}
+  /// A bare Scheme is a fixed policy: `spec.policy = Scheme::kAc;`.
+  SchemePolicy(Scheme s) : candidates_{s} {}  // NOLINT
 
   [[nodiscard]] static SchemePolicy fixed(Scheme s) { return SchemePolicy(s); }
 
@@ -127,6 +98,20 @@ class SchemePolicy {
   /// fixed schemes plus the optimal trellis.
   [[nodiscard]] static std::vector<Scheme> default_candidates() {
     return {Scheme::kDc, Scheme::kAc, Scheme::kAcDc, Scheme::kOpt};
+  }
+
+  /// "fixed" / "adaptive-exact" / "adaptive-predicted": the mode as
+  /// describe(), Session::scheme_name() and report JSON spell it.
+  [[nodiscard]] static constexpr std::string_view mode_name(Mode m) {
+    switch (m) {
+      case Mode::kFixed:
+        return "fixed";
+      case Mode::kAdaptiveExact:
+        return "adaptive-exact";
+      case Mode::kAdaptivePredicted:
+        return "adaptive-predicted";
+    }
+    return "?";
   }
 
   [[nodiscard]] Mode mode() const { return mode_; }
@@ -169,32 +154,24 @@ class SchemePolicy {
   /// "fixed(ac)" / "adaptive-exact(dc,ac,opt; cost=transitions)" — the
   /// form reports and error messages embed.
   [[nodiscard]] std::string describe() const {
-    switch (mode_) {
-      case Mode::kFollowScheme:
-        return "follow-scheme";
-      case Mode::kFixed:
-        return "fixed(" + std::string(scheme_slug(fixed_scheme())) + ")";
-      case Mode::kAdaptiveExact:
-      case Mode::kAdaptivePredicted: {
-        std::string out = mode_ == Mode::kAdaptiveExact ? "adaptive-exact("
-                                                        : "adaptive-predicted(";
-        for (std::size_t i = 0; i < candidates_.size(); ++i) {
-          if (i) out += ',';
-          out += scheme_slug(candidates_[i]);
-        }
-        out += "; cost=";
-        out += cost_model_name(cost_model_);
-        out += ')';
-        return out;
-      }
+    std::string out(mode_name(mode_));
+    out += '(';
+    for (std::size_t i = 0; i < candidates_.size(); ++i) {
+      if (i) out += ',';
+      out += scheme_slug(candidates_[i]);
     }
-    return "?";
+    if (adaptive()) {
+      out += "; cost=";
+      out += cost_model_name(cost_model_);
+    }
+    out += ')';
+    return out;
   }
 
   friend bool operator==(const SchemePolicy&, const SchemePolicy&) = default;
 
  private:
-  Mode mode_ = Mode::kFollowScheme;
+  Mode mode_ = Mode::kFixed;
   std::vector<Scheme> candidates_;
   CostModel cost_model_ = CostModel::kTransitions;
   int probe_interval_ = kDefaultProbeInterval;

@@ -399,10 +399,7 @@ SelectionReport ChunkSelector::report() const {
 std::string SelectionReport::to_json() const {
   std::string out = "{";
   out += "\"mode\":\"";
-  out += mode == SchemePolicy::Mode::kAdaptivePredicted ? "adaptive-predicted"
-         : mode == SchemePolicy::Mode::kAdaptiveExact   ? "adaptive-exact"
-         : mode == SchemePolicy::Mode::kFixed           ? "fixed"
-                                                        : "follow-scheme";
+  out += SchemePolicy::mode_name(mode);
   out += "\",\"cost_model\":\"";
   out += cost_model_name(cost_model);
   out += "\",\"blocks\":" + std::to_string(blocks);

@@ -57,7 +57,7 @@ struct CandidateReport {
 
 /// Selection outcome of one adaptive session run.
 struct SelectionReport {
-  SchemePolicy::Mode mode = SchemePolicy::Mode::kFollowScheme;
+  SchemePolicy::Mode mode = SchemePolicy::Mode::kFixed;
   CostModel cost_model = CostModel::kTransitions;
   std::int64_t blocks = 0;
   std::int64_t bursts = 0;

@@ -9,8 +9,6 @@
 #include <cstring>
 #include <system_error>
 
-#include "api/verify.hpp"
-
 namespace dbi::serve {
 
 namespace {

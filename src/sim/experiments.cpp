@@ -39,7 +39,7 @@ dbi::StreamStats total_stream_stats(const workload::BurstTrace& trace,
                                     dbi::StatePolicy policy =
                                         dbi::StatePolicy::kResetPerBurst) {
   dbi::SessionSpec spec;
-  spec.scheme = scheme;
+  spec.policy = scheme;
   spec.geometry = dbi::Geometry::of(trace.config());
   spec.weights = w;
   spec.state_policy = policy;
@@ -149,7 +149,7 @@ std::vector<WideWidthPoint> wide_width_sweep(dbi::Scheme scheme,
     }
 
     dbi::SessionSpec spec;
-    spec.scheme = scheme;
+    spec.policy = scheme;
     spec.geometry = geometry;
     spec.weights = w;
     dbi::Session session(spec);

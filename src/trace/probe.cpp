@@ -4,6 +4,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "core/encoder.hpp"
+
 namespace dbi::trace {
 
 TraceFileProbe probe_trace_file(const std::string& path) {
@@ -59,7 +61,8 @@ TraceFileProbe probe_trace_file(const std::string& path) {
       throw TraceError(
           "trace: a version-3 file must be an encoded mixed-scheme trace "
           "(enc_scheme = 0xFF)");
-  } else if (p.header.enc_scheme > 7) {
+  } else if (p.header.enc_scheme != 0 &&
+             !scheme_from_tag(p.header.enc_scheme)) {
     throw TraceError("trace: encode scheme tag " +
                      std::to_string(p.header.enc_scheme) + " out of range");
   }

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <utility>
 
+#include "core/encoder.hpp"
+
 #if defined(__unix__) || defined(__APPLE__)
 #define DBI_TRACE_HAVE_MMAP 1
 #include <fcntl.h>
@@ -153,7 +155,8 @@ void TraceReader::parse(bool verify_crc) {
       throw TraceError(
           "trace: a version-3 file must be an encoded mixed-scheme trace "
           "(enc_scheme = 0xFF)");
-  } else if (header_.enc_scheme > 7) {
+  } else if (header_.enc_scheme != 0 &&
+             !scheme_from_tag(header_.enc_scheme)) {
     throw TraceError("trace: encode scheme tag " +
                      std::to_string(header_.enc_scheme) + " out of range");
   }
@@ -270,7 +273,7 @@ void TraceReader::parse(bool verify_crc) {
             "tag");
       scheme_tag =
           static_cast<std::uint8_t>(flags >> kChunkSchemeTagShift);
-      if (scheme_tag < 1 || scheme_tag > 7)
+      if (!scheme_from_tag(scheme_tag))
         throw TraceError("trace: chunk scheme tag " +
                          std::to_string(scheme_tag) + " out of range");
     }

@@ -32,10 +32,10 @@ void TraceWriterOptions::validate() const {
           "TraceWriterOptions: a mixed-scheme trace records its schemes "
           "per chunk; enc_scheme must be left 0 (the writer stamps the "
           "0xFF sentinel)");
-  } else if (enc_scheme > 7) {
+  } else if (enc_scheme != 0 && !scheme_from_tag(enc_scheme)) {
     throw std::invalid_argument(
-        "TraceWriterOptions: enc_scheme must be 0 (not recorded) or "
-        "1 + Scheme enum value (<= 7)");
+        "TraceWriterOptions: enc_scheme must be 0 (not recorded) or a "
+        "scheme_to_tag() value");
   }
   if (enc_policy > 1)
     throw std::invalid_argument(
@@ -356,8 +356,7 @@ void TraceWriter::flush_chunk() {
 
   std::uint32_t payload_flags = 0;
   if (opt_.per_chunk_schemes)
-    payload_flags = chunk_scheme_flags(
-        static_cast<std::uint8_t>(1 + static_cast<int>(*chunk_scheme_)));
+    payload_flags = chunk_scheme_flags(scheme_to_tag(*chunk_scheme_));
   emit_chunk(pending_bursts_, payload_flags, pending_);
   // The mask-stream chunk rides directly behind its payload chunk; it
   // is not counted in chunks_ (the footer describes the payload stream).

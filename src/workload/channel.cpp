@@ -10,7 +10,7 @@ namespace {
 dbi::SessionSpec channel_spec(const ChannelConfig& cfg, dbi::Scheme scheme,
                               const dbi::CostWeights& w) {
   dbi::SessionSpec spec;
-  spec.scheme = scheme;
+  spec.policy = scheme;
   spec.geometry = dbi::Geometry::of(cfg.lane);
   spec.lanes = cfg.lanes;
   spec.weights = w;
@@ -86,8 +86,8 @@ std::vector<dbi::EncodedBurst> Channel::write(
   return encoded;
 }
 
-ChannelStats Channel::write_stream(std::span<const std::uint8_t> data,
-                                   engine::ShardPool* pool) {
+StreamStats Channel::write_stream(std::span<const std::uint8_t> data,
+                                  engine::ShardPool* pool) {
   if (session_) return session_->write_stream(data, pool);
 
   // Scalar virtual path: a caller-supplied encoder may carry internal
@@ -101,7 +101,7 @@ ChannelStats Channel::write_stream(std::span<const std::uint8_t> data,
   const auto writes = static_cast<std::int64_t>(data.size() / bpw);
   if (writes == 0) return {};
 
-  ChannelStats delta;
+  StreamStats delta;
   delta.writes = writes;
   delta.bursts = writes * cfg_.lanes;
   for (int lane = 0; lane < cfg_.lanes; ++lane) {
@@ -130,7 +130,7 @@ void Channel::reset() {
   }
   lane_state_.assign(static_cast<std::size_t>(cfg_.lanes),
                      dbi::BusState::all_ones(cfg_.lane));
-  stats_ = ChannelStats{};
+  stats_ = StreamStats{};
 }
 
 }  // namespace dbi::workload

@@ -44,10 +44,6 @@ struct ChannelConfig {
   }
 };
 
-/// Aggregate counters over everything a channel transmitted — the
-/// unified streaming totals type (bursts = writes * lanes).
-using ChannelStats = dbi::StreamStats;
-
 class Channel {
  public:
   /// The channel takes ownership of the encoder (shared across lanes;
@@ -87,11 +83,11 @@ class Channel {
   /// encoder (e.g. the noisy wrapper) may carry state that is not safe
   /// to share across workers — and yield identical stats. Returns the
   /// stats of just this call.
-  ChannelStats write_stream(std::span<const std::uint8_t> data,
-                            engine::ShardPool* pool = nullptr);
+  StreamStats write_stream(std::span<const std::uint8_t> data,
+                           engine::ShardPool* pool = nullptr);
 
   /// Statistics of everything written so far.
-  [[nodiscard]] const ChannelStats& stats() const {
+  [[nodiscard]] const StreamStats& stats() const {
     return session_ ? session_->stats() : stats_;
   }
 
@@ -105,7 +101,7 @@ class Channel {
   std::unique_ptr<dbi::Encoder> encoder_;  // scalar virtual path
   std::unique_ptr<dbi::Session> session_;  // engine facade path
   std::vector<dbi::BusState> lane_state_;  // scalar path only
-  ChannelStats stats_;                     // scalar path only
+  StreamStats stats_;                      // scalar path only
 };
 
 }  // namespace dbi::workload

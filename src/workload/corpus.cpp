@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi::workload {
 namespace {
@@ -64,7 +64,7 @@ class CachelineMemcpySource final : public BurstSource {
     pos_ = 0;
   }
 
-  Xoshiro256 rng_;
+  util::Xoshiro256 rng_;
   std::uint64_t heap_base_;
   std::array<std::uint8_t, 16> record_{};
   std::size_t pos_ = record_.size();  // refill on first beat

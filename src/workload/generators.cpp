@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi::workload {
 namespace {
@@ -29,7 +29,7 @@ class UniformSource final : public BurstSource {
   }
 
  private:
-  Xoshiro256 rng_;
+  util::Xoshiro256 rng_;
 };
 
 class BiasedSource final : public BurstSource {
@@ -50,7 +50,7 @@ class BiasedSource final : public BurstSource {
 
  private:
   double p_one_;
-  Xoshiro256 rng_;
+  util::Xoshiro256 rng_;
 };
 
 class SparseSource final : public BurstSource {
@@ -73,7 +73,7 @@ class SparseSource final : public BurstSource {
 
  private:
   double p_zero_word_;
-  Xoshiro256 rng_;
+  util::Xoshiro256 rng_;
 };
 
 class CounterSource final : public BurstSource {
@@ -177,7 +177,7 @@ class TextSource final : public BurstSource {
     return c;
   }
 
-  Xoshiro256 rng_;
+  util::Xoshiro256 rng_;
   int word_remaining_ = 0;
 };
 
@@ -206,7 +206,7 @@ class FloatSource final : public BurstSource {
   }
 
  private:
-  Xoshiro256 rng_;
+  util::Xoshiro256 rng_;
   double value_ = 1.0;
   std::uint32_t current_ = 0;
   int byte_index_ = 0;
@@ -236,7 +236,7 @@ class MarkovSource final : public BurstSource {
 
  private:
   double p_stay_;
-  Xoshiro256 rng_;
+  util::Xoshiro256 rng_;
   Word state_;
 };
 
@@ -281,7 +281,7 @@ class FramebufferSource final : public BurstSource {
       colour_[c] = std::clamp(colour_[c] + slope_[c], 0.0, 255.0);
   }
 
-  Xoshiro256 rng_;
+  util::Xoshiro256 rng_;
   std::array<double, 3> colour_{};  // B, G, R
   std::array<double, 3> slope_{};
   int pixels_left_ = 0;
@@ -315,7 +315,7 @@ class TensorSource final : public BurstSource {
   }
 
  private:
-  Xoshiro256 rng_;
+  util::Xoshiro256 rng_;
   std::uint32_t current_ = 0;
   int byte_index_ = 0;
 };

@@ -29,6 +29,7 @@ endfunction()
 run_dbitool(0 gen --source sparse --bursts 500 --seed 3 -o trace.txt)
 run_dbitool(0 stats trace.txt)
 run_dbitool(0 encode trace.txt --scheme opt-fixed)
+run_dbitool(0 encode trace.txt --scheme exhaustive)  # every table slug
 
 # Binary pipeline: record -> inspect -> replay (corpus and generator).
 run_dbitool(0 record --corpus float-tensor --bursts 2000 --seed 5 -o t.dbt)
@@ -106,6 +107,8 @@ endif()
 run_dbitool(0 replay t.dbt --kernel swar --lanes 2)
 run_dbitool(0 replay w64.dbt --kernel auto --workers 2)
 run_dbitool(64 replay t.dbt --kernel frobnicate)   # unknown kernel name
+run_dbitool(64 replay t.dbt --scheme nope)         # unknown scheme slug
+run_dbitool(64 record --corpus mixed --bursts 8 --encode nope -o n.dbt)
 run_dbitool(64 kernels --kernel swar)              # kernels takes no flags
 
 # Observability surface: --metrics / --trace-json on the engine

@@ -5,7 +5,7 @@
 #include <bit>
 
 #include "netlist/sim.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi::netlist {
 namespace {
@@ -57,7 +57,7 @@ TEST(Blocks, RippleAddMixedWidths) {
   const Bus b = make_input_bus(nl, "b", 3);
   const Bus sum = ripple_add(nl, a, b);
   Simulator sim(nl);
-  workload::Xoshiro256 rng(1);
+  util::Xoshiro256 rng(1);
   for (int i = 0; i < 200; ++i) {
     const std::uint64_t va = rng.next_below(64), vb = rng.next_below(8);
     sim.set_input_bus(a, va);
@@ -117,7 +117,7 @@ TEST_P(PopcountWidths, MatchesBuiltin) {
             static_cast<std::size_t>(std::bit_width(
                 static_cast<unsigned>(width))));
   Simulator sim(nl);
-  workload::Xoshiro256 rng(7);
+  util::Xoshiro256 rng(7);
   const std::uint64_t space = std::uint64_t{1} << width;
   for (int i = 0; i < 300; ++i) {
     const std::uint64_t v = rng.next_below(space);
@@ -170,7 +170,7 @@ TEST(Blocks, MuxAndXorBuses) {
   const NetId ctrl = nl.add_input("ctrl");
   const Bus xc = xor_with(nl, a, ctrl);
   Simulator sim(nl);
-  workload::Xoshiro256 rng(3);
+  util::Xoshiro256 rng(3);
   for (int i = 0; i < 100; ++i) {
     const std::uint64_t va = rng.next_below(256), vb = rng.next_below(256);
     const bool s = (rng.next() & 1) != 0, c = (rng.next() & 1) != 0;

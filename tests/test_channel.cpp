@@ -5,7 +5,7 @@
 #include <numeric>
 #include <vector>
 
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi::workload {
 namespace {
@@ -18,7 +18,7 @@ ChannelConfig x32_config() {
 }
 
 std::vector<std::uint8_t> random_line(std::uint64_t seed, int bytes) {
-  Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   std::vector<std::uint8_t> line(static_cast<std::size_t>(bytes));
   for (auto& b : line) b = static_cast<std::uint8_t>(rng.next());
   return line;
@@ -148,16 +148,16 @@ TEST(Channel, WriteStreamWideFastPathMatchesScalarChannel) {
 
       Channel wide(cfg, s, CostWeights{0.56, 0.44});
       Channel scalar(cfg, make_encoder(s, CostWeights{0.56, 0.44}));
-      const ChannelStats a = wide.write_stream(data, &pool);
-      const ChannelStats b = scalar.write_stream(data);
+      const StreamStats a = wide.write_stream(data, &pool);
+      const StreamStats b = scalar.write_stream(data);
       EXPECT_EQ(a.writes, b.writes) << scheme_name(s) << " x" << 8 * lanes;
       EXPECT_EQ(a.zeros, b.zeros) << scheme_name(s) << " x" << 8 * lanes;
       EXPECT_EQ(a.transitions, b.transitions)
           << scheme_name(s) << " x" << 8 * lanes;
 
       const auto follow = random_line(2000, cfg.bytes_per_write());
-      const ChannelStats fa = wide.write_stream(follow);
-      const ChannelStats fb = scalar.write_stream(follow);
+      const StreamStats fa = wide.write_stream(follow);
+      const StreamStats fb = scalar.write_stream(follow);
       EXPECT_EQ(fa.zeros, fb.zeros) << "state diverged: " << scheme_name(s);
       EXPECT_EQ(fa.transitions, fb.transitions)
           << "state diverged: " << scheme_name(s);
@@ -175,8 +175,8 @@ TEST(Channel, WriteStreamBeyondWideWidthStillMatches) {
   const auto data = random_line(31, cfg.bytes_per_write() * 9);
   Channel wide(cfg, Scheme::kAc);
   Channel scalar(cfg, make_ac_encoder());
-  const ChannelStats a = wide.write_stream(data);
-  const ChannelStats b = scalar.write_stream(data);
+  const StreamStats a = wide.write_stream(data);
+  const StreamStats b = scalar.write_stream(data);
   EXPECT_EQ(a.zeros, b.zeros);
   EXPECT_EQ(a.transitions, b.transitions);
 }

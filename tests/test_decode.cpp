@@ -16,7 +16,7 @@
 #include "engine/batch_encoder.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi {
 namespace {
@@ -33,7 +33,7 @@ constexpr Scheme kFastSchemes[] = {Scheme::kRaw, Scheme::kDc, Scheme::kAc,
 /// to their narrower group).
 std::vector<std::uint8_t> random_payload(const Geometry& g, int bursts,
                                          std::uint64_t seed) {
-  workload::Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   std::vector<std::uint8_t> bytes(
       static_cast<std::size_t>(bursts) *
       static_cast<std::size_t>(g.bytes_per_burst()));
@@ -228,7 +228,7 @@ TEST(SessionRoundTrip, BitExactEverySchemeGeometryLanesAndPolicy) {
                   static_cast<std::uint64_t>(lanes));
 
           SessionSpec spec;
-          spec.scheme = scheme;
+          spec.policy = scheme;
           spec.geometry = g;
           spec.lanes = lanes;
           spec.state_policy = policy;
@@ -278,7 +278,7 @@ TEST(SessionRoundTrip, FaultInjectionReportsExactSites) {
   const auto payload = random_payload(g, n, 55);
 
   SessionSpec spec;
-  spec.scheme = Scheme::kAc;
+  spec.policy = Scheme::kAc;
   spec.geometry = g;
   spec.lanes = 3;
   spec.direction = Direction::kRoundTrip;
@@ -312,7 +312,7 @@ TEST(SessionRoundTrip, WideFaultInjectionAttributesGroup) {
   const auto bb = static_cast<std::size_t>(g.bytes_per_burst());
 
   SessionSpec spec;
-  spec.scheme = Scheme::kDc;
+  spec.policy = Scheme::kDc;
   spec.geometry = g;
   spec.direction = Direction::kRoundTrip;
   spec.fault_injector = [&](std::int64_t first_burst,
@@ -342,7 +342,7 @@ TEST(SessionRoundTrip, CoherentFaultsStayDecodableIncoherentFaultsAreCaught) {
 
   const auto run_with = [&](auto injector) {
     SessionSpec spec;
-    spec.scheme = Scheme::kAc;
+    spec.policy = Scheme::kAc;
     spec.geometry = g;
     spec.direction = Direction::kRoundTrip;
     spec.fault_injector = injector;
@@ -396,7 +396,7 @@ std::vector<std::uint8_t> record_encoded(const Geometry& g, Scheme scheme,
           : std::make_unique<trace::TraceWriter>(os, g.bus(), wopt);
 
   SessionSpec spec;
-  spec.scheme = scheme;
+  spec.policy = scheme;
   spec.geometry = g;
   spec.lanes = lanes;
   Session session(spec);

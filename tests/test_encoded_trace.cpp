@@ -4,19 +4,26 @@
 // hardening surface fuzz_trace_reader pounds on in CI.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "core/encoder.hpp"
+#include "trace/probe.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi::trace {
 namespace {
 
 std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
-  workload::Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   std::vector<std::uint8_t> bytes(n);
   for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next());
   return bytes;
@@ -24,7 +31,7 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
 
 std::vector<std::uint64_t> random_masks(std::size_t n, int burst_length,
                                         std::uint64_t seed) {
-  workload::Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   const std::uint64_t tail =
       burst_length >= 64 ? ~std::uint64_t{0}
                          : ((std::uint64_t{1} << burst_length) - 1);
@@ -361,6 +368,32 @@ TEST(EncodedTrace, RejectsCraftedChunkIndexes) {
     std::vector<std::uint64_t> words;
     EXPECT_THROW((void)reader.chunk_masks(0, scratch, words), TraceError);
   }
+}
+
+TEST(EncodedTrace, ProbeRejectsOutOfRangeSchemeTag) {
+  // The lake's header-only probe applies the reader's scheme-tag rule:
+  // the last table tag is accepted, the next byte value is not.
+  const BusConfig cfg{8, 8};
+  const auto tx = random_bytes(16 * 8, 5);
+  const auto masks = random_masks(16, 8, 6);
+  TraceWriterOptions opt;
+  opt.enc_scheme = scheme_to_tag(Scheme::kExhaustive);
+  std::vector<std::uint8_t> image = encoded_image(cfg, tx, masks, opt);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("dbi_probe_tag_" + std::to_string(::getpid()) + ".dbt"))
+          .string();
+  const auto probe = [&](std::uint8_t tag) {
+    image[17] = tag;  // header byte 17: enc_scheme
+    std::ofstream(path, std::ios::binary)
+        .write(reinterpret_cast<const char*>(image.data()),
+               static_cast<std::streamsize>(image.size()));
+    return probe_trace_file(path);
+  };
+  EXPECT_EQ(probe(scheme_to_tag(Scheme::kExhaustive)).header.enc_scheme,
+            scheme_to_tag(Scheme::kExhaustive));
+  EXPECT_THROW((void)probe(8), TraceError);
+  std::filesystem::remove(path);
 }
 
 TEST(EncodedTrace, ChunkIndexInvariantsHoldOnWellFormedFiles) {

@@ -62,7 +62,7 @@ TEST(EncoderOpt, OptimalFromArbitraryBoundary) {
   const auto brute = make_exhaustive_encoder(w);
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     const Burst data = test::random_burst(kCfg, seed + 900);
-    workload::Xoshiro256 rng(seed);
+    util::Xoshiro256 rng(seed);
     const BusState prev{
         Beat{static_cast<Word>(rng.next()) & kCfg.dq_mask(),
              (rng.next() & 1) != 0}};

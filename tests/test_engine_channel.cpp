@@ -6,20 +6,20 @@
 #include <vector>
 
 #include "engine/shard_pool.hpp"
+#include "util/rng.hpp"
 #include "workload/channel.hpp"
-#include "workload/rng.hpp"
 
 namespace dbi::workload {
 namespace {
 
 std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   std::vector<std::uint8_t> out(n);
   for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng.next());
   return out;
 }
 
-void expect_same_stats(const ChannelStats& a, const ChannelStats& b) {
+void expect_same_stats(const StreamStats& a, const StreamStats& b) {
   EXPECT_EQ(a.writes, b.writes);
   EXPECT_EQ(a.zeros, b.zeros);
   EXPECT_EQ(a.transitions, b.transitions);
@@ -74,14 +74,14 @@ TEST(EngineChannel, WriteStreamMatchesSequentialWrites) {
           static_cast<std::size_t>(cfg.bytes_per_write())));
 
     Channel streamed(cfg, s);
-    const ChannelStats delta = streamed.write_stream(data);
+    const StreamStats delta = streamed.write_stream(data);
     expect_same_stats(streamed.stats(), sequential.stats());
     EXPECT_EQ(delta.writes, kWrites);
     EXPECT_EQ(delta.zeros, sequential.stats().zeros);
     EXPECT_EQ(delta.transitions, sequential.stats().transitions);
 
     // A second stream continues from the threaded lane state.
-    const ChannelStats d1 = streamed.write_stream(data);
+    const StreamStats d1 = streamed.write_stream(data);
     for (int wi = 0; wi < kWrites; ++wi)
       (void)sequential.write(std::span(data).subspan(
           static_cast<std::size_t>(wi) *
@@ -108,7 +108,7 @@ TEST(EngineChannel, WriteStreamCrossesGatherBlockBoundaries) {
         static_cast<std::size_t>(cfg.bytes_per_write())));
 
   Channel streamed(cfg, dbi::Scheme::kAc);
-  const ChannelStats delta = streamed.write_stream(data);
+  const StreamStats delta = streamed.write_stream(data);
   EXPECT_EQ(delta.writes, kWrites);
   expect_same_stats(streamed.stats(), sequential.stats());
 }
@@ -120,11 +120,11 @@ TEST(EngineChannel, WriteStreamShardedAcrossPoolIsIdentical) {
       static_cast<std::size_t>(cfg.bytes_per_write()) * kWrites, 37);
 
   Channel serial(cfg, dbi::Scheme::kOptFixed);
-  const ChannelStats want = serial.write_stream(data);
+  const StreamStats want = serial.write_stream(data);
 
   engine::ShardPool pool(3);
   Channel sharded(cfg, dbi::Scheme::kOptFixed);
-  const ChannelStats got = sharded.write_stream(data, &pool);
+  const StreamStats got = sharded.write_stream(data, &pool);
   expect_same_stats(got, want);
   expect_same_stats(sharded.stats(), serial.stats());
 }
@@ -191,7 +191,7 @@ TEST(EngineChannel, WriteStreamAcceptsEmptyStream) {
                          dbi::make_dc_encoder());
   const std::vector<std::uint8_t> empty;
   for (Channel* c : {&engine_backed, &encoder_backed}) {
-    const ChannelStats delta = c->write_stream(empty, &pool);
+    const StreamStats delta = c->write_stream(empty, &pool);
     EXPECT_EQ(delta.writes, 0);
     EXPECT_EQ(delta.zeros, 0);
     EXPECT_EQ(delta.transitions, 0);
@@ -218,7 +218,7 @@ TEST(EngineChannel, WriteStreamHandlesCountsOffThe64BeatGroups) {
           static_cast<std::size_t>(cfg.bytes_per_write())));
 
     Channel streamed(cfg, dbi::Scheme::kAcDc);
-    const ChannelStats delta = streamed.write_stream(data);
+    const StreamStats delta = streamed.write_stream(data);
     EXPECT_EQ(delta.writes, writes);
     expect_same_stats(streamed.stats(), sequential.stats());
   }

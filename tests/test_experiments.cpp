@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "engine/batch_encoder.hpp"
+#include "util/rng.hpp"
 #include "workload/generators.hpp"
-#include "workload/rng.hpp"
 
 namespace dbi::sim {
 namespace {
@@ -299,7 +299,7 @@ TEST(Window, LookaheadConvergesToFullOpt) {
 
 TEST(WideWidthSweep, MatchesEnginePackedTotalsAndScalesWithWidth) {
   // 512 bursts of 64 bytes each feed every width cleanly.
-  workload::Xoshiro256 rng(44);
+  util::Xoshiro256 rng(44);
   std::vector<std::uint8_t> bytes(512 * 64);
   for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
 

@@ -24,7 +24,7 @@
 #include "engine/stream_encoder.hpp"
 #include "obs/observer.hpp"
 #include "trace/format.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi {
 namespace {
@@ -32,7 +32,7 @@ namespace {
 using engine::KernelVariant;
 
 std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
-  workload::Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   std::vector<std::uint8_t> out(n);
   for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
   return out;
@@ -407,7 +407,7 @@ TEST(KernelParity, Crc32AllVariantsMatchBitwiseReference) {
   // register and through trace::Crc32, equal the one-shot checksum.
   const std::span<const std::uint8_t> all(bytes);
   const std::uint32_t one_shot = trace::crc32(all);
-  workload::Xoshiro256 rng(510);
+  util::Xoshiro256 rng(510);
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<std::size_t> cuts{0, all.size()};
     for (std::uint64_t k = rng.next() % 8; k > 0; --k)
@@ -495,7 +495,7 @@ TEST(KernelParity, PooledWideEncodeIsDeterministicPerVariant) {
 TEST(KernelSession, SpecPinsVariantAndReportNamesIt) {
   for (const KernelVariant* v : usable_variants()) {
     SessionSpec spec;
-    spec.scheme = Scheme::kAcDc;
+    spec.policy = Scheme::kAcDc;
     spec.geometry = Geometry::narrow(8, 8);
     spec.kernel = std::string(v->name());
     // NEON's encode envelope is empty, but its decode envelope covers
@@ -513,7 +513,7 @@ TEST(KernelSession, SpecPinsVariantAndReportNamesIt) {
 
 TEST(KernelSession, ReportCoversTrellisAndPlanarPaths) {
   SessionSpec spec;
-  spec.scheme = Scheme::kOpt;
+  spec.policy = Scheme::kOpt;
   spec.geometry = Geometry::narrow(8, 8);
   const Session opt(spec);
   EXPECT_EQ(opt.report().kernel.trellis, "swar");
@@ -530,7 +530,7 @@ TEST(KernelSession, ReportCoversTrellisAndPlanarPaths) {
   const Session x16_opt(spec);
   EXPECT_EQ(x16_opt.report().kernel.trellis, "swar");
 
-  spec.scheme = Scheme::kAc;
+  spec.policy = Scheme::kAc;
   spec.geometry = Geometry::narrow(5, 8);
   const Session planar(spec);
   EXPECT_EQ(planar.report().kernel.planar_encode, "swar");
@@ -546,7 +546,7 @@ TEST(KernelSession, TrellisDispatchesCountedPerChunk) {
         !v->supports_trellis_wide8(8))
       continue;
     SessionSpec spec;
-    spec.scheme = Scheme::kOpt;
+    spec.policy = Scheme::kOpt;
     spec.geometry = Geometry::wide(64, 8);
     spec.kernel = std::string(v->name());
     spec.obs.level = obs::ObsLevel::kCounters;
@@ -583,14 +583,14 @@ TEST(KernelSession, EnvelopeMismatchThrows) {
   for (const KernelVariant* v : usable_variants()) {
     if (v->isa() == engine::KernelIsa::kPortable) continue;
     SessionSpec spec;
-    spec.scheme = Scheme::kOpt;
+    spec.policy = Scheme::kOpt;
     spec.geometry = Geometry::narrow(5, 6);
     spec.kernel = std::string(v->name());
     EXPECT_THROW(Session{spec}, std::invalid_argument) << v->name();
   }
   // The portable reference pins everywhere.
   SessionSpec spec;
-  spec.scheme = Scheme::kOpt;
+  spec.policy = Scheme::kOpt;
   spec.geometry = Geometry::narrow(5, 6);
   spec.kernel = "swar";
   EXPECT_NO_THROW(Session{spec});
@@ -604,7 +604,7 @@ TEST(KernelSession, WriteStreamIdenticalAcrossVariants) {
   bool first = true;
   for (const KernelVariant* v : usable_variants()) {
     SessionSpec spec;
-    spec.scheme = Scheme::kAc;
+    spec.policy = Scheme::kAc;
     spec.geometry = Geometry::narrow(8, 8);
     spec.lanes = 8;
     spec.kernel = std::string(v->name());

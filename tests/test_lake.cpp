@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "lake/lake_source.hpp"
 #include "lake/sweep.hpp"
 #include "obs/observer.hpp"
+#include "trace/format.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
 #include "workload/generators.hpp"
@@ -159,6 +161,29 @@ TEST(LakeCatalog, RejectsCorruptImages) {
   std::vector<std::uint8_t> padded = image;
   padded.push_back(0);
   EXPECT_THROW((void)LakeReader::from_bytes(padded), LakeError);
+}
+
+TEST(LakeCatalog, RejectsOutOfRangeSchemeTag) {
+  const TempLake lake = build_lake();
+  const std::vector<std::uint8_t> image =
+      read_file(lake.dir + "/" + kCatalogName);
+  // Member 0 restamped as an encoded trace with scheme tag `tag` and the
+  // catalog CRC recomputed, so the tag range check alone decides.
+  const auto with_tag = [&](std::uint8_t tag) {
+    std::vector<std::uint8_t> out = image;
+    out[kLakeHeaderBytes + 8] |= trace::kFileFlagEncoded;  // file_flags
+    out[kLakeHeaderBytes + 10] = tag;                      // enc_scheme
+    const std::size_t crc_at = out.size() - kLakeFooterBytes + 8;
+    const std::uint32_t crc =
+        trace::crc32(std::span<const std::uint8_t>(out).first(crc_at));
+    for (std::size_t i = 0; i < 4; ++i)
+      out[crc_at + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    return out;
+  };
+  const LakeReader ac =
+      LakeReader::from_bytes(with_tag(scheme_to_tag(Scheme::kAc)));
+  EXPECT_EQ(ac.members()[0].enc_scheme, scheme_to_tag(Scheme::kAc));
+  EXPECT_THROW((void)LakeReader::from_bytes(with_tag(8)), LakeError);
 }
 
 TEST(LakeCatalog, DetectsStaleMembers) {

@@ -210,7 +210,7 @@ trace::TraceReader make_trace(std::int64_t bursts,
 TEST(Observer, DisabledSessionProducesNothing) {
   const auto reader = make_trace(100);
   SessionSpec spec;
-  spec.scheme = Scheme::kAc;
+  spec.policy = Scheme::kAc;
   Session session(spec);
   const auto source = make_trace_source(reader);
   (void)session.run(*source);
@@ -221,7 +221,7 @@ TEST(Observer, DisabledSessionProducesNothing) {
 TEST(Observer, SnapshotEqualsStreamStatsOnDeterministicReplay) {
   const auto reader = make_trace(333);
   SessionSpec spec;
-  spec.scheme = Scheme::kOpt;
+  spec.policy = Scheme::kOpt;
   spec.lanes = 2;
   spec.obs.level = ObsLevel::kCounters;
   Session session(spec);
@@ -254,7 +254,7 @@ TEST(Observer, EncodeDispatchCountersAreExactOnSerialReplay) {
   // sum to the chunk count exactly.
   const auto reader = make_trace(333, 64);  // 6 chunks (5 full + tail)
   SessionSpec spec;
-  spec.scheme = Scheme::kAc;
+  spec.policy = Scheme::kAc;
   spec.lanes = 1;
   spec.obs.level = ObsLevel::kCounters;
   Session session(spec);
@@ -276,7 +276,7 @@ TEST(Observer, EncodeDispatchCountersAreExactOnSerialReplay) {
 TEST(Observer, PoolMetricsPublishedOnThreadedReplay) {
   const auto reader = make_trace(512, 64);
   SessionSpec spec;
-  spec.scheme = Scheme::kOpt;
+  spec.policy = Scheme::kOpt;
   spec.lanes = 4;
   spec.threads = 2;
   spec.obs.level = ObsLevel::kCounters;
@@ -311,7 +311,7 @@ TEST(Observer, SharedExternalObserverAggregatesConcurrentSessions) {
     workers.emplace_back([&, t] {
       const auto reader = make_trace(kBursts, 64);
       SessionSpec spec;
-      spec.scheme = Scheme::kAc;
+      spec.policy = Scheme::kAc;
       spec.observer = &shared;
       Session session(spec);
       ASSERT_EQ(session.observer(), &shared);
@@ -340,7 +340,7 @@ TEST(Observer, TraceJsonFromFullSessionParsesAndNamesStages) {
   for (const Direction direction :
        {Direction::kEncode, Direction::kRoundTrip}) {
     SessionSpec spec;
-    spec.scheme = Scheme::kAc;
+    spec.policy = Scheme::kAc;
     spec.lanes = 2;
     spec.direction = direction;
     spec.obs.level = ObsLevel::kFull;
@@ -501,7 +501,7 @@ TEST(Observer, SharedObserverAggregatesAcrossSessions) {
   StreamStats sum;
   for (const Scheme scheme : {Scheme::kRaw, Scheme::kAc, Scheme::kOpt}) {
     SessionSpec spec;
-    spec.scheme = scheme;
+    spec.policy = scheme;
     spec.observer = &shared;
     Session session(spec);
     const auto source = make_trace_source(reader);
@@ -527,7 +527,7 @@ TEST(Observer, VerifyEncodedTracePublishesTotals) {
   trace::TraceWriter writer(os, cfg, opt);
   {
     SessionSpec spec;
-    spec.scheme = Scheme::kAc;
+    spec.policy = Scheme::kAc;
     Session session(spec);
     const auto source = make_burst_source(trace.bursts());
     const auto sink = make_encoded_trace_sink(writer);

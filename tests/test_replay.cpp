@@ -17,9 +17,9 @@
 #include "sim/experiments.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
+#include "util/rng.hpp"
 #include "workload/channel.hpp"
 #include "workload/generators.hpp"
-#include "workload/rng.hpp"
 
 namespace dbi::trace {
 namespace {
@@ -180,7 +180,7 @@ TEST(Replay, MatchesChannelWriteStream) {
 
   for (Scheme s : {Scheme::kDc, Scheme::kAc, Scheme::kOptFixed}) {
     workload::Channel channel(ccfg, s);
-    const workload::ChannelStats want = channel.write_stream(data);
+    const StreamStats want = channel.write_stream(data);
 
     const auto reader = reader_for(trace, 128);
     const StreamStats got = replay(reader, {.scheme = s, .lanes = ccfg.lanes});
@@ -290,7 +290,7 @@ TEST(Replay, SpecRejectsBadLaneCounts) {
 /// remainder-group bytes masked.
 std::vector<std::uint8_t> wide_payload(const WideBusConfig& cfg, int bursts,
                                        std::uint64_t seed) {
-  workload::Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   std::vector<std::uint8_t> bytes(
       static_cast<std::size_t>(bursts) *
       static_cast<std::size_t>(cfg.bytes_per_burst()));

@@ -1,4 +1,4 @@
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,7 @@
 #include <bit>
 #include <set>
 
-namespace dbi::workload {
+namespace dbi::util {
 namespace {
 
 TEST(Rng, SplitMix64KnownSequence) {
@@ -103,4 +103,4 @@ TEST(Rng, BitsAreBalancedPerPosition) {
 }
 
 }  // namespace
-}  // namespace dbi::workload
+}  // namespace dbi::util

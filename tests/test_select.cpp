@@ -1,5 +1,5 @@
 // Adaptive per-chunk scheme selection ("mixed-block" coding) suite:
-// the SchemePolicy API and its SessionSpec::scheme shim, exact-mode
+// the scheme name table, the SchemePolicy API, exact-mode
 // per-block optimality (bit-exact against fixed-scheme Sessions forced
 // on each block), the strict mixed-corpus win over every single fixed
 // scheme, trace format v3 round-trip / decode / verify with v2
@@ -118,17 +118,26 @@ std::vector<std::uint8_t> record_mixed_trace(
 
 // ------------------------------------------------- SchemePolicy API
 
-TEST(SchemePolicy, DefaultFollowsSchemeSlot) {
+TEST(SchemePolicy, DefaultSessionRunsFixedOpt) {
   const SchemePolicy p;
-  EXPECT_EQ(p.mode(), SchemePolicy::Mode::kFollowScheme);
+  EXPECT_EQ(p.mode(), SchemePolicy::Mode::kFixed);
   EXPECT_FALSE(p.adaptive());
-  EXPECT_EQ(p.describe(), "follow-scheme");
+  EXPECT_EQ(p.candidates(), std::vector<Scheme>{Scheme::kOpt});
 
-  SessionSpec spec;
-  spec.scheme = Scheme::kAc;
-  const SchemePolicy resolved = spec.resolved_policy();
-  EXPECT_EQ(resolved.mode(), SchemePolicy::Mode::kFixed);
-  EXPECT_EQ(resolved.fixed_scheme(), Scheme::kAc);
+  Session session{SessionSpec{}};
+  EXPECT_EQ(session.scheme_name(), "DBI OPT");
+  const SessionReport rep = session.report();
+  EXPECT_EQ(rep.policy, "fixed(opt)");
+  EXPECT_FALSE(rep.adaptive);
+  EXPECT_EQ(rep.selection.mode, SchemePolicy::Mode::kFixed);
+  const std::vector<std::uint8_t> payload = corpus_packed("mixed", 256, 3);
+  const auto source = make_packed_source(payload);
+  EXPECT_EQ(session.run(*source),
+            run_fixed(Scheme::kOpt, payload, StatePolicy::kThread));
+
+  SessionSpec ac;
+  ac.policy = SchemePolicy::fixed(Scheme::kAc);
+  EXPECT_EQ(Session(ac).scheme_name(), "DBI AC");
 }
 
 TEST(SchemePolicy, BareSchemeConvertsToFixed) {
@@ -150,6 +159,46 @@ TEST(SchemePolicy, DescribeUsesShortSlugs) {
   EXPECT_EQ(q.describe(), "adaptive-predicted(dc,ac; cost=energy)");
 }
 
+/// Every Scheme in enum order.
+constexpr Scheme kAllSchemes[] = {Scheme::kRaw,      Scheme::kDc,
+                                  Scheme::kAc,       Scheme::kAcDc,
+                                  Scheme::kOpt,      Scheme::kOptFixed,
+                                  Scheme::kExhaustive};
+
+TEST(SchemeTable, SlugsAndTagsRoundTrip) {
+  for (const Scheme s : kAllSchemes) {
+    EXPECT_EQ(scheme_from_slug(scheme_slug(s)), s) << scheme_slug(s);
+    EXPECT_EQ(scheme_from_tag(scheme_to_tag(s)), s) << scheme_slug(s);
+  }
+}
+
+TEST(SchemeTable, TagsArePinnedInEnumOrder) {
+  // The tags are the on-disk (trace, lake) and dbid wire format.
+  for (std::size_t i = 0; i < std::size(kAllSchemes); ++i)
+    EXPECT_EQ(scheme_to_tag(kAllSchemes[i]), i + 1) << i;
+}
+
+TEST(SchemeTable, DisplayNamesArePinned) {
+  // tools/bench_compare.py's FLOOR_SCHEMES and the committed bench
+  // baselines key on these strings.
+  const std::string_view want[] = {"RAW",      "DBI DC",  "DBI AC",
+                                   "DBI ACDC", "DBI OPT", "DBI OPT (Fixed)",
+                                   "EXHAUSTIVE"};
+  for (std::size_t i = 0; i < std::size(kAllSchemes); ++i) {
+    EXPECT_EQ(scheme_name(kAllSchemes[i]), want[i]);
+    EXPECT_EQ(make_encoder(kAllSchemes[i])->name(), want[i]);
+  }
+}
+
+TEST(SchemeTable, RejectsUnknownTagsAndSlugs) {
+  for (const int tag : {0, 8, 0xFF})
+    EXPECT_FALSE(scheme_from_tag(static_cast<std::uint8_t>(tag)).has_value())
+        << tag;
+  EXPECT_FALSE(scheme_from_slug("").has_value());
+  EXPECT_FALSE(scheme_from_slug("DC").has_value());
+  EXPECT_EQ(scheme_slug_list(), "raw|dc|ac|acdc|opt|opt-fixed|exhaustive");
+}
+
 TEST(SchemePolicy, ValidateRejectsBadConfigs) {
   EXPECT_THROW(SchemePolicy::adaptive_exact({Scheme::kDc}).validate(),
                std::invalid_argument);
@@ -163,14 +212,6 @@ TEST(SchemePolicy, ValidateRejectsBadConfigs) {
                    .validate(),
                std::invalid_argument);
   EXPECT_NO_THROW(SchemePolicy::adaptive_exact().validate());
-}
-
-TEST(SchemePolicy, FixedPolicySyncsDeprecatedSchemeSlot) {
-  SessionSpec spec;
-  spec.policy = SchemePolicy::fixed(Scheme::kAc);
-  Session session(spec);
-  EXPECT_EQ(session.spec().scheme, Scheme::kAc);
-  EXPECT_EQ(session.scheme_name(), "DBI AC");
 }
 
 TEST(SchemePolicy, AdaptiveSessionGuards) {
@@ -332,34 +373,25 @@ TEST(TraceV3, ThreadedMixedTraceVerifiesAcrossChunkBoundaries) {
 TEST(TraceV3, FixedPolicyTraceStaysByteIdenticalV2) {
   const std::vector<std::uint8_t> payload =
       corpus_packed("cacheline-memcpy", 512, 5);
-  const auto record = [&](const SessionSpec& spec) {
-    std::ostringstream os;
-    trace::TraceWriterOptions opt;
-    opt.encoded = true;
-    opt.enc_scheme = scheme_to_tag(Scheme::kAc);
-    opt.enc_lanes = 1;
-    opt.enc_policy = 1;
-    trace::TraceWriter writer(os, BusConfig{8, 8}, opt);
-    Session session(spec);
-    const auto source = make_packed_source(payload);
-    const auto sink = make_encoded_trace_sink(writer);
-    session.run(*source, *sink);
-    writer.finish();
-    return os.str();
-  };
+  std::ostringstream os;
+  trace::TraceWriterOptions opt;
+  opt.encoded = true;
+  opt.enc_scheme = scheme_to_tag(Scheme::kAc);
+  opt.enc_lanes = 1;
+  opt.enc_policy = 1;
+  trace::TraceWriter writer(os, BusConfig{8, 8}, opt);
+  SessionSpec spec;
+  spec.policy = SchemePolicy::fixed(Scheme::kAc);
+  spec.state_policy = StatePolicy::kResetPerBurst;
+  Session session(spec);
+  const auto source = make_packed_source(payload);
+  const auto sink = make_encoded_trace_sink(writer);
+  session.run(*source, *sink);
+  writer.finish();
 
-  SessionSpec legacy;  // pre-policy spelling
-  legacy.scheme = Scheme::kAc;
-  legacy.state_policy = StatePolicy::kResetPerBurst;
-  SessionSpec via_policy;
-  via_policy.policy = SchemePolicy::fixed(Scheme::kAc);
-  via_policy.state_policy = StatePolicy::kResetPerBurst;
-
-  const std::string a = record(legacy);
-  const std::string b = record(via_policy);
-  EXPECT_EQ(a, b) << "the policy shim must not change a single byte";
-  ASSERT_GT(a.size(), 4u);
-  EXPECT_EQ(static_cast<std::uint8_t>(a[4]), trace::kFormatVersion);
+  const std::string image = os.str();
+  ASSERT_GT(image.size(), 4u);
+  EXPECT_EQ(static_cast<std::uint8_t>(image[4]), trace::kFormatVersion);
 }
 
 TEST(TraceV3, RejectsMalformedSchemeTags) {

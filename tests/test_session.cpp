@@ -18,8 +18,8 @@
 #include "core/encoder.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
+#include "util/rng.hpp"
 #include "workload/channel.hpp"
-#include "workload/rng.hpp"
 
 namespace {
 
@@ -39,7 +39,7 @@ struct Reference {
 /// layout (every word masked to its group / lane width).
 std::vector<std::uint8_t> random_packed(const Geometry& g, int bursts,
                                         std::uint64_t seed) {
-  workload::Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   std::vector<std::uint8_t> bytes(
       static_cast<std::size_t>(bursts) *
       static_cast<std::size_t>(g.bytes_per_burst()));
@@ -130,7 +130,7 @@ Reference reference_encode(const Geometry& g, std::span<const std::uint8_t> byte
 SessionSpec spec_for(const Geometry& g, Scheme scheme, const CostWeights& w,
                      int lanes, bool reset_per_burst) {
   SessionSpec spec;
-  spec.scheme = scheme;
+  spec.policy = scheme;
   spec.geometry = g;
   spec.lanes = lanes;
   spec.weights = w;
@@ -480,7 +480,7 @@ TEST(SessionSpecValidation, RejectsBadGeometryAndMismatchedSources) {
 // --------------------------------------------- incremental write surface
 
 TEST(SessionWrite, MatchesScalarChannelIncludingResetPolicy) {
-  workload::Xoshiro256 rng(2027);
+  util::Xoshiro256 rng(2027);
   for (const bool reset : {false, true}) {
     for (const int lanes : {4, 8}) {
       workload::ChannelConfig cfg{lanes, BusConfig{8, 8}, reset};

@@ -134,7 +134,7 @@ TEST(EdgeCosts, MatchesFig5Formulas) {
 
 TEST(EdgeCosts, AcPairSumsToAlphaTimesLines) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    workload::Xoshiro256 rng(seed);
+    util::Xoshiro256 rng(seed);
     const Word a = static_cast<Word>(rng.next()) & 0xFF;
     const Word b = static_cast<Word>(rng.next()) & 0xFF;
     const EdgeCosts e = edge_costs(a, b, kCfg, IntCostWeights{5, 1});

@@ -6,13 +6,13 @@
 
 #include "core/burst.hpp"
 #include "core/types.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi::test {
 
 /// Deterministic random burst with the given geometry.
 inline Burst random_burst(const BusConfig& cfg, std::uint64_t seed) {
-  workload::Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   Burst b(cfg);
   for (int i = 0; i < b.length(); ++i)
     b.set_word(i, static_cast<Word>(rng.next()) & cfg.dq_mask());

@@ -12,7 +12,7 @@
 #include "hw/hw_design.hpp"
 #include "netlist/export.hpp"
 #include "netlist/sim.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi::netlist {
 namespace {
@@ -129,7 +129,7 @@ TEST_P(VerilogRoundTrip, ReimportedNetlistIsEquivalent) {
   Simulator original(design.net);
   Simulator rebuilt(reader.netlist());
 
-  workload::Xoshiro256 rng(20180319);
+  util::Xoshiro256 rng(20180319);
   for (int round = 0; round < 150; ++round) {
     // Drive identical random values into both circuits by port name.
     for (const Port& in : design.net.inputs()) {

@@ -15,7 +15,7 @@
 #include "engine/shard_pool.hpp"
 #include "engine/stream_encoder.hpp"
 #include "obs/observer.hpp"
-#include "workload/rng.hpp"
+#include "util/rng.hpp"
 
 namespace dbi {
 namespace {
@@ -29,7 +29,7 @@ constexpr Scheme kAllSchemes[] = {
 /// bytes masked to the group's lane count.
 std::vector<std::uint8_t> random_wide_bytes(const WideBusConfig& cfg,
                                             int bursts, std::uint64_t seed) {
-  workload::Xoshiro256 rng(seed);
+  util::Xoshiro256 rng(seed);
   std::vector<std::uint8_t> bytes(
       static_cast<std::size_t>(bursts) *
       static_cast<std::size_t>(cfg.bytes_per_burst()));

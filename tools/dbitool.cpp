@@ -230,15 +230,13 @@ std::unique_ptr<workload::BurstSource> make_source(const std::string& kind,
   throw std::runtime_error("unknown source: " + kind);
 }
 
-Scheme parse_scheme(const std::string& name) {
-  if (name == "raw") return Scheme::kRaw;
-  if (name == "dc") return Scheme::kDc;
-  if (name == "ac") return Scheme::kAc;
-  if (name == "acdc") return Scheme::kAcDc;
-  if (name == "opt") return Scheme::kOpt;
-  if (name == "opt-fixed") return Scheme::kOptFixed;
-  throw std::runtime_error("unknown scheme: " + name +
-                           " (raw|dc|ac|acdc|opt|opt-fixed)");
+/// The value of a scheme flag (`flag` names it in the error): any slug
+/// of the scheme table. A typo is a usage error (exit 64), like an
+/// unknown flag.
+Scheme scheme_arg(const std::string& flag, const std::string& slug) {
+  if (const std::optional<Scheme> s = scheme_from_slug(slug)) return *s;
+  throw UsageError(flag + ": unknown scheme '" + slug + "' (" +
+                   scheme_slug_list() + ")");
 }
 
 CostModel parse_cost_model(const std::string& name) {
@@ -266,14 +264,8 @@ std::optional<SchemePolicy> parse_select_policy(const Args& args) {
     mode = sel.substr(0, colon);
     std::stringstream list(sel.substr(colon + 1));
     std::string token;
-    while (std::getline(list, token, ',')) {
-      if (token.empty()) continue;
-      try {
-        candidates.push_back(parse_scheme(token));
-      } catch (const std::exception& e) {
-        throw UsageError("--select: " + std::string(e.what()));
-      }
-    }
+    while (std::getline(list, token, ','))
+      if (!token.empty()) candidates.push_back(scheme_arg("--select", token));
   }
   if (candidates.empty()) candidates = SchemePolicy::default_candidates();
   const CostModel cost = parse_cost_model(args.get("cost", "transitions"));
@@ -333,8 +325,7 @@ Geometry parse_geometry(const Args& args, int default_width = 8) {
 SessionSpec session_spec(const Args& args, const Geometry& geometry,
                          const std::string& default_scheme = "opt") {
   SessionSpec spec;
-  spec.policy = SchemePolicy::fixed(parse_scheme(args.get("scheme",
-                                                          default_scheme)));
+  spec.policy = scheme_arg("--scheme", args.get("scheme", default_scheme));
   spec.geometry = geometry;
   spec.weights =
       CostWeights::ac_dc_tradeoff(args.get_double("alpha", 0.5));
@@ -516,7 +507,7 @@ int cmd_encode(const Args& args) {
           ? std::vector<std::string>{args.get("scheme", "opt")}
           : std::vector<std::string>{"raw", "dc", "ac", "opt-fixed", "opt"};
   for (const std::string& name : names) {
-    const auto encoder = make_encoder(parse_scheme(name), w);
+    const auto encoder = make_encoder(scheme_arg("--scheme", name), w);
     const sim::MeanStats m = sim::mean_stats(trace, *encoder);
     table.add_row({std::string(encoder->name()), sim::fmt(m.zeros, 3),
                    sim::fmt(m.transitions, 3),
@@ -550,11 +541,7 @@ int cmd_lake_sweep(const Args& args) {
     if (token.empty()) continue;
     lake::SweepArm arm;
     arm.label = token;
-    try {
-      arm.policy = SchemePolicy::fixed(parse_scheme(token));
-    } catch (const std::exception& e) {
-      throw UsageError("sweep: --schemes: " + std::string(e.what()));
-    }
+    arm.policy = scheme_arg("sweep: --schemes", token);
     arm.weights = weights;
     if (!labels.insert(arm.label).second)
       throw UsageError("sweep: --schemes lists '" + token + "' twice");
@@ -801,7 +788,7 @@ int cmd_record(const Args& args) {
       spec.policy = *select;
       wopt.per_chunk_schemes = true;  // format v3: chunk-tagged schemes
     } else {
-      spec.policy = parse_scheme(args.get("encode", "ac"));
+      spec.policy = scheme_arg("--encode", args.get("encode", "ac"));
       wopt.enc_scheme = scheme_to_tag(spec.policy.fixed_scheme());
     }
     spec.state_policy =
@@ -903,7 +890,7 @@ int cmd_verify(const Args& args) {
     mode = "encoded trace (mask coherence)";
     VerifyOptions opt;
     if (args.options.count("scheme"))
-      opt.scheme = parse_scheme(args.get("scheme", "ac"));
+      opt.scheme = scheme_arg("--scheme", args.get("scheme", "ac"));
     opt.weights = CostWeights::ac_dc_tradeoff(args.get_double("alpha", 0.5));
     if (args.options.count("lanes"))
       opt.lanes = static_cast<int>(args.get_long("lanes", 1));
@@ -988,7 +975,7 @@ int cmd_replay(const Args& args) {
     if (select)
       spec.policy = *select;
     else
-      spec.policy = parse_scheme(name);
+      spec.policy = scheme_arg("--scheme", name);
     session = std::make_unique<Session>(spec);
     const auto source = dbi::make_trace_source(reader);
     const StreamStats totals = session->run(*source);
@@ -1495,7 +1482,7 @@ int client_data(const Args& args, const std::string& socket) {
   if (req_bursts < 1)
     throw UsageError("client: --req-bursts must be >= 1");
   const bool do_verify = args.options.count("verify") != 0;
-  const Scheme scheme = parse_scheme(args.get("scheme", "ac"));
+  const Scheme scheme = scheme_arg("--scheme", args.get("scheme", "ac"));
   const int lanes = static_cast<int>(args.get_long("lanes", 1));
   const bool reset = args.options.count("reset") != 0;
   const std::string out = args.get("output", "");
@@ -1713,8 +1700,8 @@ int usage() {
       "                text|float|markov|framebuffer|tensor\n"
       "  dbitool stats   TRACE [--csv]   (burst trace: payload stats;\n"
       "                  a --metrics JSON snapshot: metric table)\n"
-      "  dbitool encode  TRACE [--scheme raw|dc|ac|acdc|opt|opt-fixed]\n"
-      "                  [--alpha 0.5] [--csv]\n"
+      "  dbitool encode  TRACE [--scheme SCHEME] [--alpha 0.5] [--csv]\n"
+      "          SCHEME: raw|dc|ac|acdc|opt|opt-fixed|exhaustive\n"
       "  dbitool sweep   TRACE [--steps 21] [--csv]        (Fig. 3/4)\n"
       "  dbitool sweep   LAKE_DIR [--schemes raw,ac,...] [--alpha 0.5]\n"
       "                  [--select exact[:LIST]|predict[:LIST]\n"

@@ -268,7 +268,7 @@ DecodeReport run_decode_narrow(Scheme scheme, int bursts, int repeats) {
         results[static_cast<std::size_t>(i)].invert_mask;
   const engine::BatchDecoder decoder;
   std::vector<std::uint8_t> tx(payload.size());
-  decoder.apply_packed(payload, masks, cfg, tx);
+  decoder.apply(payload, masks, Geometry::of(cfg), tx);
 
   // (a) scalar receive path, on pre-materialised physical bursts.
   {
@@ -299,7 +299,7 @@ DecodeReport run_decode_narrow(Scheme scheme, int bursts, int repeats) {
     std::int64_t sink = 0;
     const auto t0 = std::chrono::steady_clock::now();
     for (int r = 0; r < repeats; ++r) {
-      decoder.decode_packed(tx, masks, cfg, out);
+      decoder.decode(tx, masks, Geometry::of(cfg), out);
       sink += out[0];
     }
     const double dt = seconds_since(t0);
@@ -337,7 +337,7 @@ DecodeReport run_decode_wide(Scheme scheme, int bursts, int repeats) {
     masks[i] = results[i].invert_mask;
   const engine::BatchDecoder decoder;
   std::vector<std::uint8_t> tx(payload.size());
-  decoder.apply_packed_wide(payload, masks, cfg, tx);
+  decoder.apply(payload, masks, Geometry::of(cfg), tx);
 
   // (a) scalar receive path: one EncodedBurst per (burst, group).
   {
@@ -374,7 +374,7 @@ DecodeReport run_decode_wide(Scheme scheme, int bursts, int repeats) {
     std::int64_t sink = 0;
     const auto t0 = std::chrono::steady_clock::now();
     for (int r = 0; r < repeats; ++r) {
-      decoder.decode_packed_wide(tx, masks, cfg, out);
+      decoder.decode(tx, masks, Geometry::of(cfg), out);
       sink += out[0];
     }
     const double dt = seconds_since(t0);
@@ -449,9 +449,10 @@ struct KernelWorkload {
     for (const auto& r : wide_results) wide_masks.push_back(r.invert_mask);
     const engine::BatchDecoder dec;
     narrow_tx.resize(narrow_payload.size());
-    dec.apply_packed(narrow_payload, narrow_masks, narrow_cfg, narrow_tx);
+    dec.apply(narrow_payload, narrow_masks, Geometry::of(narrow_cfg),
+              narrow_tx);
     wide_tx.resize(wide_payload.size());
-    dec.apply_packed_wide(wide_payload, wide_masks, wide_cfg, wide_tx);
+    dec.apply(wide_payload, wide_masks, Geometry::of(wide_cfg), wide_tx);
   }
 };
 
@@ -530,7 +531,8 @@ KernelCaseReport run_kernel(const engine::KernelVariant& k,
       std::int64_t sink = 0;
       const auto t0 = std::chrono::steady_clock::now();
       for (int r = 0; r < repeats; ++r) {
-        dec.decode_packed(wl.narrow_tx, wl.narrow_masks, wl.narrow_cfg, out);
+        dec.decode(wl.narrow_tx, wl.narrow_masks, Geometry::of(wl.narrow_cfg),
+                   out);
         sink += out[0];
       }
       const double dt = seconds_since(t0);
@@ -542,7 +544,7 @@ KernelCaseReport run_kernel(const engine::KernelVariant& k,
       std::int64_t sink = 0;
       const auto t0 = std::chrono::steady_clock::now();
       for (int r = 0; r < repeats; ++r) {
-        dec.decode_packed_wide(wl.wide_tx, wl.wide_masks, wl.wide_cfg, out);
+        dec.decode(wl.wide_tx, wl.wide_masks, Geometry::of(wl.wide_cfg), out);
         sink += out[0];
       }
       const double dt = seconds_since(t0);

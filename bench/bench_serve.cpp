@@ -63,7 +63,7 @@ double session_mbursts(const dbi::Geometry& g, dbi::Scheme scheme,
   for (int r = 0; r < repeats; ++r) {
     dbi::engine::BatchEncoder encoder(scheme);
     dbi::engine::StreamEncodeOptions sopt;
-    dbi::engine::StreamEncoder stream(encoder, g.bus(), sopt);
+    dbi::engine::StreamEncoder stream(encoder, g, sopt);
     const auto t0 = Clock::now();
     (void)stream.encode_chunk(0, payload, bursts, true);
     const double rate =

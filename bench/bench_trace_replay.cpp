@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
     {
       trace::TraceWriterOptions wopt;
       wopt.compress = false;
-      trace::TraceWriter writer(wide_path, wcfg, wopt);
+      trace::TraceWriter writer(wide_path, Geometry::of(wcfg), wopt);
       writer.write_packed(wide_data);
       writer.finish();
     }

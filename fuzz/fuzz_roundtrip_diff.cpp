@@ -118,12 +118,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     for (std::size_t i = 0; i < bursts; ++i) masks[i] = results[i].invert_mask;
 
     std::vector<std::uint8_t> tx(payload.size());
-    decoder.apply_packed(payload, masks, cfg, tx);
+    decoder.apply(payload, masks, Geometry::of(cfg), tx);
     std::vector<std::uint8_t> out(payload.size());
-    decoder.decode_packed(tx, masks, cfg, out);
+    decoder.decode(tx, masks, Geometry::of(cfg), out);
     if (out != payload) fail("narrow engine round trip is not identity");
     std::vector<std::uint8_t> swar_out(payload.size());
-    swar_decoder.decode_packed(tx, masks, cfg, swar_out);
+    swar_decoder.decode(tx, masks, Geometry::of(cfg), swar_out);
     if (swar_out != out)
       fail("narrow decode variant diverges from the portable reference");
 
@@ -200,12 +200,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     masks[i] = results[i].invert_mask;
 
   std::vector<std::uint8_t> tx(payload.size());
-  decoder.apply_packed_wide(payload, masks, cfg, tx);
+  decoder.apply(payload, masks, Geometry::of(cfg), tx);
   std::vector<std::uint8_t> out(payload.size());
-  decoder.decode_packed_wide(tx, masks, cfg, out);
+  decoder.decode(tx, masks, Geometry::of(cfg), out);
   if (out != payload) fail("wide engine round trip is not identity");
   std::vector<std::uint8_t> swar_out(payload.size());
-  swar_decoder.decode_packed_wide(tx, masks, cfg, swar_out);
+  swar_decoder.decode(tx, masks, Geometry::of(cfg), swar_out);
   if (swar_out != out)
     fail("wide decode variant diverges from the portable reference");
   return 0;

@@ -7,8 +7,14 @@
 //                     arrangement).
 // so a narrow bus is simply the groups() == 1 case, and every front-end
 // (Session, Channel, sweeps, dbitool) speaks one geometry vocabulary.
-// The engine structs remain the internal kernel contracts; bus() /
-// wide_bus() hand them out where the dispatch needs them.
+// It is also the bus shape below the API: engine::StreamEncoder and
+// engine::BatchDecoder take a Geometry and pick their route by group
+// count (two or more groups: the multi-group kernels; otherwise the
+// single-group ones, so a one-group wide geometry such as wide(8) runs
+// the narrow code), and the trace layer reports one
+// (TraceReader::geometry(), TraceWriter::geometry()). The engine
+// structs remain the kernel contracts of BatchEncoder and the kernel
+// registry; bus(), wide_bus() and group_config() hand them out there.
 #pragma once
 
 #include <stdexcept>

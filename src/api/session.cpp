@@ -149,14 +149,17 @@ KernelReport Session::kernel_routing() const {
 
   const int bl = spec_.geometry.burst_length();
   const int width = spec_.geometry.width();
-  const bool wide = spec_.geometry.is_wide();
+  // The engine routes by group count: two or more DBI groups take the
+  // multi-group paths, every other geometry (a one-group wide bus
+  // included) the single-group ones.
+  const bool multi_group = spec_.geometry.groups() > 1;
   // Which encode kernels this scheme/geometry exercises: full byte
   // groups take the packed fixed kernels, a narrow non-8 width or a
   // wide remainder group takes the bit-plane kernel, OPT schemes the
   // trellis (OPT on x64 through the variant's whole-burst entry), and
   // kExhaustive bypasses the engine kernels entirely.
-  const bool has_byte_group = wide ? width >= 8 : width == 8;
-  const bool has_narrow_group = wide ? width % 8 != 0 : width != 8;
+  const bool has_byte_group = multi_group ? width >= 8 : width == 8;
+  const bool has_narrow_group = multi_group ? width % 8 != 0 : width != 8;
   const Scheme scheme = engine_.scheme();
   const auto rule = engine::fixed8_rule(scheme);
   if (rule) {
@@ -170,7 +173,7 @@ KernelReport Session::kernel_routing() const {
   } else if (scheme == Scheme::kOpt || scheme == Scheme::kOptFixed) {
     rep.fixed_encode = "n/a";
     rep.planar_encode = "n/a";
-    rep.trellis = scheme == Scheme::kOpt && wide &&
+    rep.trellis = scheme == Scheme::kOpt && multi_group &&
                           engine::trellis_wide8_geometry(
                               spec_.geometry.wide_bus()) &&
                           k.supports_trellis_wide8(bl)
@@ -186,10 +189,11 @@ KernelReport Session::kernel_routing() const {
   // on geometry alone: byte-per-beat lanes and the full-group wide fast
   // path go through the variant, everything else through the portable
   // strided loops.
-  if (!wide) {
-    rep.decode = width <= 8 && k.supports_decode8(spec_.geometry.bus())
-                     ? k.name()
-                     : engine::portable_kernel().name();
+  if (!multi_group) {
+    rep.decode =
+        width <= 8 && k.supports_decode8(spec_.geometry.group_config(0))
+            ? k.name()
+            : engine::portable_kernel().name();
   } else {
     rep.decode = spec_.geometry.groups() == 8 && width % 8 == 0 &&
                          k.supports_decode_wide8(bl)
@@ -294,7 +298,7 @@ StreamStats Session::write_stream(std::span<const std::uint8_t> data,
       so.lanes = 1;
       so.reset_state_per_burst = reset_per_write;
       wide_writer_ = std::make_unique<engine::StreamEncoder>(
-          engine_, dbi::WideBusConfig{8 * lanes, lane_cfg.burst_length}, so,
+          engine_, Geometry::wide(8 * lanes, lane_cfg.burst_length), so,
           std::span<dbi::BusState>(lane_states_));
     }
     wide_writer_->set_pool(pool_override ? pool_override : pool());
@@ -403,11 +407,7 @@ std::unique_ptr<engine::StreamEncoder> Session::make_stream_encoder() const {
   so.reset_state_per_burst = spec_.state_policy == StatePolicy::kResetPerBurst;
   so.pool = pool();
   so.obs = obs_;
-  if (spec_.geometry.is_wide())
-    return std::make_unique<engine::StreamEncoder>(
-        engine_, spec_.geometry.wide_bus(), so);
-  return std::make_unique<engine::StreamEncoder>(engine_, spec_.geometry.bus(),
-                                                 so);
+  return std::make_unique<engine::StreamEncoder>(engine_, spec_.geometry, so);
 }
 
 std::span<const std::uint8_t> Session::roundtrip_slice(
@@ -417,7 +417,9 @@ std::span<const std::uint8_t> Session::roundtrip_slice(
   const int bl = spec_.geometry.burst_length();
   const auto bpb = static_cast<std::size_t>(spec_.geometry.bytes_per_beat());
   const auto bb = static_cast<std::size_t>(spec_.geometry.bytes_per_burst());
-  const bool wide = spec_.geometry.is_wide();
+  // Bytes of one group in one beat: the whole beat on a single-group
+  // bus, one byte of the beat-major layout on a multi-group one.
+  const std::size_t group_bytes = bpb / static_cast<std::size_t>(groups);
   std::vector<std::uint8_t>& wire = roundtrip_wire_;
   std::vector<std::uint64_t>& masks = roundtrip_masks_;
 
@@ -428,34 +430,20 @@ std::span<const std::uint8_t> Session::roundtrip_slice(
   // Materialise the wire stream, optionally corrupt it, then run the
   // receiver over it — all on the same buffer.
   wire.assign(bytes.begin(), bytes.end());
-  if (wide)
-    decoder_.apply_packed_wide(wire, masks, spec_.geometry.wide_bus(), wire);
-  else
-    decoder_.apply_packed(wire, masks, spec_.geometry.bus(), wire);
+  decoder_.apply(wire, masks, spec_.geometry, wire);
   if (spec_.fault_injector) spec_.fault_injector(first_burst, wire, masks);
-  if (wide)
-    decoder_.decode_packed_wide(wire, masks, spec_.geometry.wide_bus(), wire);
-  else
-    decoder_.decode_packed(wire, masks, spec_.geometry.bus(), wire);
+  decoder_.decode(wire, masks, spec_.geometry, wire);
 
   // Compares one round-tripped burst's group against the original and
-  // returns the beat mask of the differing beats (narrow groups span
-  // bytes_per_beat() bytes per beat; wide group g is the strided byte).
+  // returns the beat mask of the differing beats.
   const auto diff_mask = [&](const std::uint8_t* original,
                              const std::uint8_t* roundtripped, int group) {
     std::uint64_t mask = 0;
     for (int t = 0; t < bl; ++t) {
-      bool differs;
-      if (wide) {
-        const std::size_t at = static_cast<std::size_t>(t) *
-                                   static_cast<std::size_t>(groups) +
-                               static_cast<std::size_t>(group);
-        differs = original[at] != roundtripped[at];
-      } else {
-        const std::size_t at = static_cast<std::size_t>(t) * bpb;
-        differs = std::memcmp(original + at, roundtripped + at, bpb) != 0;
-      }
-      if (differs) mask |= std::uint64_t{1} << t;
+      const std::size_t at = static_cast<std::size_t>(t) * bpb +
+                             static_cast<std::size_t>(group) * group_bytes;
+      if (std::memcmp(original + at, roundtripped + at, group_bytes) != 0)
+        mask |= std::uint64_t{1} << t;
     }
     return mask;
   };
@@ -528,8 +516,7 @@ StreamStats Session::run_chunks(Source& source, Sink& sink) {
     scratch.reserve(static_cast<std::size_t>(policy.block_bursts()) * bb);
   }
 
-  std::int64_t first_burst = 0;   // sink-facing, continuous over the run
-  std::int64_t stream_burst = 0;  // lane phase within the current stream
+  std::int64_t first_burst = 0;  // stream index of the next burst
 
   // The one hand-off to the sink: every step delivers through here.
   const auto emit = [&](std::int64_t n, std::span<const std::uint8_t> payload,
@@ -547,7 +534,6 @@ StreamStats Session::run_chunks(Source& source, Sink& sink) {
     chunk.scheme = scheme;
     sink.consume(chunk);
     first_burst += n;
-    stream_burst += n;
   };
 
   // Adaptive step: re-block the source's chunks to the policy's
@@ -616,15 +602,6 @@ StreamStats Session::run_chunks(Source& source, Sink& sink) {
                 "(mask-carrying); run a kDecode session instead of "
                 "re-encoding it");
     }
-    if (enc && c->first_of_stream && first_burst > 0) {
-      // A new constituent stream (e.g. the next lake member): fresh
-      // all-ones line state and a restarted lane interleave, so the
-      // concatenated run stays bit-exact against per-stream replay.
-      // Totals keep accumulating; the sink's burst axis stays
-      // continuous.
-      enc->reset_states();
-      stream_burst = 0;
-    }
     for (std::int64_t b0 = 0; b0 < c->bursts; b0 += slice_bursts) {
       const std::int64_t n = std::min(slice_bursts, c->bursts - b0);
       const auto bytes = c->bytes.subspan(static_cast<std::size_t>(b0) * bb,
@@ -632,12 +609,12 @@ StreamStats Session::run_chunks(Source& source, Sink& sink) {
       switch (step) {
         case Step::kEncode:
           emit(n, bytes,
-               enc->encode_chunk(stream_burst, bytes,
+               enc->encode_chunk(first_burst, bytes,
                                  static_cast<std::size_t>(n), collect));
           break;
         case Step::kRoundTrip: {
           const auto results = enc->encode_chunk(
-              stream_burst, bytes, static_cast<std::size_t>(n), true);
+              first_burst, bytes, static_cast<std::size_t>(n), true);
           emit(n, roundtrip_slice(first_burst, bytes, results), results);
           break;
         }
@@ -648,12 +625,7 @@ StreamStats Session::run_chunks(Source& source, Sink& sink) {
                                  static_cast<std::int32_t>(
                                      std::min<std::int64_t>(n, INT32_MAX)));
             if (obs_) obs_->chunks.inc();
-            if (spec_.geometry.is_wide())
-              decoder_.decode_packed_wide(bytes, c->masks,
-                                          spec_.geometry.wide_bus(), scratch);
-            else
-              decoder_.decode_packed(bytes, c->masks, spec_.geometry.bus(),
-                                     scratch);
+            decoder_.decode(bytes, c->masks, spec_.geometry, scratch);
           }
           emit(n, scratch, {});
           break;

@@ -58,12 +58,9 @@ class TraceWriterSink final : public Sink {
   bool wants_payload() const override { return true; }
 
   void begin(const Geometry& geometry, int) override {
-    const Geometry writer_geometry =
-        writer_.wide() ? Geometry::of(writer_.wide_config())
-                       : Geometry::of(writer_.config());
-    if (writer_geometry != geometry)
+    if (writer_.geometry() != geometry)
       throw std::invalid_argument("trace sink: writer geometry " +
-                                  writer_geometry.to_string() +
+                                  writer_.geometry().to_string() +
                                   " does not match session geometry " +
                                   geometry.to_string());
   }
@@ -105,12 +102,9 @@ class EncodedTraceWriterSink final : public Sink {
   bool wants_payload() const override { return true; }
 
   void begin(const Geometry& geometry, int) override {
-    const Geometry writer_geometry =
-        writer_.wide() ? Geometry::of(writer_.wide_config())
-                       : Geometry::of(writer_.config());
-    if (writer_geometry != geometry)
+    if (writer_.geometry() != geometry)
       throw std::invalid_argument("encoded trace sink: writer geometry " +
-                                  writer_geometry.to_string() +
+                                  writer_.geometry().to_string() +
                                   " does not match session geometry " +
                                   geometry.to_string());
     geometry_ = geometry;
@@ -129,11 +123,7 @@ class EncodedTraceWriterSink final : public Sink {
     for (std::size_t i = 0; i < chunk.results.size(); ++i)
       masks_[i] = chunk.results[i].invert_mask;
     tx_.resize(chunk.payload.size());
-    if (geometry_.is_wide())
-      decoder_.apply_packed_wide(chunk.payload, masks_, geometry_.wide_bus(),
-                                 tx_);
-    else
-      decoder_.apply_packed(chunk.payload, masks_, geometry_.bus(), tx_);
+    decoder_.apply(chunk.payload, masks_, geometry_, tx_);
     writer_.write_encoded(tx_, masks_);
   }
 

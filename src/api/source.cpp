@@ -124,9 +124,7 @@ class TraceFileSource final : public Source {
       : reader_(reader) {}
 
   void bind(const Geometry& g) override {
-    const Geometry mine =
-        reader_.wide() ? Geometry::of(reader_.header().wide_config())
-                       : Geometry::of(reader_.config());
+    const Geometry mine = reader_.geometry();
     if (mine != g)
       throw std::invalid_argument("trace source: trace geometry " +
                                   mine.to_string() +

@@ -43,14 +43,6 @@ struct SourceChunk {
   std::span<const std::uint8_t> bytes;
   std::int64_t bursts = 0;
   std::span<const std::uint64_t> masks;
-  /// True on the first chunk of an independent constituent stream
-  /// (e.g. each member file of a trace lake): the session restores the
-  /// all-ones line state and restarts the lane interleave before this
-  /// chunk, so a concatenated multi-file run is bit-exact against
-  /// replaying each file on its own. Single-stream sources leave it
-  /// false everywhere (the run start already encodes from fresh
-  /// states).
-  bool first_of_stream = false;
 };
 
 class Source {

@@ -50,7 +50,8 @@ VerifyReport verify_encoded_trace(const trace::TraceReader& reader,
       options.lanes.value_or(h.enc_lanes > 0 ? h.enc_lanes : 1);
   const bool reset =
       options.reset_per_burst.value_or(h.enc_policy == 1);
-  const int groups = h.group_count();
+  const Geometry geometry = reader.geometry();
+  const int groups = geometry.groups();
 
   std::unique_ptr<engine::ShardPool> pool;
   if (options.threads >= 2)
@@ -71,11 +72,11 @@ VerifyReport verify_encoded_trace(const trace::TraceReader& reader,
   // adaptive session that recorded the trace threaded it.
   std::vector<dbi::BusState> shared_states;
   if (mixed) {
-    const int units = lanes * (h.wide() ? groups : 1);
+    const int units = lanes * groups;
     shared_states.reserve(static_cast<std::size_t>(units));
     for (int u = 0; u < units; ++u)
-      shared_states.push_back(dbi::BusState::all_ones(
-          h.wide() ? h.wide_config().group_config(u % groups) : h.cfg));
+      shared_states.push_back(
+          dbi::BusState::all_ones(geometry.group_config(u % groups)));
   }
   std::array<std::unique_ptr<engine::BatchEncoder>, 8> engines;
   std::array<std::unique_ptr<engine::StreamEncoder>, 8> streams;
@@ -89,11 +90,8 @@ VerifyReport verify_encoded_trace(const trace::TraceReader& reader,
       engines[tag] = std::make_unique<engine::BatchEncoder>(*tagged,
                                                             options.weights);
       engines[tag]->set_observer(options.obs);
-      s = h.wide() ? std::make_unique<engine::StreamEncoder>(
-                         *engines[tag], h.wide_config(), so, states)
-                   : std::make_unique<engine::StreamEncoder>(*engines[tag],
-                                                             h.cfg, so,
-                                                             states);
+      s = std::make_unique<engine::StreamEncoder>(*engines[tag], geometry, so,
+                                                  states);
     }
     return *s;
   };
@@ -108,10 +106,7 @@ VerifyReport verify_encoded_trace(const trace::TraceReader& reader,
     const auto tx = reader.chunk_payload(c, scratch);
     const auto stored = reader.chunk_masks(c, mask_scratch, masks);
     payload.resize(tx.size());
-    if (h.wide())
-      decoder.decode_packed_wide(tx, stored, h.wide_config(), payload);
-    else
-      decoder.decode_packed(tx, stored, h.cfg, payload);
+    decoder.decode(tx, stored, geometry, payload);
     engine::StreamEncoder& stream =
         mixed ? stream_for(info.scheme_tag, shared_states)
               : stream_for(0, {});
@@ -138,7 +133,7 @@ VerifyReport verify_encoded_trace(const trace::TraceReader& reader,
     delta.bursts = report.bursts;
     options.obs->count_run(delta,
                            static_cast<std::uint64_t>(report.bursts) *
-                               h.bytes_per_burst());
+                               geometry.bytes_per_burst());
   }
   return report;
 }

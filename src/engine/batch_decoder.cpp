@@ -16,14 +16,19 @@ using dbi::BusConfig;
 using dbi::Word;
 
 void check_mask_tails(std::span<const std::uint64_t> masks, int burst_length,
-                      int groups) {
+                      std::size_t groups) {
   if (burst_length >= 64) return;
+  // OR-reduce first (it vectorizes): a branch per mask cost 10-20% of
+  // a whole decode call. Only a failing call walks the masks again, to
+  // name the first bad one.
+  std::uint64_t any = 0;
+  for (const std::uint64_t m : masks) any |= m;
+  if ((any >> burst_length) == 0) return;
   for (std::size_t i = 0; i < masks.size(); ++i)
     if ((masks[i] >> burst_length) != 0)
       throw std::invalid_argument(
-          "BatchDecoder: burst " +
-          std::to_string(i / static_cast<std::size_t>(groups)) + " group " +
-          std::to_string(i % static_cast<std::size_t>(groups)) +
+          "BatchDecoder: burst " + std::to_string(i / groups) + " group " +
+          std::to_string(i % groups) +
           ": inversion mask has bits beyond burst length " +
           std::to_string(burst_length));
 }
@@ -80,35 +85,6 @@ void BatchDecoder::decode_range(std::span<const std::uint8_t> tx,
   }
 }
 
-void BatchDecoder::decode_packed(std::span<const std::uint8_t> tx,
-                                 std::span<const std::uint64_t> masks,
-                                 const dbi::BusConfig& cfg,
-                                 std::span<std::uint8_t> out) const {
-  cfg.validate();
-  const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
-  if (tx.size() % bb != 0)
-    throw std::invalid_argument(
-        "BatchDecoder::decode_packed: payload of " +
-        std::to_string(tx.size()) + " bytes is not a multiple of the " +
-        std::to_string(bb) + "-byte packed burst (width " +
-        std::to_string(cfg.width) + ", burst_length " +
-        std::to_string(cfg.burst_length) + ")");
-  const std::size_t n = tx.size() / bb;
-  if (masks.size() != n)
-    throw std::invalid_argument(
-        "BatchDecoder::decode_packed: " + std::to_string(n) +
-        " bursts need " + std::to_string(n) + " masks, got " +
-        std::to_string(masks.size()));
-  if (out.size() != tx.size())
-    throw std::invalid_argument(
-        "BatchDecoder::decode_packed: output of " +
-        std::to_string(out.size()) + " bytes != input of " +
-        std::to_string(tx.size()));
-  check_mask_tails(masks, cfg.burst_length, 1);
-
-  decode_range(tx, masks, cfg, out);
-}
-
 void BatchDecoder::decode_range_wide(std::span<const std::uint8_t> tx,
                                      std::span<const std::uint64_t> masks,
                                      const dbi::WideBusConfig& cfg,
@@ -147,7 +123,7 @@ void BatchDecoder::decode_range_wide(std::span<const std::uint8_t> tx,
                                static_cast<std::size_t>(g)];
         if (narrow_group && (b & ~gmask) != 0)
           throw std::invalid_argument(
-              "BatchDecoder::decode_packed_wide: burst " + std::to_string(i) +
+              "BatchDecoder: burst " + std::to_string(i) +
               " beat " + std::to_string(t) +
               ": transmitted byte exceeds the width-" +
               std::to_string(cfg.group_width(g)) + " remainder group " +
@@ -158,35 +134,35 @@ void BatchDecoder::decode_range_wide(std::span<const std::uint8_t> tx,
   }
 }
 
-void BatchDecoder::decode_packed_wide(std::span<const std::uint8_t> tx,
-                                      std::span<const std::uint64_t> masks,
-                                      const dbi::WideBusConfig& cfg,
-                                      std::span<std::uint8_t> out) const {
-  cfg.validate();
-  const int groups = cfg.groups();
-  const auto bb = static_cast<std::size_t>(cfg.bytes_per_burst());
+void BatchDecoder::decode(std::span<const std::uint8_t> tx,
+                          std::span<const std::uint64_t> masks,
+                          const dbi::Geometry& geometry,
+                          std::span<std::uint8_t> out) const {
+  geometry.validate();
+  const auto groups = static_cast<std::size_t>(geometry.groups());
+  const auto bb = static_cast<std::size_t>(geometry.bytes_per_burst());
   if (tx.size() % bb != 0)
     throw std::invalid_argument(
-        "BatchDecoder::decode_packed_wide: payload of " +
-        std::to_string(tx.size()) + " bytes is not a multiple of the " +
-        std::to_string(bb) + "-byte packed wide burst (width " +
-        std::to_string(cfg.width) + ", " + std::to_string(groups) +
-        " groups, burst_length " + std::to_string(cfg.burst_length) + ")");
+        "BatchDecoder: payload of " + std::to_string(tx.size()) +
+        " bytes is not a multiple of the " + std::to_string(bb) +
+        "-byte packed " + geometry.to_string() + " burst");
   const std::size_t n = tx.size() / bb;
-  if (masks.size() != n * static_cast<std::size_t>(groups))
+  if (masks.size() != n * groups)
     throw std::invalid_argument(
-        "BatchDecoder::decode_packed_wide: " + std::to_string(n) +
-        " bursts of " + std::to_string(groups) + " groups need " +
-        std::to_string(n * static_cast<std::size_t>(groups)) +
-        " masks, got " + std::to_string(masks.size()));
+        "BatchDecoder: " + std::to_string(n) + " bursts of " +
+        std::to_string(groups) + " DBI groups need " +
+        std::to_string(n * groups) + " masks, got " +
+        std::to_string(masks.size()));
   if (out.size() != tx.size())
     throw std::invalid_argument(
-        "BatchDecoder::decode_packed_wide: output of " +
-        std::to_string(out.size()) + " bytes != input of " +
-        std::to_string(tx.size()));
-  check_mask_tails(masks, cfg.burst_length, groups);
+        "BatchDecoder: output of " + std::to_string(out.size()) +
+        " bytes != input of " + std::to_string(tx.size()));
+  check_mask_tails(masks, geometry.burst_length(), groups);
 
-  decode_range_wide(tx, masks, cfg, out);
+  if (groups > 1)
+    decode_range_wide(tx, masks, geometry.wide_bus(), out);
+  else
+    decode_range(tx, masks, geometry.group_config(0), out);
 }
 
 dbi::Burst BatchDecoder::decode_scalar(const dbi::BusConfig& cfg,

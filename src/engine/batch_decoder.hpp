@@ -26,10 +26,14 @@
 //     every other group count takes a strided per-group pass with the
 //     remainder group's narrower mask.
 //
+// Both directions take the bus shape as a dbi::Geometry and pick the
+// kernel route from its group count: two or more DBI groups decode in
+// the multi-group beat-major layout, every other geometry (narrow, or a
+// one-group wide bus such as Geometry::wide(8)) as one BusConfig group.
 // Because the conditional XOR is an involution, the same kernels apply
-// masks in the encode direction (payload -> transmitted stream):
-// apply_packed / apply_packed_wide are the documented aliases Session
-// and the encoded-trace sink use to materialise the wire stream.
+// masks in the encode direction (payload -> transmitted stream): apply
+// is the documented alias Session, the selector, dbid and the
+// encoded-trace sink use to materialise the wire stream.
 //
 // Every call decodes on the calling thread: the kernels run at memory
 // speed, and at the sizes callers decode per call (trace chunks default
@@ -42,6 +46,7 @@
 #include <cstdint>
 #include <span>
 
+#include "api/geometry.hpp"
 #include "core/burst.hpp"
 #include "core/types.hpp"
 #include "engine/kernel_registry.hpp"
@@ -70,39 +75,26 @@ class BatchDecoder {
   void set_observer(const obs::Observer* obs) { obs_ = obs; }
 
   /// Recovers the payload of `tx` (packed transmitted bursts in the
-  /// binary trace layout: burst_length beats of cfg.bytes_per_beat()
-  /// little-endian bytes each) given one inversion mask per burst.
-  /// `out` must be tx.size() bytes and may alias `tx` exactly (decode
-  /// in place). Transmitted beats outside cfg.dq_mask() and mask bits
-  /// at or beyond burst_length throw.
-  void decode_packed(std::span<const std::uint8_t> tx,
-                     std::span<const std::uint64_t> masks,
-                     const dbi::BusConfig& cfg,
-                     std::span<std::uint8_t> out) const;
+  /// binary trace layout at `geometry`, bytes_per_burst() bytes each;
+  /// on a multi-group bus byte g of a beat is group g) given one
+  /// inversion mask per (burst, group) pair, burst-major / group-minor
+  /// — bursts x groups() masks, the engine's BurstResult order and the
+  /// trace mask-stream order. `out` must be tx.size() bytes and may
+  /// alias `tx` exactly (decode in place). Transmitted beats outside a
+  /// group's lanes and mask bits at or beyond burst_length throw.
+  void decode(std::span<const std::uint8_t> tx,
+              std::span<const std::uint64_t> masks,
+              const dbi::Geometry& geometry,
+              std::span<std::uint8_t> out) const;
 
-  /// Wide multi-group twin: `tx` holds beat-major packed wide bursts
-  /// (cfg.bytes_per_burst() bytes each, byte g of a beat = group g) and
-  /// `masks` one u64 per (burst, group) pair, burst-major / group-minor
-  /// — the engine's BurstResult order and the trace mask-stream order.
-  void decode_packed_wide(std::span<const std::uint8_t> tx,
-                          std::span<const std::uint64_t> masks,
-                          const dbi::WideBusConfig& cfg,
-                          std::span<std::uint8_t> out) const;
-
-  /// Encode-direction aliases: the conditional lane XOR is an
+  /// Encode-direction alias: the conditional lane XOR is an
   /// involution, so applying masks to a payload yields the transmitted
   /// stream through the very same kernels.
-  void apply_packed(std::span<const std::uint8_t> payload,
-                    std::span<const std::uint64_t> masks,
-                    const dbi::BusConfig& cfg,
-                    std::span<std::uint8_t> out) const {
-    decode_packed(payload, masks, cfg, out);
-  }
-  void apply_packed_wide(std::span<const std::uint8_t> payload,
-                         std::span<const std::uint64_t> masks,
-                         const dbi::WideBusConfig& cfg,
-                         std::span<std::uint8_t> out) const {
-    decode_packed_wide(payload, masks, cfg, out);
+  void apply(std::span<const std::uint8_t> payload,
+             std::span<const std::uint64_t> masks,
+             const dbi::Geometry& geometry,
+             std::span<std::uint8_t> out) const {
+    decode(payload, masks, geometry, out);
   }
 
   /// Scalar reference twin (the pre-engine receive path): materialises

@@ -55,32 +55,20 @@ void StreamEncodeOptions::validate() const {
 }
 
 StreamEncoder::StreamEncoder(const BatchEncoder& encoder,
-                             const dbi::BusConfig& cfg,
+                             const dbi::Geometry& geometry,
                              const StreamEncodeOptions& options,
                              std::span<dbi::BusState> states)
-    : encoder_(encoder), cfg_(cfg), opt_(options) {
+    : encoder_(encoder),
+      geometry_(geometry),
+      opt_(options),
+      groups_(geometry.groups()),
+      bytes_per_burst_(static_cast<std::size_t>(geometry.bytes_per_burst())) {
   opt_.validate();
-  cfg_.validate();
-  bytes_per_burst_ = static_cast<std::size_t>(cfg_.bytes_per_burst());
-  init(states);
-}
-
-StreamEncoder::StreamEncoder(const BatchEncoder& encoder,
-                             const dbi::WideBusConfig& cfg,
-                             const StreamEncodeOptions& options,
-                             std::span<dbi::BusState> states)
-    : encoder_(encoder), wcfg_(cfg), wide_(true), opt_(options) {
-  opt_.validate();
-  wcfg_.validate();
-  groups_ = wcfg_.groups();
+  geometry_.validate();
   // A whole-burst kernel advances every group of a burst at once, so
   // its unit is the lane; otherwise each (lane, group) is a unit.
-  unit_groups_ = encoder_.encodes_whole_bursts(wcfg_) ? groups_ : 1;
-  bytes_per_burst_ = static_cast<std::size_t>(wcfg_.bytes_per_burst());
-  init(states);
-}
-
-void StreamEncoder::init(std::span<dbi::BusState> states) {
+  if (groups_ > 1 && encoder_.encodes_whole_bursts(geometry_.wide_bus()))
+    unit_groups_ = groups_;
   const std::size_t state_count = static_cast<std::size_t>(opt_.lanes) *
                                   static_cast<std::size_t>(groups_);
   units_.resize(state_count / static_cast<std::size_t>(unit_groups_));
@@ -102,23 +90,18 @@ void StreamEncoder::init(std::span<dbi::BusState> states) {
 }
 
 dbi::BusConfig StreamEncoder::state_config(std::size_t s) const {
-  return wide_ ? wcfg_.group_config(static_cast<int>(
-                     s % static_cast<std::size_t>(groups_)))
-               : cfg_;
+  return geometry_.group_config(
+      static_cast<int>(s % static_cast<std::size_t>(groups_)));
 }
 
 void StreamEncoder::reset() {
   bursts_ = 0;
-  reset_states();
+  for (std::size_t s = 0; s < states_.size(); ++s)
+    states_[s] = dbi::BusState::all_ones(state_config(s));
   for (StreamUnit& su : units_) {
     su.zeros = 0;
     su.transitions = 0;
   }
-}
-
-void StreamEncoder::reset_states() {
-  for (std::size_t s = 0; s < states_.size(); ++s)
-    states_[s] = dbi::BusState::all_ones(state_config(s));
 }
 
 std::int64_t StreamEncoder::zeros() const {
@@ -138,12 +121,14 @@ void StreamEncoder::encode_unit_slice(int unit, std::int64_t first_burst,
                                       std::size_t count,
                                       bool collect_results) {
   // Unit u covers groups [group, group + unit_groups_) of one lane:
-  // the lane's only group (narrow), one group, or every group.
+  // the lane's only group (single-group bus), one group, or every
+  // group.
   const int units_per_lane = groups_ / unit_groups_;
   const int lane = unit / units_per_lane;
   const int group = (unit % units_per_lane) * unit_groups_;
-  // A single-group wide unit encodes one byte per beat.
-  const bool group_slice = wide_ && unit_groups_ == 1;
+  // One group of a multi-group bus encodes one byte per beat.
+  const bool group_slice = groups_ > 1 && unit_groups_ == 1;
+  const dbi::BusConfig unit_cfg = geometry_.group_config(group);
   obs::ScopedSpan unit_span(opt_.obs, obs::Stage::kEncodeUnit, lane, group);
   const std::size_t bb = bytes_per_burst_;
   const int L = opt_.lanes;
@@ -167,7 +152,7 @@ void StreamEncoder::encode_unit_slice(int unit, std::int64_t first_burst,
                            static_cast<std::size_t>(L);
 
   const auto slice_bb =
-      group_slice ? static_cast<std::size_t>(wcfg_.burst_length) : bb;
+      group_slice ? static_cast<std::size_t>(geometry_.burst_length()) : bb;
 
   std::span<const std::uint8_t> bytes;
   bool in_place = false;
@@ -217,18 +202,14 @@ void StreamEncoder::encode_unit_slice(int unit, std::int64_t first_burst,
 
   auto encode_block = [&](std::span<const std::uint8_t> block_bytes,
                           BurstResult* block_results) {
-    if (!wide_)
-      return encoder_.encode_packed(block_bytes, cfg_, states[0],
+    if (groups_ == 1 || (group_slice && !in_place))
+      return encoder_.encode_packed(block_bytes, unit_cfg, states[0],
                                     block_results);
     if (!group_slice)
-      return encoder_.encode_packed_wide(block_bytes, wcfg_, states,
-                                         block_results);
-    return in_place
-               ? encoder_.encode_packed_group(block_bytes, wcfg_, group,
-                                              states[0], block_results)
-               : encoder_.encode_packed(block_bytes,
-                                        wcfg_.group_config(group), states[0],
-                                        block_results);
+      return encoder_.encode_packed_wide(block_bytes, geometry_.wide_bus(),
+                                         states, block_results);
+    return encoder_.encode_packed_group(block_bytes, geometry_.wide_bus(),
+                                        group, states[0], block_results);
   };
   const std::size_t step = group_slice && !in_place ? slice_bb : bb;
 

@@ -3,9 +3,14 @@
 //
 // This is the one lane-sharding implementation behind every streaming
 // front-end: dbi::Session's chunk loop feeds it chunks pulled from any
-// Source (in-RAM packed spans, generators, zero-copy trace views, lake
-// members), and the adaptive selector and the incremental channel
-// writer drive it the same way. The stream is interpreted
+// Source (in-RAM packed spans, generators, zero-copy trace views), and
+// the adaptive selector, the encoded-trace verifier and dbid drive it
+// the same way. It takes the bus shape as a dbi::Geometry and picks
+// the BatchEncoder route itself: two or more DBI groups take the
+// multi-group entry points (encode_packed_wide / encode_packed_group),
+// every other geometry — narrow, or a one-group wide bus such as
+// Geometry::wide(8) — is one BusConfig group (encode_packed).
+// The stream is interpreted
 // like a workload::Channel write sequence: burst g belongs to lane
 // g % lanes, and each (lane, byte group) pair has its own threaded
 // BusState. Each (lane, group) pair is one shard unit — so a single x64
@@ -28,6 +33,7 @@
 #include <span>
 #include <vector>
 
+#include "api/geometry.hpp"
 #include "core/types.hpp"
 #include "engine/batch_encoder.hpp"
 #include "engine/shard_pool.hpp"
@@ -64,19 +70,17 @@ struct StreamUnit {
 
 class StreamEncoder {
  public:
-  /// Narrow stream: every burst is one `cfg` group. `encoder` must
-  /// outlive the StreamEncoder. `states` optionally hands in
-  /// caller-owned line states (lanes entries, threaded in place, must
-  /// outlive the StreamEncoder) so several encode surfaces can share
-  /// one bus history; empty means internally owned states.
-  StreamEncoder(const BatchEncoder& encoder, const dbi::BusConfig& cfg,
-                const StreamEncodeOptions& options,
-                std::span<dbi::BusState> states = {});
-
-  /// Wide multi-group stream (beat-major packed payload, one byte per
-  /// group per beat). Caller-owned `states` hold lanes x groups
-  /// entries, group-minor.
-  StreamEncoder(const BatchEncoder& encoder, const dbi::WideBusConfig& cfg,
+  /// Stream of packed bursts at `geometry` (the trace payload layout,
+  /// bytes_per_burst() bytes each). `encoder` must outlive the
+  /// StreamEncoder.
+  /// `states` optionally hands in caller-owned line states (lanes x
+  /// groups() entries, group-minor, threaded in place, must outlive
+  /// the StreamEncoder) so several encode surfaces can share one bus
+  /// history; empty means internally owned states. Geometries of two
+  /// or more groups take the multi-group route (BatchEncoder's wide
+  /// entry points); every other geometry, including a one-group wide
+  /// one, is a single BusConfig group (group_config(0)).
+  StreamEncoder(const BatchEncoder& encoder, const dbi::Geometry& geometry,
                 const StreamEncodeOptions& options,
                 std::span<dbi::BusState> states = {});
 
@@ -89,12 +93,6 @@ class StreamEncoder {
 
   /// Restores every unit to the all-ones boundary and zeroes the totals.
   void reset();
-
-  /// Restores every unit to the all-ones boundary WITHOUT touching the
-  /// accumulated totals: the member-boundary reset of a concatenated
-  /// stream (each lake member is an independent bus history, but the
-  /// run's 64-bit totals keep accumulating across members).
-  void reset_states();
 
   /// Re-targets the shard pool (results are pool-independent, so this
   /// is safe between chunks; null returns to serial encoding).
@@ -116,7 +114,6 @@ class StreamEncoder {
   [[nodiscard]] std::int64_t transitions() const;
 
  private:
-  void init(std::span<dbi::BusState> states);
   void encode_unit_slice(int unit, std::int64_t first_burst,
                          std::span<const std::uint8_t> payload,
                          std::size_t burst_count, bool collect_results);
@@ -124,9 +121,7 @@ class StreamEncoder {
   [[nodiscard]] dbi::BusConfig state_config(std::size_t s) const;
 
   const BatchEncoder& encoder_;
-  dbi::BusConfig cfg_;       // narrow streams
-  dbi::WideBusConfig wcfg_;  // wide streams
-  bool wide_ = false;
+  dbi::Geometry geometry_;
   StreamEncodeOptions opt_;
   int groups_ = 1;
   int unit_groups_ = 1;  // groups per unit: 1, or groups_ for lane units

@@ -103,14 +103,15 @@ struct LakeMember {
   workload::TraceStats stats;
   std::int64_t first_burst = 0;  ///< cumulative offset in catalog order
 
-  [[nodiscard]] bool wide() const { return groups > 1; }
   [[nodiscard]] bool encoded() const;
   [[nodiscard]] bool mixed() const;
 
-  /// The member's bus shape in the Session API vocabulary.
+  /// The member's bus shape in the Session API vocabulary, by the
+  /// trace header's rule (TraceHeader::geometry()): wide whenever
+  /// byte 16 is nonzero, so a one-group wide member stays wide.
   [[nodiscard]] dbi::Geometry geometry() const {
-    return wide() ? dbi::Geometry::wide(width, burst_length)
-                  : dbi::Geometry::narrow(width, burst_length);
+    return groups != 0 ? dbi::Geometry::wide(width, burst_length)
+                       : dbi::Geometry::narrow(width, burst_length);
   }
 };
 

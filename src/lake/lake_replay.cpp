@@ -17,10 +17,7 @@ namespace {
   const LakeMember& m = lake.members()[idx];
   trace::TraceReader reader =
       trace::TraceReader::open(lake.member_path(idx), verify_crc);
-  const dbi::Geometry got =
-      reader.wide() ? dbi::Geometry::of(reader.header().wide_config())
-                    : dbi::Geometry::of(reader.config());
-  if (got != m.geometry() || reader.bursts() != m.stats.bursts)
+  if (reader.geometry() != m.geometry() || reader.bursts() != m.stats.bursts)
     throw LakeError("lake: member " + m.name +
                     " no longer matches its catalog record "
                     "(re-run dbitool lake add)");

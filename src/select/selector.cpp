@@ -149,23 +149,17 @@ ChunkSelector::ChunkSelector(const Config& cfg)
   stream_opt_.pool = cfg.pool;
   stream_opt_.obs = nullptr;
 
-  const std::size_t units =
-      static_cast<std::size_t>(cfg.lanes) *
-      static_cast<std::size_t>(geometry_.is_wide() ? geometry_.groups() : 1);
+  const std::size_t units = static_cast<std::size_t>(cfg.lanes) *
+                            static_cast<std::size_t>(geometry_.groups());
 
   candidates_.reserve(policy_.candidates().size());
   for (Scheme s : policy_.candidates()) {
     auto c = std::make_unique<Candidate>(s, weights_);
     if (cfg.kernel) c->engine.set_kernel(*cfg.kernel);
     c->states.resize(units);
-    if (geometry_.is_wide())
-      c->enc = std::make_unique<engine::StreamEncoder>(
-          c->engine, geometry_.wide_bus(), stream_opt_,
-          std::span<dbi::BusState>(c->states));
-    else
-      c->enc = std::make_unique<engine::StreamEncoder>(
-          c->engine, geometry_.bus(), stream_opt_,
-          std::span<dbi::BusState>(c->states));
+    c->enc = std::make_unique<engine::StreamEncoder>(
+        c->engine, geometry_, stream_opt_,
+        std::span<dbi::BusState>(c->states));
     c->enc->reset();  // all-ones boundary into the caller-owned states
     if (obs_) {
       const std::string label =
@@ -203,11 +197,7 @@ double ChunkSelector::block_cost(Candidate& c,
       mask_words_.resize(results.size());
       for (std::size_t i = 0; i < results.size(); ++i)
         mask_words_[i] = results[i].invert_mask;
-      if (geometry_.is_wide())
-        decoder_.apply_packed_wide(wire_, mask_words_, geometry_.wide_bus(),
-                                   wire_);
-      else
-        decoder_.apply_packed(wire_, mask_words_, geometry_.bus(), wire_);
+      decoder_.apply(wire_, mask_words_, geometry_, wire_);
       rle_scratch_.clear();
       trace::rle_compress(wire_, rle_scratch_);
       double bytes = static_cast<double>(rle_scratch_.size());

@@ -407,12 +407,8 @@ std::unique_ptr<Server::Tenant> Server::make_tenant(
   sopt.reset_state_per_burst = h.reset_state_per_burst;
   sopt.pool = pool_.get();
   sopt.obs = obs_.get();
-  if (h.geometry.is_wide())
-    t->stream = std::make_unique<engine::StreamEncoder>(
-        *t->encoder, h.geometry.wide_bus(), sopt);
-  else
-    t->stream = std::make_unique<engine::StreamEncoder>(
-        *t->encoder, h.geometry.bus(), sopt);
+  t->stream =
+      std::make_unique<engine::StreamEncoder>(*t->encoder, h.geometry, sopt);
 
   obs::Registry& r = obs_->registry();
   const std::string tl = label("tenant", t->name);
@@ -712,12 +708,7 @@ void Server::process_encode_run(Tenant& tenant, std::span<Request> run,
     if ((rq.flags & EncodeRequest::kWantTx) != 0) {
       ack.tx.resize(rq.data.size());
       try {
-        if (tenant.geometry.is_wide())
-          tenant.decoder.apply_packed_wide(rq.data, ack.masks,
-                                           tenant.geometry.wide_bus(), ack.tx);
-        else
-          tenant.decoder.apply_packed(rq.data, ack.masks,
-                                      tenant.geometry.bus(), ack.tx);
+        tenant.decoder.apply(rq.data, ack.masks, tenant.geometry, ack.tx);
       } catch (const std::exception& e) {
         respond(tenant, rq, make_error(rq.seq, StatusCode::kInternal,
                                        e.what()));
@@ -737,13 +728,8 @@ void Server::process_encode_run(Tenant& tenant, std::span<Request> run,
 void Server::process_decode(Tenant& tenant, Request& rq) {
   tenant.rx_scratch.resize(rq.data.size());
   try {
-    if (tenant.geometry.is_wide())
-      tenant.decoder.decode_packed_wide(rq.data, rq.masks,
-                                        tenant.geometry.wide_bus(),
-                                        tenant.rx_scratch);
-    else
-      tenant.decoder.decode_packed(rq.data, rq.masks, tenant.geometry.bus(),
-                                   tenant.rx_scratch);
+    tenant.decoder.decode(rq.data, rq.masks, tenant.geometry,
+                          tenant.rx_scratch);
   } catch (const std::exception& e) {
     respond(tenant, rq, make_error(rq.seq, StatusCode::kInternal, e.what()));
     return;
@@ -774,25 +760,13 @@ void Server::process_verify(Tenant& tenant, Request& rq) {
     }
     tenant.tx_scratch.resize(rq.data.size());
     tenant.rx_scratch.resize(rq.data.size());
-    if (tenant.geometry.is_wide()) {
-      tenant.decoder.apply_packed_wide(rq.data, tenant.mask_scratch,
-                                       tenant.geometry.wide_bus(),
-                                       tenant.tx_scratch);
-    } else {
-      tenant.decoder.apply_packed(rq.data, tenant.mask_scratch,
-                                  tenant.geometry.bus(), tenant.tx_scratch);
-    }
+    tenant.decoder.apply(rq.data, tenant.mask_scratch, tenant.geometry,
+                         tenant.tx_scratch);
     if (options_.fault_injector)
       options_.fault_injector(tenant.name, tenant.next_burst,
                               tenant.tx_scratch, tenant.mask_scratch);
-    if (tenant.geometry.is_wide()) {
-      tenant.decoder.decode_packed_wide(tenant.tx_scratch, tenant.mask_scratch,
-                                        tenant.geometry.wide_bus(),
-                                        tenant.rx_scratch);
-    } else {
-      tenant.decoder.decode_packed(tenant.tx_scratch, tenant.mask_scratch,
-                                   tenant.geometry.bus(), tenant.rx_scratch);
-    }
+    tenant.decoder.decode(tenant.tx_scratch, tenant.mask_scratch,
+                          tenant.geometry, tenant.rx_scratch);
   } catch (const std::exception& e) {
     respond(tenant, rq, make_error(rq.seq, StatusCode::kInternal, e.what()));
     return;

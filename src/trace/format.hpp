@@ -19,7 +19,11 @@
 //                                  v2 layout, reserved-zero there; >= 1:
 //                                  wide trace of ceil(width / 8) byte
 //                                  groups, one DBI line each, and the
-//                                  value must equal that group count)
+//                                  value must equal that group count.
+//                                  A one-group wide trace (width <= 8,
+//                                  value 1) has the single-group
+//                                  payload layout but reads back as a
+//                                  wide geometry)
 //     17  u8     enc_scheme       (encoded traces: 1 + Scheme enum value
 //                                  of the encoder that produced the
 //                                  masks; 0 = not recorded / not encoded)
@@ -93,6 +97,7 @@
 #include <string_view>
 #include <vector>
 
+#include "api/geometry.hpp"
 #include "core/types.hpp"
 
 namespace dbi::engine {
@@ -222,10 +227,9 @@ void unpack_burst(const std::uint8_t* in, const dbi::BusConfig& cfg,
 // --------------------------------------------------------------- headers
 
 struct TraceHeader {
-  /// Geometry. For single-group traces (groups <= 1) this is the full
-  /// story; for wide traces cfg.width is the TOTAL bus width (may
-  /// exceed BusConfig's 32-lane ceiling) and only wide_config() views
-  /// are meaningful.
+  /// Width and burst length as stored. For multi-group traces
+  /// cfg.width is the TOTAL bus width (may exceed BusConfig's 32-lane
+  /// ceiling), so read the bus shape through geometry().
   dbi::BusConfig cfg;
   std::uint8_t groups = 0;  ///< header byte 16; 0 = single-group file
   std::uint16_t flags = 0;
@@ -242,7 +246,17 @@ struct TraceHeader {
   /// for mixed-scheme traces).
   std::uint8_t version = kFormatVersion;
 
-  /// True when the payload is the multi-group beat-major wide layout.
+  /// The file's bus shape: wide whenever byte 16 is nonzero, narrow
+  /// otherwise. A one-group wide file (Geometry::wide(8), byte 16 = 1)
+  /// reads back wide although its payload layout is the single-group
+  /// one.
+  [[nodiscard]] dbi::Geometry geometry() const {
+    return groups != 0 ? dbi::Geometry::wide(cfg.width, cfg.burst_length)
+                       : dbi::Geometry::narrow(cfg.width, cfg.burst_length);
+  }
+
+  /// True when the payload is the multi-group beat-major wide layout
+  /// (two or more DBI groups).
   [[nodiscard]] bool wide() const { return groups > 1; }
 
   /// True when payload chunks carry the transmitted stream and each is
@@ -262,11 +276,11 @@ struct TraceHeader {
   }
 
   /// DBI groups per burst (mask words per burst in encoded traces).
-  [[nodiscard]] int group_count() const { return wide() ? groups : 1; }
+  [[nodiscard]] int group_count() const { return geometry().groups(); }
 
   /// On-disk payload size of one burst, either layout.
   [[nodiscard]] int bytes_per_burst() const {
-    return wide() ? wide_config().bytes_per_burst() : cfg.bytes_per_burst();
+    return geometry().bytes_per_burst();
   }
 };
 

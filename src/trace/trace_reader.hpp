@@ -99,11 +99,15 @@ class TraceReader {
   [[nodiscard]] static TraceReader from_bytes(std::vector<std::uint8_t> image,
                                               bool verify_crc = true);
 
-  /// Single-group geometry; for wide traces only width / burst_length
-  /// are meaningful (see header().wide_config()).
+  /// The file's bus shape (TraceHeader::geometry(): wide whenever
+  /// header byte 16 is nonzero). Code outside the trace layer reads
+  /// this; config() / wide() describe the on-disk layout.
+  [[nodiscard]] dbi::Geometry geometry() const { return header_.geometry(); }
+  /// Width and burst length as stored; for multi-group traces only
+  /// those two fields are meaningful (see header().wide_config()).
   [[nodiscard]] const dbi::BusConfig& config() const { return header_.cfg; }
-  /// True when this is a wide multi-group trace (one DBI per byte
-  /// group, beat-major payload).
+  /// True when the payload is the multi-group layout (two or more DBI
+  /// groups, one byte per group per beat).
   [[nodiscard]] bool wide() const { return header_.wide(); }
   /// True when the payload chunks hold the transmitted (post-DBI)
   /// stream and every chunk carries a mask stream (chunk_masks()).

@@ -42,15 +42,15 @@ void TraceWriterOptions::validate() const {
         "TraceWriterOptions: enc_policy must be 0 (threaded) or 1 (reset)");
 }
 
-TraceWriter::TraceWriter(std::ostream& os, const dbi::BusConfig& cfg,
+TraceWriter::TraceWriter(std::ostream& os, const dbi::Geometry& geometry,
                          const TraceWriterOptions& opt)
-    : cfg_(cfg), opt_(opt), os_(&os) {
+    : geometry_(geometry), opt_(opt), os_(&os) {
   init();
 }
 
-TraceWriter::TraceWriter(const std::string& path, const dbi::BusConfig& cfg,
+TraceWriter::TraceWriter(const std::string& path, const dbi::Geometry& geometry,
                          const TraceWriterOptions& opt)
-    : cfg_(cfg),
+    : geometry_(geometry),
       opt_(opt),
       owned_os_(std::make_unique<std::ofstream>(
           path, std::ios::binary | std::ios::trunc)),
@@ -58,44 +58,10 @@ TraceWriter::TraceWriter(const std::string& path, const dbi::BusConfig& cfg,
   if (!*owned_os_)
     throw TraceError("TraceWriter: cannot open " + path + " for writing");
   init();
-}
-
-TraceWriter::TraceWriter(std::ostream& os, const dbi::WideBusConfig& wide,
-                         const TraceWriterOptions& opt)
-    : cfg_{wide.width, wide.burst_length},
-      wcfg_(wide),
-      wide_mode_(true),
-      opt_(opt),
-      os_(&os) {
-  init();
-}
-
-TraceWriter::TraceWriter(const std::string& path,
-                         const dbi::WideBusConfig& wide,
-                         const TraceWriterOptions& opt)
-    : cfg_{wide.width, wide.burst_length},
-      wcfg_(wide),
-      wide_mode_(true),
-      opt_(opt),
-      owned_os_(std::make_unique<std::ofstream>(
-          path, std::ios::binary | std::ios::trunc)),
-      os_(owned_os_.get()) {
-  if (!*owned_os_)
-    throw TraceError("TraceWriter: cannot open " + path + " for writing");
-  init();
-}
-
-std::size_t TraceWriter::bytes_per_burst() const {
-  return static_cast<std::size_t>(wide_mode_ ? wcfg_.bytes_per_burst()
-                                             : cfg_.bytes_per_burst());
 }
 
 void TraceWriter::init() {
-  if (wide_mode_) {
-    wcfg_.validate();
-  } else {
-    cfg_.validate();
-  }
+  geometry_.validate();
   opt_.validate();
   // The chunk header stores the payload size as a u32; compression only
   // ever shrinks a kept payload, so bounding the raw chunk bounds both.
@@ -103,7 +69,7 @@ void TraceWriter::init() {
       static_cast<std::uint64_t>(opt_.bursts_per_chunk) *
       std::max<std::uint64_t>(
           static_cast<std::uint64_t>(bytes_per_burst()),
-          opt_.encoded ? static_cast<std::uint64_t>(group_count()) *
+          opt_.encoded ? static_cast<std::uint64_t>(geometry_.groups()) *
                              kMaskBytesPerBurst
                        : 0);
   if (max_chunk_bytes > 0xFFFFFFFFULL)
@@ -120,17 +86,18 @@ void TraceWriter::init() {
   header.push_back(opt_.per_chunk_schemes ? kFormatVersionMixed
                                           : kFormatVersion);
   header.push_back(kLittleEndianTag);
-  put_le(header, static_cast<std::uint64_t>(cfg_.width), 2);
-  put_le(header, static_cast<std::uint64_t>(cfg_.burst_length), 2);
+  put_le(header, static_cast<std::uint64_t>(geometry_.width()), 2);
+  put_le(header, static_cast<std::uint64_t>(geometry_.burst_length()), 2);
   put_le(header,
          (opt_.compress ? kFileFlagCompressed : 0) |
              (opt_.encoded ? kFileFlagEncoded : 0),
          2);
   put_le(header, opt_.bursts_per_chunk, 4);
-  // Byte 16: DBI group count; single-group files keep the legacy
-  // reserved zero, so they stay byte-identical to pre-wide writers.
-  header.push_back(wide_mode_
-                       ? static_cast<std::uint8_t>(wcfg_.groups())
+  // Byte 16: DBI group count of a wide geometry (1 for a one-group
+  // one); narrow files keep the legacy reserved zero, so they stay
+  // byte-identical to pre-wide writers.
+  header.push_back(geometry_.is_wide()
+                       ? static_cast<std::uint8_t>(geometry_.groups())
                        : std::uint8_t{0});
   // Bytes 17..20: encode metadata (zero for plain payload traces, so
   // those stay byte-identical to pre-encoded writers). Mixed traces
@@ -176,15 +143,16 @@ void TraceWriter::write(const dbi::Burst& burst) {
   write_words(burst.words());
 }
 
-void TraceWriter::account_packed_wide(std::span<const std::uint8_t> burst) {
+void TraceWriter::account_packed_wide(std::span<const std::uint8_t> burst,
+                                      const dbi::WideBusConfig& wcfg) {
   stats_.bursts += 1;
-  stats_.payload_bits += wcfg_.width * wcfg_.burst_length;
-  const int groups = wcfg_.groups();
+  stats_.payload_bits += wcfg.width * wcfg.burst_length;
+  const int groups = wcfg.groups();
   for (int g = 0; g < groups; ++g) {
-    const int gw = wcfg_.group_width(g);
-    const std::uint32_t gmask = wcfg_.group_mask(g);
+    const int gw = wcfg.group_width(g);
+    const std::uint32_t gmask = wcfg.group_mask(g);
     std::uint32_t last = gmask;  // the paper's all-ones boundary
-    for (int t = 0; t < wcfg_.burst_length; ++t) {
+    for (int t = 0; t < wcfg.burst_length; ++t) {
       const std::uint32_t b =
           burst[static_cast<std::size_t>(t * groups + g)];
       stats_.payload_zeros += gw - std::popcount(b);
@@ -214,14 +182,14 @@ void TraceWriter::write_encoded(std::span<const std::uint8_t> bytes,
         std::to_string(bytes.size()) + " bytes is not a multiple of the " +
         std::to_string(bb) + "-byte packed burst");
   const std::size_t bursts = bytes.size() / bb;
-  const auto groups = static_cast<std::size_t>(group_count());
+  const auto groups = static_cast<std::size_t>(geometry_.groups());
   if (masks.size() != bursts * groups)
     throw std::invalid_argument(
         "TraceWriter::write_encoded: " + std::to_string(bursts) +
         " bursts of " + std::to_string(groups) + " DBI groups need " +
         std::to_string(bursts * groups) + " masks, got " +
         std::to_string(masks.size()));
-  const int bl = wide_mode_ ? wcfg_.burst_length : cfg_.burst_length;
+  const int bl = geometry_.burst_length();
   if (bl < 64) {
     for (std::size_t i = 0; i < masks.size(); ++i)
       if ((masks[i] >> bl) != 0)
@@ -260,17 +228,18 @@ void TraceWriter::append_packed(std::span<const std::uint8_t> bytes,
         std::to_string(bb) + "-byte packed burst");
   std::vector<dbi::Word> words(
       static_cast<std::size_t>(cfg_.burst_length));
+  const int groups = geometry_.groups();
   for (std::size_t i = 0; i * bb < bytes.size(); ++i) {
     const auto burst = bytes.subspan(i * bb, bb);
-    if (wide_mode_) {
+    if (groups > 1) {
       // Full byte groups accept any value; remainder-group bytes must
       // fit their narrower mask.
-      const int groups = wcfg_.groups();
-      const int gw_last = wcfg_.group_width(groups - 1);
+      const dbi::WideBusConfig wcfg = geometry_.wide_bus();
+      const int gw_last = wcfg.group_width(groups - 1);
       if (gw_last < 8) {
         const auto gmask =
-            static_cast<std::uint8_t>(wcfg_.group_mask(groups - 1));
-        for (int t = 0; t < wcfg_.burst_length; ++t) {
+            static_cast<std::uint8_t>(wcfg.group_mask(groups - 1));
+        for (int t = 0; t < wcfg.burst_length; ++t) {
           const std::uint8_t b =
               burst[static_cast<std::size_t>(t * groups + groups - 1)];
           if ((b & ~gmask) != 0)
@@ -280,7 +249,7 @@ void TraceWriter::append_packed(std::span<const std::uint8_t> bytes,
                 "width-" + std::to_string(gw_last) + " remainder group");
         }
       }
-      account_packed_wide(burst);
+      account_packed_wide(burst, wcfg);
     } else {
       // Unpack validates each beat against the single-group mask.
       try {
@@ -293,9 +262,9 @@ void TraceWriter::append_packed(std::span<const std::uint8_t> bytes,
     }
     pending_.insert(pending_.end(), burst.begin(), burst.end());
     if (masks) {
-      const auto groups = static_cast<std::size_t>(group_count());
-      for (std::size_t g = 0; g < groups; ++g)
-        put_le(pending_masks_, masks[i * groups + g],
+      const auto g_count = static_cast<std::size_t>(groups);
+      for (std::size_t g = 0; g < g_count; ++g)
+        put_le(pending_masks_, masks[i * g_count + g],
                static_cast<int>(kMaskBytesPerBurst));
     }
     if (++pending_bursts_ == opt_.bursts_per_chunk) flush_chunk();
@@ -308,9 +277,9 @@ void TraceWriter::write_words(std::span<const dbi::Word> words) {
     throw std::invalid_argument(
         "TraceWriter: encoded traces take write_encoded(bytes, masks), "
         "not Burst words");
-  if (wide_mode_)
+  if (geometry_.groups() > 1)
     throw std::invalid_argument(
-        "TraceWriter: wide traces take write_packed(), not Burst words");
+        "TraceWriter: multi-group traces take write_packed(), not Burst words");
   const auto bl = static_cast<std::size_t>(cfg_.burst_length);
   if (words.size() % bl != 0)
     throw std::invalid_argument(

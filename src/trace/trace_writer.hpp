@@ -52,21 +52,27 @@ struct TraceWriterOptions {
 
 class TraceWriter {
  public:
-  /// Writes to a caller-owned stream (must outlive the writer).
-  TraceWriter(std::ostream& os, const dbi::BusConfig& cfg,
+  /// Writes a trace of bus shape `geometry` to a caller-owned stream
+  /// (must outlive the writer). Header byte 16 records the shape: 0
+  /// for a narrow geometry, the group count for a wide one — so a
+  /// one-group wide geometry (Geometry::wide(8)) stamps 1 and reads
+  /// back wide. Multi-group geometries (two or more DBI groups) take
+  /// the beat-major wide layout and are appended with write_packed();
+  /// the Burst-based write paths apply only to single-group shapes.
+  TraceWriter(std::ostream& os, const dbi::Geometry& geometry,
               const TraceWriterOptions& opt = {});
 
   /// Opens `path` for binary writing; throws TraceError on failure.
-  TraceWriter(const std::string& path, const dbi::BusConfig& cfg,
+  TraceWriter(const std::string& path, const dbi::Geometry& geometry,
               const TraceWriterOptions& opt = {});
 
-  /// Wide multi-group trace (one DBI line per byte group, beat-major
-  /// packed payload). Bursts are appended with write_packed(); the
-  /// Burst-based write paths do not apply to wide geometry and throw.
-  TraceWriter(std::ostream& os, const dbi::WideBusConfig& wide,
-              const TraceWriterOptions& opt = {});
-  TraceWriter(const std::string& path, const dbi::WideBusConfig& wide,
-              const TraceWriterOptions& opt = {});
+  /// Narrow single-group trace: Geometry::of(cfg).
+  TraceWriter(std::ostream& os, const dbi::BusConfig& cfg,
+              const TraceWriterOptions& opt = {})
+      : TraceWriter(os, dbi::Geometry::of(cfg), opt) {}
+  TraceWriter(const std::string& path, const dbi::BusConfig& cfg,
+              const TraceWriterOptions& opt = {})
+      : TraceWriter(path, dbi::Geometry::of(cfg), opt) {}
 
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
@@ -75,10 +81,7 @@ class TraceWriter {
   /// see them.
   ~TraceWriter();
 
-  [[nodiscard]] const dbi::BusConfig& config() const { return cfg_; }
-  [[nodiscard]] bool wide() const { return wide_mode_; }
-  /// Only meaningful in wide mode.
-  [[nodiscard]] const dbi::WideBusConfig& wide_config() const { return wcfg_; }
+  [[nodiscard]] const dbi::Geometry& geometry() const { return geometry_; }
 
   void write(const dbi::Burst& burst);
 
@@ -128,17 +131,17 @@ class TraceWriter {
   void emit_chunk(std::uint32_t bursts, std::uint32_t kind_flags,
                   std::span<const std::uint8_t> raw);
   void account(std::span<const dbi::Word> words);
-  void account_packed_wide(std::span<const std::uint8_t> burst);
+  void account_packed_wide(std::span<const std::uint8_t> burst,
+                           const dbi::WideBusConfig& wcfg);
   void append_packed(std::span<const std::uint8_t> bytes,
                      const std::uint64_t* masks);
-  [[nodiscard]] std::size_t bytes_per_burst() const;
-  [[nodiscard]] int group_count() const {
-    return wide_mode_ ? wcfg_.groups() : 1;
+  [[nodiscard]] std::size_t bytes_per_burst() const {
+    return static_cast<std::size_t>(geometry_.bytes_per_burst());
   }
 
-  dbi::BusConfig cfg_;
-  dbi::WideBusConfig wcfg_{};
-  bool wide_mode_ = false;
+  dbi::Geometry geometry_;
+  /// Group 0's config: the whole bus of a single-group trace.
+  dbi::BusConfig cfg_ = geometry_.group_config(0);
   TraceWriterOptions opt_;
   std::unique_ptr<std::ofstream> owned_os_;
   std::ostream* os_;

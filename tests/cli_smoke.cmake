@@ -75,6 +75,22 @@ run_dbitool(0 record --corpus framebuffer --width 64 --bursts 500 --seed 9
             --encode acdc --reset -o wenc.dbt)
 run_dbitool(0 verify wenc.dbt --workers 2)
 run_dbitool(0 decode wenc.dbt -o wdec.dbt --workers 2)
+# One-group wide round trip: --wide --width 8 is one DBI group, and the
+# file keeps that geometry through record --encode -> decode (header
+# byte 16 = 1, so inspect reports it wide).
+run_dbitool(0 record --corpus mixed --wide --width 8 --bursts 600 --seed 4
+            --encode ac -o w8enc.dbt)
+run_dbitool(0 verify w8enc.dbt)
+run_dbitool(0 decode w8enc.dbt -o w8dec.dbt)
+execute_process(
+  COMMAND ${DBITOOL} inspect w8dec.dbt --json
+  WORKING_DIRECTORY "${WORK_DIR}"
+  RESULT_VARIABLE w8_inspect_rc
+  OUTPUT_VARIABLE w8_inspect_json)
+if(NOT w8_inspect_rc EQUAL 0 OR NOT w8_inspect_json MATCHES "\"wide\": true")
+  message(FATAL_ERROR
+          "decode lost the one-group wide geometry:\n${w8_inspect_json}")
+endif()
 run_dbitool(1 decode t.dbt -o nope.dbt)    # plain traces have no masks
 run_dbitool(1 replay enc.dbt)              # encoded traces don't re-encode
 run_dbitool(1 convert enc.dbt enc.txt)     # ... and don't convert to text

@@ -120,7 +120,7 @@ TEST(Corpus, WideRecordingsReplayForEveryScenario) {
         static_cast<std::size_t>(cfg.bytes_per_burst()) * 96);
     fill_wide_corpus(s.name, cfg, 5, bytes);
     std::ostringstream os(std::ios::binary);
-    trace::TraceWriter writer(os, cfg);
+    trace::TraceWriter writer(os, Geometry::of(cfg));
     writer.write_packed(bytes);
     writer.finish();
     const std::string image = os.str();

@@ -115,13 +115,13 @@ TEST(BatchDecoder, MatchesScalarReceivePathEverySchemeNarrow) {
 
       const engine::BatchDecoder decoder;
       std::vector<std::uint8_t> out(tx.size());
-      decoder.decode_packed(tx, masks, cfg, out);
+      decoder.decode(tx, masks, Geometry::of(cfg), out);
       EXPECT_EQ(out, payload) << scheme_name(scheme) << " x" << cfg.width
                               << " BL" << cfg.burst_length;
 
       // In-place decode over the transmitted buffer itself.
       std::vector<std::uint8_t> in_place = tx;
-      decoder.decode_packed(in_place, masks, cfg, in_place);
+      decoder.decode(in_place, masks, Geometry::of(cfg), in_place);
       EXPECT_EQ(in_place, payload);
       }
     }
@@ -130,7 +130,8 @@ TEST(BatchDecoder, MatchesScalarReceivePathEverySchemeNarrow) {
 
 TEST(BatchDecoder, MatchesPerGroupScalarReceivePathWide) {
   for (const Scheme scheme : kFastSchemes) {
-    for (const int width : {16, 64, 12, 20}) {
+    // 8 and 5 are one-group wide buses: the single-group route.
+    for (const int width : {16, 64, 12, 20, 8, 5}) {
       const Geometry g = Geometry::wide(width);
       const WideBusConfig cfg = g.wide_bus();
       const int groups = cfg.groups();
@@ -164,51 +165,61 @@ TEST(BatchDecoder, MatchesPerGroupScalarReceivePathWide) {
 
       const engine::BatchDecoder decoder;
       std::vector<std::uint8_t> out(tx.size());
-      decoder.decode_packed_wide(tx, masks, cfg, out);
+      decoder.decode(tx, masks, g, out);
       EXPECT_EQ(out, payload) << scheme_name(scheme) << " wide x" << width;
 
       // In-place decode over the transmitted buffer itself.
       std::vector<std::uint8_t> in_place = tx;
-      decoder.decode_packed_wide(in_place, masks, cfg, in_place);
+      decoder.decode(in_place, masks, g, in_place);
       EXPECT_EQ(in_place, payload);
     }
   }
 }
 
 TEST(BatchDecoder, RejectsMalformedInput) {
+  // The same four malformed inputs on every route: a single-group bus,
+  // a multi-group bus with a remainder group, and the x64 fast path.
+  // Every shape takes bursts x groups() masks.
   const engine::BatchDecoder decoder;
-  const BusConfig cfg{8, 8};
-  std::vector<std::uint8_t> tx(16);
-  std::vector<std::uint64_t> masks(2);
-  std::vector<std::uint8_t> out(16);
+  for (const Geometry g :
+       {Geometry::narrow(8), Geometry::wide(12), Geometry::wide(64)}) {
+    SCOPED_TRACE(g.to_string());
+    const auto bb = static_cast<std::size_t>(g.bytes_per_burst());
+    const auto groups = static_cast<std::size_t>(g.groups());
+    std::vector<std::uint8_t> tx(2 * bb);
+    std::vector<std::uint64_t> masks(2 * groups);
+    std::vector<std::uint8_t> out(tx.size());
+    EXPECT_NO_THROW(decoder.decode(tx, masks, g, out));
 
-  std::vector<std::uint8_t> short_out(8);
-  EXPECT_THROW(decoder.decode_packed(tx, masks, cfg, short_out),
-               std::invalid_argument);
-  std::vector<std::uint64_t> short_masks(1);
-  EXPECT_THROW(decoder.decode_packed(tx, short_masks, cfg, out),
-               std::invalid_argument);
-  std::vector<std::uint8_t> ragged(13);
-  EXPECT_THROW(decoder.decode_packed(ragged, masks, cfg, out),
-               std::invalid_argument);
-  // Mask bits beyond burst_length.
-  std::vector<std::uint64_t> tail = {0, std::uint64_t{1} << 8};
-  EXPECT_THROW(decoder.decode_packed(tx, tail, cfg, out),
-               std::invalid_argument);
+    std::vector<std::uint8_t> short_out(bb);
+    EXPECT_THROW(decoder.decode(tx, masks, g, short_out),
+                 std::invalid_argument);
+    std::vector<std::uint64_t> short_masks(2 * groups - 1);
+    EXPECT_THROW(decoder.decode(tx, short_masks, g, out),
+                 std::invalid_argument);
+    std::vector<std::uint8_t> ragged(2 * bb - 3);
+    std::vector<std::uint8_t> ragged_out(ragged.size());
+    EXPECT_THROW(decoder.decode(ragged, masks, g, ragged_out),
+                 std::invalid_argument);
+    // Mask bits beyond burst_length, in the last group of the last burst.
+    std::vector<std::uint64_t> tail = masks;
+    tail.back() = std::uint64_t{1} << g.burst_length();
+    EXPECT_THROW(decoder.decode(tx, tail, g, out), std::invalid_argument);
+  }
   // Transmitted beat outside a narrow bus.
-  const BusConfig narrow{5, 8};
   std::vector<std::uint8_t> bad_tx(8, 0xFF);
   std::vector<std::uint64_t> one_mask(1);
   std::vector<std::uint8_t> narrow_out(8);
-  EXPECT_THROW(decoder.decode_packed(bad_tx, one_mask, narrow, narrow_out),
-               std::invalid_argument);
+  EXPECT_THROW(
+      decoder.decode(bad_tx, one_mask, Geometry::narrow(5), narrow_out),
+      std::invalid_argument);
   // Remainder-group byte outside its mask.
-  const WideBusConfig w12{12, 8};
+  const Geometry w12 = Geometry::wide(12);
   std::vector<std::uint8_t> w12_tx(
       static_cast<std::size_t>(w12.bytes_per_burst()), 0xFF);
   std::vector<std::uint64_t> w12_masks(2);
   std::vector<std::uint8_t> w12_out(w12_tx.size());
-  EXPECT_THROW(decoder.decode_packed_wide(w12_tx, w12_masks, w12, w12_out),
+  EXPECT_THROW(decoder.decode(w12_tx, w12_masks, w12, w12_out),
                std::invalid_argument);
 }
 
@@ -390,10 +401,7 @@ std::vector<std::uint8_t> record_encoded(const Geometry& g, Scheme scheme,
   wopt.enc_scheme = scheme_to_tag(scheme);
   wopt.enc_lanes = static_cast<std::uint16_t>(lanes);
   wopt.enc_policy = 0;
-  auto writer =
-      g.is_wide()
-          ? std::make_unique<trace::TraceWriter>(os, g.wide_bus(), wopt)
-          : std::make_unique<trace::TraceWriter>(os, g.bus(), wopt);
+  auto writer = std::make_unique<trace::TraceWriter>(os, g, wopt);
 
   SessionSpec spec;
   spec.policy = scheme;
@@ -452,7 +460,7 @@ TEST(SessionDecode, RecoversPayloadFromEncodedPackedSource) {
     masks[static_cast<std::size_t>(i)] =
         results[static_cast<std::size_t>(i)].invert_mask;
   std::vector<std::uint8_t> tx(payload.size());
-  engine::BatchDecoder().apply_packed(payload, masks, cfg, tx);
+  engine::BatchDecoder().apply(payload, masks, Geometry::of(cfg), tx);
 
   SessionSpec spec;
   spec.direction = Direction::kDecode;
@@ -579,7 +587,7 @@ TEST(VerifyEncodedTrace, RequiresSchemeWhenHeaderHasNone) {
     masks[static_cast<std::size_t>(i)] =
         results[static_cast<std::size_t>(i)].invert_mask;
   std::vector<std::uint8_t> tx(payload.size());
-  engine::BatchDecoder().apply_packed(payload, masks, g.bus(), tx);
+  engine::BatchDecoder().apply(payload, masks, Geometry::of(g.bus()), tx);
   writer.write_encoded(tx, masks);
   writer.finish();
   const std::string s = os.str();

@@ -48,7 +48,7 @@ std::vector<std::uint8_t> encoded_image(const Config& cfg,
                                         TraceWriterOptions opt = {}) {
   opt.encoded = true;
   std::ostringstream os(std::ios::binary);
-  TraceWriter writer(os, cfg, opt);
+  TraceWriter writer(os, Geometry::of(cfg), opt);
   writer.write_encoded(tx, masks);
   writer.finish();
   const std::string s = os.str();

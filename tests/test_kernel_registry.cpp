@@ -314,16 +314,16 @@ TEST(KernelParity, NarrowDecodeAllVariantsMatchesPortableAndRoundTrips) {
 
       // Materialise the wire stream, then decode it with both kernels.
       std::vector<std::uint8_t> tx(payload.size());
-      ref.apply_packed(payload, masks, cfg, tx);
+      ref.apply(payload, masks, Geometry::of(cfg), tx);
       std::vector<std::uint8_t> want(tx.size()), got(tx.size());
-      ref.decode_packed(tx, masks, cfg, want);
-      dut.decode_packed(tx, masks, cfg, got);
+      ref.decode(tx, masks, Geometry::of(cfg), want);
+      dut.decode(tx, masks, Geometry::of(cfg), got);
       ASSERT_EQ(got, want) << v->name() << " width " << cfg.width << " bl "
                            << cfg.burst_length;
       ASSERT_EQ(got, payload) << v->name() << " round trip";
 
       // In-place decode (out aliases tx exactly).
-      dut.decode_packed(tx, masks, cfg, tx);
+      dut.decode(tx, masks, Geometry::of(cfg), tx);
       ASSERT_EQ(tx, payload) << v->name() << " in-place";
     }
 }
@@ -360,10 +360,10 @@ TEST(KernelParity, WideDecodeAllVariantsMatchesPortableAndRoundTrips) {
       for (const auto& r : results) masks.push_back(r.invert_mask);
 
       std::vector<std::uint8_t> tx(payload.size());
-      ref.apply_packed_wide(payload, masks, cfg, tx);
+      ref.apply(payload, masks, Geometry::of(cfg), tx);
       std::vector<std::uint8_t> want(tx.size()), got(tx.size());
-      ref.decode_packed_wide(tx, masks, cfg, want);
-      dut.decode_packed_wide(tx, masks, cfg, got);
+      ref.decode(tx, masks, Geometry::of(cfg), want);
+      dut.decode(tx, masks, Geometry::of(cfg), got);
       ASSERT_EQ(got, want) << v->name() << " width " << cfg.width;
       ASSERT_EQ(got, payload) << v->name() << " round trip width "
                               << cfg.width;
@@ -463,7 +463,7 @@ TEST(KernelParity, PooledWideEncodeIsDeterministicPerVariant) {
       engine::StreamEncodeOptions so;
       so.lanes = kLanes;
       so.pool = p;
-      engine::StreamEncoder stream(enc, cfg, so);
+      engine::StreamEncoder stream(enc, Geometry::of(cfg), so);
       const auto r = stream.encode_chunk(0, bytes, bursts, true);
       return std::make_tuple(
           std::vector<engine::BurstResult>(r.begin(), r.end()),
@@ -535,6 +535,25 @@ TEST(KernelSession, ReportCoversTrellisAndPlanarPaths) {
   const Session planar(spec);
   EXPECT_EQ(planar.report().kernel.planar_encode, "swar");
   EXPECT_EQ(planar.report().kernel.fixed_encode, "n/a");
+}
+
+TEST(KernelSession, OneGroupWideDecodeRoutesLikeNarrow) {
+  // Geometry::wide(8) is one DBI group, the narrow x8 bus: it decodes
+  // on the single-group path, and the report names that path's kernel.
+  for (const KernelVariant* v : usable_variants()) {
+    SessionSpec spec;
+    spec.policy = Scheme::kAcDc;
+    spec.kernel = std::string(v->name());
+    spec.geometry = Geometry::narrow(8, 8);
+    const Session narrow(spec);
+    spec.geometry = Geometry::wide(8, 8);
+    const Session wide(spec);
+    EXPECT_EQ(wide.report().kernel.decode, narrow.report().kernel.decode)
+        << v->name();
+    EXPECT_EQ(wide.report().kernel.decode,
+              v->supports_decode8(BusConfig{8, 8}) ? v->name() : "swar")
+        << v->name();
+  }
 }
 
 TEST(KernelSession, TrellisDispatchesCountedPerChunk) {

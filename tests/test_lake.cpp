@@ -20,7 +20,6 @@
 #include "engine/shard_pool.hpp"
 #include "lake/lake.hpp"
 #include "lake/lake_replay.hpp"
-#include "lake/lake_source.hpp"
 #include "lake/sweep.hpp"
 #include "obs/observer.hpp"
 #include "trace/format.hpp"
@@ -59,11 +58,7 @@ void record_trace(const std::string& path, const Geometry& g,
                   std::uint32_t bursts_per_chunk = 64) {
   trace::TraceWriterOptions wopt;
   wopt.bursts_per_chunk = bursts_per_chunk;
-  std::unique_ptr<trace::TraceWriter> writer;
-  if (g.is_wide())
-    writer = std::make_unique<trace::TraceWriter>(path, g.wide_bus(), wopt);
-  else
-    writer = std::make_unique<trace::TraceWriter>(path, g.bus(), wopt);
+  trace::TraceWriter writer(path, g, wopt);
   const BusConfig gen_cfg =
       g.is_wide() ? BusConfig{8, g.burst_length()} : g.bus();
   auto generator = workload::make_uniform_source(gen_cfg, seed);
@@ -72,7 +67,7 @@ void record_trace(const std::string& path, const Geometry& g,
   spec.policy = SchemePolicy::fixed(Scheme::kRaw);
   spec.geometry = g;
   Session session(spec);
-  const auto sink = dbi::make_trace_sink(*writer);
+  const auto sink = dbi::make_trace_sink(writer);
   (void)session.run(*source, *sink);
 }
 
@@ -115,7 +110,7 @@ TEST(LakeCatalog, RoundTripsEveryMemberField) {
   EXPECT_EQ(b.first_burst, 333);
   const LakeMember& w = reader.members()[2];
   EXPECT_EQ(w.name, "w.dbt");
-  EXPECT_TRUE(w.wide());
+  EXPECT_TRUE(w.geometry().is_wide());
   EXPECT_EQ(w.geometry(), Geometry::wide(32, 8));
   EXPECT_EQ(w.first_burst, 333 + 190);
 
@@ -343,6 +338,55 @@ TEST(LakeReplay, FirstStaleMemberInCatalogOrderIsReported) {
   }
 }
 
+TEST(LakeReplay, OneGroupWideMemberKeepsItsGeometry) {
+  // A trace recorded at Geometry::wide(8) stamps header byte 16 = 1:
+  // its catalog record must name that geometry (not narrow x8), and
+  // replay_lake must replay it — bit-exactly against the same payload
+  // encoded at narrow x8, since a one-group bus is the narrow one.
+  TempLake lake;
+  record_trace(lake.dir + "/n.dbt", Geometry::narrow(8, 8), 300, 3);
+  record_trace(lake.dir + "/w8.dbt", Geometry::wide(8, 8), 300, 3);
+  LakeWriter writer = LakeWriter::create(lake.dir);
+  writer.add("n.dbt");
+  writer.add("w8.dbt");
+  writer.write();
+  const LakeReader reader = LakeReader::open(lake.dir);
+  ASSERT_EQ(reader.members().size(), 2u);
+  EXPECT_EQ(reader.members()[0].geometry(), Geometry::narrow(8, 8));
+  EXPECT_EQ(reader.members()[1].geometry(), Geometry::wide(8, 8));
+
+  SessionSpec spec;
+  spec.policy = SchemePolicy::fixed(Scheme::kAcDc);
+  spec.lanes = 2;
+  MaskMap masks;
+  const LakeReplayResult got = replay_collecting(reader, spec, masks);
+  ASSERT_EQ(got.member_stats.size(), 2u);
+
+  // Reference: member w8's payload encoded at narrow x8.
+  const auto tr = trace::TraceReader::open(reader.member_path(1));
+  EXPECT_EQ(tr.geometry(), Geometry::wide(8, 8));
+  std::vector<std::uint8_t> payload;
+  std::vector<std::uint8_t> scratch;
+  for (std::size_t c = 0; c < tr.chunk_count(); ++c) {
+    const auto bytes = tr.chunk_payload(c, scratch);
+    payload.insert(payload.end(), bytes.begin(), bytes.end());
+  }
+  SessionSpec narrow = spec;
+  narrow.geometry = Geometry::narrow(8, 8);
+  Session session(narrow);
+  std::vector<engine::BurstResult> results;
+  const auto source = dbi::make_packed_source(payload);
+  const auto sink = dbi::make_result_sink(results);
+  const StreamStats ref = session.run(*source, *sink);
+  EXPECT_EQ(got.member_stats[1].bursts, 300);
+  EXPECT_EQ(got.member_stats[1].bursts, ref.bursts);
+  EXPECT_EQ(got.member_stats[1].zeros, ref.zeros);
+  EXPECT_EQ(got.member_stats[1].transitions, ref.transitions);
+  ASSERT_EQ(masks[1].size(), results.size());
+  for (std::size_t i = 0; i < results.size(); ++i)
+    EXPECT_EQ(masks[1][i], results[i].invert_mask) << "burst " << i;
+}
+
 TEST(LakeReplay, ObserverCountsOnePoolRunAndOneRunPerMember) {
   // Members are the pool's shards: one replay_lake call is one pool
   // run of min(workers, members) shards, and every member session
@@ -367,66 +411,6 @@ TEST(LakeReplay, ObserverCountsOnePoolRunAndOneRunPerMember) {
   EXPECT_NE(snap.find("dbi_pool_worker_busy_ns_total", "worker=\"1\""),
             nullptr);
   pool.set_observer(nullptr);
-}
-
-TEST(LakeSource, ConcatenatedSessionMatchesSummedPerFileReplay) {
-  const TempLake lake = build_lake();
-  const LakeReader reader = LakeReader::open(lake.dir);
-  const Geometry g = Geometry::narrow(8, 8);
-
-  for (const int lanes : {1, 3}) {
-    SessionSpec spec;
-    spec.policy = SchemePolicy::fixed(Scheme::kOpt);
-    spec.geometry = g;
-    spec.lanes = lanes;
-
-    // Reference: the two x8 members replayed alone, totals summed and
-    // masks concatenated in catalog order.
-    StreamStats ref;
-    std::vector<std::uint64_t> ref_masks;
-    for (std::size_t k = 0; k < reader.members().size(); ++k) {
-      if (reader.members()[k].geometry() != g) continue;
-      const auto tr = trace::TraceReader::open(reader.member_path(k));
-      Session session(spec);
-      const auto source = dbi::make_trace_source(tr);
-      const auto sink = dbi::make_observer_sink(
-          [&ref_masks](std::int64_t, std::span<const engine::BurstResult> r) {
-            for (const engine::BurstResult& b : r)
-              ref_masks.push_back(b.invert_mask);
-          });
-      ref += session.run(*source, *sink);
-    }
-
-    // Lake source: one Session over the concatenated stream. Member
-    // boundaries reset the bus state, so totals AND masks must be
-    // bit-exact against the per-file replays.
-    Session session(spec);
-    const auto source = make_lake_source(reader);
-    std::vector<std::uint64_t> got_masks;
-    std::int64_t expected_next = 0;
-    const auto sink = dbi::make_observer_sink(
-        [&](std::int64_t first, std::span<const engine::BurstResult> r) {
-          EXPECT_EQ(first, expected_next);  // sink-facing bursts continuous
-          expected_next = first + static_cast<std::int64_t>(r.size());
-          for (const engine::BurstResult& b : r)
-            got_masks.push_back(b.invert_mask);
-        });
-    const StreamStats got = session.run(*source, *sink);
-    EXPECT_EQ(got.bursts, ref.bursts) << "lanes " << lanes;
-    EXPECT_EQ(got.zeros, ref.zeros) << "lanes " << lanes;
-    EXPECT_EQ(got.transitions, ref.transitions) << "lanes " << lanes;
-    EXPECT_EQ(got_masks, ref_masks) << "lanes " << lanes;
-  }
-
-  // No member at the bound geometry: a named, typed error.
-  Session s3([] {
-    SessionSpec sp;
-    sp.policy = SchemePolicy::fixed(Scheme::kAc);
-    sp.geometry = Geometry::narrow(16, 8);
-    return sp;
-  }());
-  const auto src3 = make_lake_source(reader);
-  EXPECT_THROW((void)s3.run(*src3), std::invalid_argument);
 }
 
 TEST(LakeSweep, DeterministicAndResumable) {

@@ -83,8 +83,7 @@ struct ReplaySpec {
 SessionSpec session_spec(const TraceReader& reader, const ReplaySpec& r) {
   SessionSpec spec;
   spec.policy = SchemePolicy::fixed(r.scheme);
-  spec.geometry = reader.wide() ? Geometry::of(reader.header().wide_config())
-                                : Geometry::of(reader.config());
+  spec.geometry = reader.geometry();
   spec.weights = r.weights;
   spec.lanes = r.lanes;
   spec.state_policy = r.reset_per_burst ? StatePolicy::kResetPerBurst
@@ -102,7 +101,7 @@ StreamStats replay(const TraceReader& reader, const ReplaySpec& r,
   Session session(session_spec(reader, r));
   const auto source = make_trace_source(reader);
   if (!masks) return session.run(*source);
-  const int groups = reader.wide() ? reader.header().wide_config().groups() : 1;
+  const int groups = reader.geometry().groups();
   const auto sink = make_observer_sink(
       [masks, groups](std::int64_t first,
                       std::span<const engine::BurstResult> results) {
@@ -313,7 +312,7 @@ TraceReader wide_reader_for(const WideBusConfig& cfg,
   TraceWriterOptions opt;
   opt.bursts_per_chunk = bursts_per_chunk;
   opt.compress = compress;
-  TraceWriter writer(os, cfg, opt);
+  TraceWriter writer(os, Geometry::of(cfg), opt);
   writer.write_packed(payload);
   writer.finish();
   const std::string s = os.str();

@@ -145,14 +145,8 @@ std::vector<std::uint64_t> offline_masks(const Geometry& geometry,
                                          std::size_t bursts) {
   engine::BatchEncoder encoder(scheme);
   engine::StreamEncodeOptions sopt;
-  std::unique_ptr<engine::StreamEncoder> stream;
-  if (geometry.is_wide())
-    stream = std::make_unique<engine::StreamEncoder>(
-        encoder, geometry.wide_bus(), sopt);
-  else
-    stream =
-        std::make_unique<engine::StreamEncoder>(encoder, geometry.bus(), sopt);
-  const auto results = stream->encode_chunk(0, payload, bursts, true);
+  engine::StreamEncoder stream(encoder, geometry, sopt);
+  const auto results = stream.encode_chunk(0, payload, bursts, true);
   std::vector<std::uint64_t> masks;
   masks.reserve(results.size());
   for (const auto& r : results) masks.push_back(r.invert_mask);

@@ -153,9 +153,12 @@ void expect_matches(const Reference& ref, const StreamStats& totals,
   }
 }
 
+// wide(8) and wide(5) are one-group wide buses, which run the
+// single-group route of the narrow geometries.
 const Geometry kGeometries[] = {
     Geometry::narrow(8), Geometry::narrow(12), Geometry::wide(12),
-    Geometry::wide(16),  Geometry::wide(64),
+    Geometry::wide(16),  Geometry::wide(64),   Geometry::wide(8),
+    Geometry::wide(5),
 };
 
 // ------------------------------------------------- packed-source parity
@@ -232,10 +235,7 @@ TEST(SessionParity, TraceSourceMatchesPackedSourceWithMasks) {
     {
       trace::TraceWriterOptions opt;
       opt.bursts_per_chunk = 64;
-      auto writer =
-          g.is_wide()
-              ? trace::TraceWriter(image, g.wide_bus(), opt)
-              : trace::TraceWriter(image, g.bus(), opt);
+      trace::TraceWriter writer(image, g, opt);
       writer.write_packed(bytes);
       writer.finish();
     }
@@ -316,7 +316,7 @@ TEST(SessionParity, TraceSinkRecordsTheExactPayload) {
   const Geometry g = Geometry::wide(16);
   std::ostringstream image;
   {
-    trace::TraceWriter writer(image, g.wide_bus(), {});
+    trace::TraceWriter writer(image, g);
     const auto sink = make_trace_sink(writer);
     Session recorder(spec_for(g, Scheme::kRaw, {}, 1, false));
     const auto source = make_corpus_source("cacheline-memcpy", 1000, 9);
@@ -418,11 +418,7 @@ TEST(SessionParity, FixedSchemePoolFloorLeavesResultsUnchanged) {
             so.lanes = lanes;
             so.pool = p;
             const auto stream =
-                g.is_wide()
-                    ? std::make_unique<engine::StreamEncoder>(
-                          encoder, g.wide_bus(), so)
-                    : std::make_unique<engine::StreamEncoder>(encoder,
-                                                              g.bus(), so);
+                std::make_unique<engine::StreamEncoder>(encoder, g, so);
             std::vector<engine::BurstResult> results;
             const double runs0 =
                 observer.snapshot().value("dbi_pool_runs_total");

@@ -233,7 +233,7 @@ TEST(ShardPool, ShardedStreamEncodeMatchesSerial) {
       StreamEncodeOptions so;
       so.lanes = kLanes;
       so.pool = p;
-      StreamEncoder enc(batch, cfg, so, states);
+      StreamEncoder enc(batch, Geometry::of(cfg), so, states);
       const auto r = enc.encode_chunk(0, payload, kLanes * kBursts, true);
       return std::tuple{states, std::vector<BurstResult>(r.begin(), r.end()),
                         enc.zeros(), enc.transitions()};

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "api/session.hpp"
 #include "trace/convert.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
@@ -184,7 +185,7 @@ std::vector<std::uint8_t> write_wide_to_bytes(
     const WideBusConfig& cfg, std::span<const std::uint8_t> payload,
     const TraceWriterOptions& opt = {}) {
   std::ostringstream os(std::ios::binary);
-  TraceWriter writer(os, cfg, opt);
+  TraceWriter writer(os, Geometry::of(cfg), opt);
   writer.write_packed(payload);
   writer.finish();
   const std::string s = os.str();
@@ -304,8 +305,8 @@ TEST(TraceFormat, WideTracesHaveNoSingleGroupViews) {
 TEST(TraceFormat, WideWriterRejectsMisuse) {
   const WideBusConfig cfg{12, 4};
   std::ostringstream os(std::ios::binary);
-  TraceWriter writer(os, cfg);
-  EXPECT_TRUE(writer.wide());
+  TraceWriter writer(os, Geometry::of(cfg));
+  EXPECT_EQ(writer.geometry(), Geometry::wide(12, 4));
   // Burst-based writes are single-group only.
   EXPECT_THROW(writer.write(Burst(BusConfig{12, 4})), std::invalid_argument);
   const std::vector<Word> words(4, 0);
@@ -316,6 +317,103 @@ TEST(TraceFormat, WideWriterRejectsMisuse) {
   std::vector<std::uint8_t> overflow(static_cast<std::size_t>(cfg.bytes_per_burst()), 0);
   overflow[1] = 0x20;  // beat 0, group 1: 4-lane group takes 0x0..0xF
   EXPECT_THROW(writer.write_packed(overflow), std::invalid_argument);
+}
+
+/// Runs `source` through a Session at `spec` into `sink`.
+StreamStats run_session(const SessionSpec& spec, Source& source, Sink& sink) {
+  Session session(spec);
+  return session.run(source, sink);
+}
+
+/// Encode results of `spec` over `source`.
+std::vector<engine::BurstResult> encode_results(const SessionSpec& spec,
+                                                Source& source) {
+  std::vector<engine::BurstResult> results;
+  const auto sink = make_result_sink(results);
+  (void)run_session(spec, source, *sink);
+  return results;
+}
+
+TEST(TraceFormat, OneGroupWideTracesKeepTheirGeometry) {
+  // A one-group wide geometry stamps header byte 16 = 1. Its payload
+  // and encoded traces must read back at that geometry, replay under
+  // the spec that recorded them and verify.
+  constexpr std::int64_t kBursts = 700;
+  for (const Geometry g : {Geometry::wide(8), Geometry::wide(5)}) {
+    SCOPED_TRACE(g.to_string());
+    SessionSpec raw;
+    raw.geometry = g;
+    raw.policy = SchemePolicy::fixed(Scheme::kRaw);
+    std::vector<std::uint8_t> payload;
+    {
+      const auto source = make_corpus_source("mixed", kBursts, 17);
+      const auto sink = make_payload_sink(payload);
+      (void)run_session(raw, *source, *sink);
+    }
+
+    TraceWriterOptions wopt;
+    wopt.bursts_per_chunk = 128;
+    std::ostringstream plain_os(std::ios::binary);
+    {
+      TraceWriter writer(plain_os, g, wopt);
+      const auto source = make_packed_source(payload);
+      const auto sink = make_trace_sink(writer);
+      (void)run_session(raw, *source, *sink);
+    }
+    SessionSpec ac = raw;
+    ac.policy = SchemePolicy::fixed(Scheme::kAc);
+    ac.lanes = 2;
+    std::ostringstream enc_os(std::ios::binary);
+    {
+      TraceWriterOptions eopt = wopt;
+      eopt.encoded = true;
+      eopt.enc_scheme = scheme_to_tag(Scheme::kAc);
+      eopt.enc_lanes = 2;
+      TraceWriter writer(enc_os, g, eopt);
+      const auto source = make_packed_source(payload);
+      const auto sink = make_encoded_trace_sink(writer);
+      (void)run_session(ac, *source, *sink);
+    }
+
+    const std::string plain_image = plain_os.str();
+    ASSERT_GT(plain_image.size(), 16u);
+    EXPECT_EQ(plain_image[16], 1) << "header byte 16 = one DBI group";
+    const auto plain = TraceReader::from_bytes(
+        std::vector<std::uint8_t>(plain_image.begin(), plain_image.end()));
+    EXPECT_EQ(plain.geometry(), g);
+    EXPECT_EQ(plain.bursts(), kBursts);
+
+    // Replaying the file equals encoding the in-memory payload.
+    const auto trace_source = make_trace_source(plain);
+    const auto packed_source = make_packed_source(payload);
+    const auto from_file = encode_results(ac, *trace_source);
+    const auto from_memory = encode_results(ac, *packed_source);
+    ASSERT_EQ(from_file.size(), static_cast<std::size_t>(kBursts));
+    ASSERT_EQ(from_file.size(), from_memory.size());
+    for (std::size_t i = 0; i < from_file.size(); ++i)
+      ASSERT_EQ(from_file[i].invert_mask, from_memory[i].invert_mask)
+          << "burst " << i;
+
+    const std::string enc_image = enc_os.str();
+    const auto encoded = TraceReader::from_bytes(
+        std::vector<std::uint8_t>(enc_image.begin(), enc_image.end()));
+    EXPECT_EQ(encoded.geometry(), g);
+    const VerifyReport report = verify_encoded_trace(encoded);
+    EXPECT_TRUE(report.ok());
+    EXPECT_EQ(report.bursts, kBursts);
+  }
+
+  // A narrow file still reads back narrow (byte 16 stays zero).
+  std::ostringstream os(std::ios::binary);
+  {
+    TraceWriter writer(os, Geometry::narrow(8));
+    writer.write_packed(std::vector<std::uint8_t>(64, 0x3C));
+  }
+  const std::string image = os.str();
+  EXPECT_EQ(image[16], 0);
+  const auto narrow = TraceReader::from_bytes(
+      std::vector<std::uint8_t>(image.begin(), image.end()));
+  EXPECT_EQ(narrow.geometry(), Geometry::narrow(8));
 }
 
 TEST(TraceFormat, OpenRejectsMissingFile) {

@@ -198,7 +198,7 @@ TEST(WideBus, StreamEncodeMatchesSerialAndPool) {
       engine::StreamEncodeOptions so;
       so.lanes = kLanes;
       so.pool = p;
-      engine::StreamEncoder enc(batch, cfg, so, states);
+      engine::StreamEncoder enc(batch, Geometry::of(cfg), so, states);
       const auto r = enc.encode_chunk(0, payload, kBursts, true);
       return std::make_tuple(
           std::move(states),

@@ -805,14 +805,9 @@ int cmd_record(const Args& args) {
     wopt.enc_policy = reset ? 1 : 0;
   }
 
-  std::unique_ptr<trace::TraceWriter> writer;
-  if (geometry.is_wide())
-    writer = std::make_unique<trace::TraceWriter>(out, geometry.wide_bus(),
-                                                  wopt);
-  else
-    writer = std::make_unique<trace::TraceWriter>(out, geometry.bus(), wopt);
-  const auto sink = encode ? dbi::make_encoded_trace_sink(*writer)
-                           : dbi::make_trace_sink(*writer);
+  trace::TraceWriter writer(out, geometry, wopt);
+  const auto sink = encode ? dbi::make_encoded_trace_sink(writer)
+                           : dbi::make_trace_sink(writer);
 
   const ObsOutput obs(args);
   obs.apply(spec);
@@ -821,7 +816,7 @@ int cmd_record(const Args& args) {
   obs.finish();
   write_report(session, args);
 
-  std::cerr << "recorded " << writer->bursts_written() << " "
+  std::cerr << "recorded " << writer.bursts_written() << " "
             << geometry.to_string() << " bursts (" << source_name << ")"
             << (encode ? " encoded with " +
                              (select ? select->describe()
@@ -842,16 +837,8 @@ int cmd_decode(const Args& args) {
   const std::string out = args.get("output", "");
   if (out.empty()) throw std::runtime_error("decode: -o OUTPUT.dbt is required");
 
-  const Geometry geometry = reader.wide()
-                                ? Geometry::of(reader.header().wide_config())
-                                : Geometry::of(reader.config());
-  std::unique_ptr<trace::TraceWriter> writer;
-  if (geometry.is_wide())
-    writer = std::make_unique<trace::TraceWriter>(out, geometry.wide_bus(),
-                                                  writer_options(args));
-  else
-    writer = std::make_unique<trace::TraceWriter>(out, geometry.bus(),
-                                                  writer_options(args));
+  const Geometry geometry = reader.geometry();
+  trace::TraceWriter writer(out, geometry, writer_options(args));
 
   SessionSpec spec;
   spec.direction = Direction::kDecode;
@@ -861,7 +848,7 @@ int cmd_decode(const Args& args) {
   obs.apply(spec);
   Session session(spec);
   const auto source = dbi::make_trace_source(reader);
-  const auto sink = dbi::make_trace_sink(*writer);
+  const auto sink = dbi::make_trace_sink(writer);
   const StreamStats totals = session.run(*source, *sink);
   obs.finish();
   write_report(session, args);
@@ -875,9 +862,7 @@ int cmd_verify(const Args& args) {
   if (args.positional.empty())
     throw std::runtime_error("verify: expected a binary trace file");
   const auto reader = trace::TraceReader::open(args.positional[0]);
-  const Geometry geometry = reader.wide()
-                                ? Geometry::of(reader.header().wide_config())
-                                : Geometry::of(reader.config());
+  const Geometry geometry = reader.geometry();
 
   const ObsOutput obs(args);
   VerifyReport report;
@@ -945,9 +930,7 @@ int cmd_replay(const Args& args) {
   if (args.positional.empty())
     throw std::runtime_error("replay: expected a binary trace file");
   const auto reader = trace::TraceReader::open(args.positional[0]);
-  const Geometry geometry = reader.wide()
-                                ? Geometry::of(reader.header().wide_config())
-                                : Geometry::of(reader.config());
+  const Geometry geometry = reader.geometry();
 
   const power::PodParams pod = parse_pod(args);
   const std::optional<SchemePolicy> select = parse_select_policy(args);
@@ -1009,8 +992,8 @@ int cmd_inspect(const Args& args) {
       static_cast<std::uint64_t>(s.bursts) *
       static_cast<std::uint64_t>(reader.header().bytes_per_burst());
 
-  const int groups =
-      reader.wide() ? reader.header().wide_config().groups() : 1;
+  const Geometry geometry = reader.geometry();
+  const int groups = geometry.groups();
 
   if (args.options.count("json") != 0) {
     // Machine-readable metadata: stable key names, numbers unquoted,
@@ -1033,7 +1016,7 @@ int cmd_inspect(const Args& args) {
     os << "{\n"
        << "  \"file\": \"" << esc(args.positional[0]) << "\",\n"
        << "  \"format\": \"dbt2\",\n"
-       << "  \"wide\": " << (reader.wide() ? "true" : "false") << ",\n";
+       << "  \"wide\": " << (geometry.is_wide() ? "true" : "false") << ",\n";
     if (reader.encoded()) {
       const auto scheme = scheme_from_tag(reader.header().enc_scheme);
       os << "  \"encoded\": {\"scheme\": \""
@@ -1075,7 +1058,7 @@ int cmd_inspect(const Args& args) {
   const std::string format_name =
       "dbi-trace binary v" +
       std::to_string(static_cast<int>(reader.header().version));
-  table.add_row({"format", reader.wide()
+  table.add_row({"format", geometry.is_wide()
                                ? format_name + " (wide multi-group)"
                                : format_name});
   if (reader.encoded()) {
@@ -1532,11 +1515,7 @@ int client_data(const Args& args, const std::string& socket) {
     wopt.enc_scheme = scheme_to_tag(scheme);
     wopt.enc_lanes = static_cast<std::uint16_t>(lanes);
     wopt.enc_policy = reset ? 1 : 0;
-    if (geometry.is_wide())
-      writer = std::make_unique<trace::TraceWriter>(out, geometry.wide_bus(),
-                                                    wopt);
-    else
-      writer = std::make_unique<trace::TraceWriter>(out, geometry.bus(), wopt);
+    writer = std::make_unique<trace::TraceWriter>(out, geometry, wopt);
   }
 
   const auto bpb = static_cast<std::size_t>(geometry.bytes_per_burst());
@@ -1571,11 +1550,7 @@ int client_data(const Args& args, const std::string& socket) {
         transitions += r.ack.transitions;
         if (writer) {
           tx.resize(slice.size());
-          if (geometry.is_wide())
-            applier.apply_packed_wide(slice, r.ack.masks, geometry.wide_bus(),
-                                      tx);
-          else
-            applier.apply_packed(slice, r.ack.masks, geometry.bus(), tx);
+          applier.apply(slice, r.ack.masks, geometry, tx);
           writer->write_encoded(tx, r.ack.masks);
         }
       }
@@ -1614,9 +1589,7 @@ int client_decode(const Args& args, const std::string& socket) {
   const std::string out = args.get("output", "");
   if (out.empty())
     throw std::runtime_error("client: --decode requires -o OUTPUT.dbt");
-  const Geometry geometry = reader.wide()
-                                ? Geometry::of(reader.header().wide_config())
-                                : Geometry::of(reader.config());
+  const Geometry geometry = reader.geometry();
   const long req_bursts = args.get_long("req-bursts", 1024);
   if (req_bursts < 1)
     throw UsageError("client: --req-bursts must be >= 1");
@@ -1628,13 +1601,7 @@ int client_decode(const Args& args, const std::string& socket) {
   copt.kernel = args.get("kernel", "");
   auto client = serve::Client::connect(copt);
 
-  std::unique_ptr<trace::TraceWriter> writer;
-  if (geometry.is_wide())
-    writer = std::make_unique<trace::TraceWriter>(out, geometry.wide_bus(),
-                                                  writer_options(args));
-  else
-    writer = std::make_unique<trace::TraceWriter>(out, geometry.bus(),
-                                                  writer_options(args));
+  trace::TraceWriter writer(out, geometry, writer_options(args));
 
   auto source = make_trace_source(reader);
   source->bind(geometry);
@@ -1657,12 +1624,12 @@ int client_decode(const Args& args, const std::string& socket) {
       if (r.outcome == serve::Client::Outcome::kBusy)
         throw_busy(client.max_queue_requests());
       latency.add(t0);
-      writer->write_packed(r.payload);
+      writer.write_packed(r.payload);
       bursts_done += n;
       off += n;
     }
   }
-  writer->finish();
+  writer.finish();
   std::cerr << "decoded " << bursts_done << " " << geometry.to_string()
             << " bursts via dbid " << client.server_build() << " to " << out
             << "\n"

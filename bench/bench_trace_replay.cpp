@@ -2,9 +2,8 @@
 //
 // Writes a >= 1M-burst binary trace to disk, then compares, per fixed
 // scheme:
-//   (a) Channel::write_stream over the interleaved byte stream held in
-//       RAM (the engine fast path behind the dbi::Session facade,
-//       sharded across the pool);
+//   (a) Session::write_stream over the interleaved byte stream held in
+//       RAM (the channel write surface, sharded across the pool);
 //   (b) a trace-source Session streaming the same bursts back from the
 //       mmap'd file (zero-copy chunk views pulled through the session's
 //       one chunk loop), with the identical lane interleave
@@ -83,7 +82,7 @@ int main(int argc, char** argv) {
   const std::int64_t bursts = writes * lanes;
 
   // The interleaved channel byte stream (beat-major, like a x(8*lanes)
-  // device) — the exact input Channel::write_stream consumes.
+  // device) — the exact input Session::write_stream consumes.
   std::vector<std::uint8_t> data(static_cast<std::size_t>(writes) * bpw);
   util::Xoshiro256 rng(2026);
   for (std::uint8_t& b : data) b = static_cast<std::uint8_t>(rng.next());
@@ -122,11 +121,16 @@ int main(int argc, char** argv) {
         static_cast<double>(bursts) * static_cast<double>(repeats);
 
     {
-      workload::Channel channel(ccfg, scheme, w);
+      SessionSpec spec;
+      spec.policy = scheme;
+      spec.lanes = lanes;
+      spec.weights = w;
+      spec.pool = &pool;
+      Session channel(spec);
       const auto t0 = std::chrono::steady_clock::now();
       for (int r = 0; r < repeats; ++r) {
         channel.reset();
-        (void)channel.write_stream(data, &pool);
+        (void)channel.write_stream(data);
       }
       rep.stream_mbps = total / seconds_since(t0) / 1e6;
     }

@@ -10,31 +10,30 @@
 #include <memory>
 #include <vector>
 
+#include "api/session.hpp"
 #include "power/interface_energy.hpp"
 #include "sim/table.hpp"
-#include "workload/channel.hpp"
 #include "workload/generators.hpp"
 
-// The channel below is Session-backed: the Scheme constructor routes
-// every write through the dbi::Session facade over the batch-engine
-// kernels (bit-exact vs the scalar encoders).
+// Each write goes through dbi::Session's incremental write surface
+// (SessionSpec::lanes byte lanes with persistent line state) over the
+// batch-engine kernels, bit-exact vs the scalar encoders.
 
 namespace {
 
 using namespace dbi;
 
-// Pulls 32-byte write payloads out of a burst source by concatenating
-// lane bursts beat-major, the same layout Channel::write expects.
-std::vector<std::uint8_t> next_line(workload::BurstSource& src,
-                                    const workload::ChannelConfig& cfg) {
-  std::vector<std::uint8_t> line(
-      static_cast<std::size_t>(cfg.bytes_per_write()));
+// Pulls one write's payload out of a burst source by concatenating
+// lane bursts beat-major, the layout Session::write expects.
+std::vector<std::uint8_t> next_line(workload::BurstSource& src, int lanes) {
   std::vector<Burst> lane_bursts;
-  lane_bursts.reserve(static_cast<std::size_t>(cfg.lanes));
-  for (int l = 0; l < cfg.lanes; ++l) lane_bursts.push_back(src.next());
-  for (int beat = 0; beat < cfg.lane.burst_length; ++beat)
-    for (int lane = 0; lane < cfg.lanes; ++lane)
-      line[static_cast<std::size_t>(beat * cfg.lanes + lane)] =
+  lane_bursts.reserve(static_cast<std::size_t>(lanes));
+  for (int l = 0; l < lanes; ++l) lane_bursts.push_back(src.next());
+  const int bl = lane_bursts.front().length();
+  std::vector<std::uint8_t> line(static_cast<std::size_t>(lanes * bl));
+  for (int beat = 0; beat < bl; ++beat)
+    for (int lane = 0; lane < lanes; ++lane)
+      line[static_cast<std::size_t>(beat * lanes + lane)] =
           static_cast<std::uint8_t>(
               lane_bursts[static_cast<std::size_t>(lane)].word(beat));
   return line;
@@ -43,9 +42,13 @@ std::vector<std::uint8_t> next_line(workload::BurstSource& src,
 double channel_energy_per_write(workload::BurstSource& src, Scheme scheme,
                                 const power::PodParams& pod,
                                 const CostWeights& weights, int writes) {
-  workload::ChannelConfig cfg;  // x32: 4 lanes, BL8
-  workload::Channel channel(cfg, scheme, weights);
-  for (int i = 0; i < writes; ++i) (void)channel.write(next_line(src, cfg));
+  SessionSpec spec;  // x32: 4 byte lanes of x8 BL8
+  spec.policy = scheme;
+  spec.lanes = 4;
+  spec.weights = weights;
+  Session channel(spec);
+  for (int i = 0; i < writes; ++i)
+    (void)channel.write(next_line(src, spec.lanes));
   const auto& s = channel.stats();
   return s.zeros_per_write() * power::energy_zero(pod) +
          s.transitions_per_write() * power::energy_transition(pod);

@@ -17,9 +17,11 @@ namespace {
 /// path: BurstStats counts in int, 64K bursts stay far inside range.
 constexpr std::size_t kAccumBlockBursts = 1 << 16;
 
-/// Gathered block size for the > 8-lane write_stream route: bounds the
-/// per-lane scratch at O(block) words regardless of stream size.
-constexpr std::int64_t kGatherBlockWrites = 1024;
+/// Bursts per transposed block on the > 8-lane write route: bounds the
+/// block buffer (and the encoder's per-lane gathers) at 128 KB whatever
+/// the stream size, and keeps a block of fixed-scheme writes past the
+/// StreamEncoder's 32 KB pool floor.
+constexpr std::int64_t kWriteBlockBursts = 1 << 14;
 
 /// A trace reader's monotonic RLE tallies at one point in time.
 struct RleTally {
@@ -105,13 +107,6 @@ Session::Session(const SessionSpec& spec)
     decoder_.set_observer(obs_);
     if (engine::ShardPool* p = pool()) obs_->attach_pool(*p);
   }
-  // The incremental-write surface exists for channel-shaped sessions
-  // (byte lanes side by side); set up its persistent line states now
-  // so write()/write_stream()/reset() agree on them.
-  if (!spec_.geometry.is_wide() && spec_.geometry.width() == 8 &&
-      spec_.lanes <= 64)
-    lane_states_.assign(static_cast<std::size_t>(spec_.lanes),
-                        dbi::BusState::all_ones(spec_.geometry.bus()));
 }
 
 Session::~Session() {
@@ -135,10 +130,6 @@ void Session::publish_stats(const StreamStats& delta, bool whole_run) const {
 std::string_view Session::scheme_name() const {
   return spec_.policy.adaptive() ? SchemePolicy::mode_name(spec_.policy.mode())
                                  : engine_.name();
-}
-
-const dbi::Encoder& Session::scalar_encoder() const {
-  return engine_.scalar_twin();
 }
 
 KernelReport Session::kernel_routing() const {
@@ -203,7 +194,7 @@ KernelReport Session::kernel_routing() const {
   return rep;
 }
 
-void Session::require_channel_geometry(const char* what) const {
+void Session::require_write_surface(const char* what) const {
   if (spec_.policy.adaptive())
     throw std::logic_error(
         std::string("Session::") + what +
@@ -217,6 +208,9 @@ void Session::require_channel_geometry(const char* what) const {
         "most 64 lanes (channel semantics); this session is " +
         spec_.geometry.to_string() + " with " + std::to_string(spec_.lanes) +
         " lanes");
+  if (spec_.direction != Direction::kEncode)
+    throw std::logic_error(std::string("Session::") + what +
+                           ": the incremental write surface is encode-only");
 }
 
 std::int64_t Session::bytes_per_write() const {
@@ -224,163 +218,103 @@ std::int64_t Session::bytes_per_write() const {
          static_cast<std::int64_t>(spec_.geometry.burst_length());
 }
 
-StreamStats Session::write(std::span<const std::uint8_t> data,
-                           std::vector<dbi::EncodedBurst>* encoded) {
-  require_channel_geometry("write");
-  if (spec_.direction != Direction::kEncode)
-    throw std::logic_error(
-        "Session::write: the incremental write surface is encode-only");
-  if (static_cast<std::int64_t>(data.size()) != bytes_per_write())
-    throw std::invalid_argument(
-        "Session::write: expected " + std::to_string(bytes_per_write()) +
-        " bytes, got " + std::to_string(data.size()));
-
-  const dbi::BusConfig lane_cfg = spec_.geometry.bus();
+StreamStats Session::encode_writes(std::span<const std::uint8_t> data,
+                                   engine::ShardPool* pool,
+                                   std::vector<dbi::EncodedBurst>* encoded) {
   const int lanes = spec_.lanes;
-  const int bl = lane_cfg.burst_length;
+  const auto L = static_cast<std::size_t>(lanes);
+  const auto bl = static_cast<std::size_t>(spec_.geometry.burst_length());
+  const std::size_t bpw = L * bl;
+  const std::size_t writes = data.size() / bpw;
+  if (!writer_) {
+    // Up to 8 lanes the beat-major interleave IS the packed layout of a
+    // width-8*lanes bus (lane l = byte group l), one burst per write;
+    // wider channels encode one narrow burst per lane.
+    const bool in_place = lanes * 8 <= dbi::WideBusConfig::kMaxWidth;
+    engine::StreamEncodeOptions so;
+    so.lanes = in_place ? 1 : lanes;
+    so.reset_state_per_burst =
+        spec_.state_policy == StatePolicy::kResetPerBurst;
+    writer_ = std::make_unique<engine::StreamEncoder>(
+        engine_,
+        in_place ? Geometry::wide(8 * lanes, spec_.geometry.burst_length())
+                 : spec_.geometry,
+        so);
+  }
+  engine::StreamEncoder& enc = *writer_;
+  enc.set_pool(pool);
+  const std::int64_t zeros0 = enc.zeros();
+  const std::int64_t transitions0 = enc.transitions();
+
+  // Either route leaves lane l of a block's write w at
+  // results[w * lanes + l].
+  std::span<const engine::BurstResult> results;
+  if (enc.bytes_per_burst() == bpw) {  // one wide burst per write
+    results = enc.encode_chunk(0, data, writes, encoded != nullptr);
+  } else {
+    // Transpose each block of writes so that lane l's beats of write w
+    // form burst w * lanes + l.
+    const auto block_writes =
+        static_cast<std::size_t>(kWriteBlockBursts / lanes);
+    for (std::size_t w0 = 0; w0 < writes; w0 += block_writes) {
+      const std::size_t n = std::min(block_writes, writes - w0);
+      write_block_.resize(n * bpw);
+      for (std::size_t w = 0; w < n; ++w) {
+        const std::uint8_t* src = data.data() + (w0 + w) * bpw;
+        std::uint8_t* dst = write_block_.data() + w * bpw;
+        for (std::size_t t = 0; t < bl; ++t)
+          for (std::size_t l = 0; l < L; ++l) dst[l * bl + t] = src[t * L + l];
+      }
+      results = enc.encode_chunk(0, write_block_, n * L, encoded != nullptr);
+    }
+  }
+
   if (encoded) {
     encoded->clear();
-    encoded->reserve(static_cast<std::size_t>(lanes));
+    encoded->reserve(L);
+    dbi::Burst burst(spec_.geometry.bus());
+    for (std::size_t l = 0; l < L; ++l) {
+      for (std::size_t t = 0; t < bl; ++t)
+        burst.set_word(static_cast<int>(t), data[t * L + l]);
+      encoded->push_back(engine_.materialize(burst, results[l]));
+    }
   }
 
   StreamStats delta;
-  dbi::Burst burst(lane_cfg);
-  for (int lane = 0; lane < lanes; ++lane) {
-    for (int beat = 0; beat < bl; ++beat)
-      burst.set_word(beat,
-                     data[static_cast<std::size_t>(beat) *
-                              static_cast<std::size_t>(lanes) +
-                          static_cast<std::size_t>(lane)]);
-    dbi::BusState& state = lane_states_[static_cast<std::size_t>(lane)];
-    if (spec_.state_policy == StatePolicy::kResetPerBurst)
-      state = dbi::BusState::all_ones(lane_cfg);
-    const engine::BurstResult r = engine_.encode(burst, state);
-    delta.add(r.stats);
-    if (encoded) encoded->push_back(engine_.materialize(burst, r));
-  }
-  delta.writes = 1;
+  delta.writes = static_cast<std::int64_t>(writes);
+  delta.bursts = delta.writes * lanes;
+  delta.zeros = enc.zeros() - zeros0;
+  delta.transitions = enc.transitions() - transitions0;
   stats_ += delta;
   publish_stats(delta, /*whole_run=*/false);
   return delta;
 }
 
+StreamStats Session::write(std::span<const std::uint8_t> data,
+                           std::vector<dbi::EncodedBurst>* encoded) {
+  require_write_surface("write");
+  if (static_cast<std::int64_t>(data.size()) != bytes_per_write())
+    throw std::invalid_argument(
+        "Session::write: expected " + std::to_string(bytes_per_write()) +
+        " bytes, got " + std::to_string(data.size()));
+  // One write is far below the work a fork-join pays for.
+  return encode_writes(data, nullptr, encoded);
+}
+
 StreamStats Session::write_stream(std::span<const std::uint8_t> data,
                                   engine::ShardPool* pool_override) {
-  require_channel_geometry("write_stream");
-  if (spec_.direction != Direction::kEncode)
-    throw std::logic_error(
-        "Session::write_stream: the incremental write surface is "
-        "encode-only");
+  require_write_surface("write_stream");
   const auto bpw = static_cast<std::size_t>(bytes_per_write());
   if (data.size() % bpw != 0)
     throw std::invalid_argument(
         "Session::write_stream: data size must be a multiple of " +
         std::to_string(bpw) + " bytes, got " + std::to_string(data.size()));
-  const auto writes = static_cast<std::int64_t>(data.size() / bpw);
-  if (writes == 0) return {};
-
-  const int lanes = spec_.lanes;
-  const dbi::BusConfig lane_cfg = spec_.geometry.bus();
-  const bool reset_per_write =
-      spec_.state_policy == StatePolicy::kResetPerBurst;
-
-  StreamStats delta;
-  delta.writes = writes;
-  delta.bursts = writes * lanes;
-
-  // Wide fast path: for up to 8 byte lanes the beat-major interleave IS
-  // the engine's packed wide layout (lane l = byte group l of a
-  // width-8*lanes bus), so the stream encodes in place — no per-lane
-  // gather at all — with the pool sharding the byte-group units.
-  if (lanes * 8 <= dbi::WideBusConfig::kMaxWidth) {
-    if (!wide_writer_) {
-      engine::StreamEncodeOptions so;
-      so.lanes = 1;
-      so.reset_state_per_burst = reset_per_write;
-      wide_writer_ = std::make_unique<engine::StreamEncoder>(
-          engine_, Geometry::wide(8 * lanes, lane_cfg.burst_length), so,
-          std::span<dbi::BusState>(lane_states_));
-    }
-    wide_writer_->set_pool(pool_override ? pool_override : pool());
-    const std::int64_t zeros_before = wide_writer_->zeros();
-    const std::int64_t transitions_before = wide_writer_->transitions();
-    (void)wide_writer_->encode_chunk(0, data,
-                                     static_cast<std::size_t>(writes));
-    delta.zeros = wide_writer_->zeros() - zeros_before;
-    delta.transitions = wide_writer_->transitions() - transitions_before;
-    stats_ += delta;
-    publish_stats(delta, /*whole_run=*/false);
-    return delta;
-  }
-
-  // > 8 lanes: gather each lane's bytes out of the beat-major
-  // interleave into a reused flat word buffer, one block of writes at
-  // a time, and push each block through the engine. 64-bit
-  // accumulation per lane.
-  const int bl = lane_cfg.burst_length;
-  struct LaneTotals {
-    std::int64_t zeros = 0;
-    std::int64_t transitions = 0;
-  };
-  std::vector<LaneTotals> lane_totals(static_cast<std::size_t>(lanes));
-
-  auto encode_lane_stream = [&](int lane) {
-    std::vector<dbi::Word> words(
-        static_cast<std::size_t>(std::min(writes, kGatherBlockWrites)) *
-        static_cast<std::size_t>(bl));
-    dbi::BusState& state = lane_states_[static_cast<std::size_t>(lane)];
-    LaneTotals& totals = lane_totals[static_cast<std::size_t>(lane)];
-    auto add = [&totals](const dbi::BurstStats& s) {
-      totals.zeros += s.zeros;
-      totals.transitions += s.transitions;
-    };
-
-    for (std::int64_t w0 = 0; w0 < writes; w0 += kGatherBlockWrites) {
-      const std::int64_t block = std::min(kGatherBlockWrites, writes - w0);
-      for (std::int64_t wi = 0; wi < block; ++wi) {
-        const std::size_t base = static_cast<std::size_t>(w0 + wi) * bpw;
-        for (int beat = 0; beat < bl; ++beat)
-          words[static_cast<std::size_t>(wi * bl + beat)] =
-              data[base + static_cast<std::size_t>(beat) *
-                              static_cast<std::size_t>(lanes) +
-                   static_cast<std::size_t>(lane)];
-      }
-      const std::span<const dbi::Word> block_words(
-          words.data(), static_cast<std::size_t>(block * bl));
-
-      if (reset_per_write) {
-        for (std::int64_t wi = 0; wi < block; ++wi) {
-          state = dbi::BusState::all_ones(lane_cfg);
-          add(engine_.encode_words(
-              block_words.subspan(static_cast<std::size_t>(wi * bl),
-                                  static_cast<std::size_t>(bl)),
-              lane_cfg, state));
-        }
-      } else {
-        add(engine_.encode_words(block_words, lane_cfg, state));
-      }
-    }
-  };
-
-  if (engine::ShardPool* p = pool_override ? pool_override : pool()) {
-    p->run(lanes, encode_lane_stream);
-  } else {
-    for (int lane = 0; lane < lanes; ++lane) encode_lane_stream(lane);
-  }
-
-  for (const LaneTotals& s : lane_totals) {
-    delta.zeros += s.zeros;
-    delta.transitions += s.transitions;
-  }
-  stats_ += delta;
-  publish_stats(delta, /*whole_run=*/false);
-  return delta;
+  if (data.empty()) return {};
+  return encode_writes(data, pool_override ? pool_override : pool(), nullptr);
 }
 
 void Session::reset() {
-  if (!lane_states_.empty())
-    lane_states_.assign(static_cast<std::size_t>(spec_.lanes),
-                        dbi::BusState::all_ones(spec_.geometry.bus()));
+  if (writer_) writer_->reset();
   stats_ = StreamStats{};
 }
 
@@ -392,6 +326,15 @@ StreamStats Session::run_bursts(std::span<const dbi::Burst> bursts) {
   for (std::size_t b0 = 0; b0 < bursts.size(); b0 += kAccumBlockBursts) {
     const std::size_t n = std::min(kAccumBlockBursts, bursts.size() - b0);
     const std::span<const dbi::Burst> block = bursts.subspan(b0, n);
+    // The engine checks every burst of the block against its first, in
+    // its encode loop, and names the index within the block: a separate
+    // pass here cost about 4% of an x8 AC span encode on a 4-vCPU
+    // AVX-512 VM.
+    if (block.front().config() != cfg)
+      throw std::invalid_argument(
+          "Session::run: burst " + std::to_string(b0) + " is " +
+          Geometry::of(block.front().config()).to_string() +
+          ", session geometry is " + spec_.geometry.to_string());
     const dbi::BurstStats s =
         spec_.state_policy == StatePolicy::kResetPerBurst
             ? engine_.boundary_totals(block, boundary)

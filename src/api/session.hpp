@@ -19,11 +19,11 @@
 // spans skip the packing pass through BatchEncoder::encode_lane /
 // boundary_totals instead.
 //
-// For memory-controller-style incremental traffic (workload::Channel
-// is a thin wrapper over this), write() / write_stream() consume
-// beat-major interleaved channel bytes against persistent per-lane
-// line state, with the same lanes-as-byte-groups wide fast path the
-// engine always had.
+// For memory-controller-style incremental traffic, write() /
+// write_stream() consume beat-major interleaved channel bytes against
+// persistent per-lane line state held by one engine::StreamEncoder:
+// up to 8 lanes encode in place as the byte groups of one wide bus,
+// more lanes as lane-interleaved narrow bursts.
 #pragma once
 
 #include <cstdint>
@@ -168,10 +168,6 @@ class Session {
   /// policy's mode name ("adaptive-exact").
   [[nodiscard]] std::string_view scheme_name() const;
 
-  /// The scalar encoder this session is bit-exact against (the paper's
-  /// per-burst reference implementation).
-  [[nodiscard]] const dbi::Encoder& scalar_encoder() const;
-
   /// Everything the session knows about itself in one struct (with
   /// to_json()): scheme / policy, kernel routing (which variant serves
   /// each engine path), the latest adaptive selection outcome (empty on
@@ -205,22 +201,25 @@ class Session {
   // Channel semantics: `lanes` byte lanes side by side, data beat-major
   // (byte of beat t, lane l at data[t * lanes + l]), persistent
   // per-lane line state across calls (or per-write all-ones with
-  // StatePolicy::kResetPerBurst). Requires narrow x8 geometry.
+  // StatePolicy::kResetPerBurst). Requires narrow x8 geometry. Both
+  // calls encode through one engine::StreamEncoder built on first use:
+  // up to 8 lanes it encodes the interleaved bytes in place as one
+  // width-8*lanes bus (lane l = byte group l); more lanes are
+  // transposed, a block of writes at a time, into narrow bursts where
+  // burst w * lanes + l is lane l of write w.
 
   /// Bytes of one full write (lanes * burst_length).
   [[nodiscard]] std::int64_t bytes_per_write() const;
 
-  /// Encodes one write; fills `encoded` with the per-lane physical
-  /// bursts when non-null. Returns this write's stats delta.
+  /// Encodes one write on the calling thread; fills `encoded` with the
+  /// per-lane physical bursts when non-null. Returns this write's stats
+  /// delta.
   StreamStats write(std::span<const std::uint8_t> data,
                     std::vector<dbi::EncodedBurst>* encoded = nullptr);
 
   /// Batched stats-only write path: any number of consecutive writes
-  /// (data.size() a multiple of bytes_per_write()). Up to 8 lanes the
-  /// interleaved bytes are encoded in place as one wide bus (lane l =
-  /// byte group l, no gather pass); more lanes take a blocked
-  /// gather-per-lane route. `pool_override` shards this call across a
-  /// caller-owned pool instead of the session's own threading (results
+  /// (data.size() a multiple of bytes_per_write()), sharded across the
+  /// session's pool, or across `pool_override` when non-null (results
   /// are identical either way). Returns this call's stats delta.
   StreamStats write_stream(std::span<const std::uint8_t> data,
                            engine::ShardPool* pool_override = nullptr);
@@ -242,7 +241,15 @@ class Session {
   /// "swar" reference where it does not, "n/a" for paths the scheme and
   /// geometry never exercise.
   [[nodiscard]] KernelReport kernel_routing() const;
-  void require_channel_geometry(const char* what) const;
+  /// Throws unless this session can take writes (fixed scheme, encode
+  /// direction, narrow x8 geometry, at most 64 lanes).
+  void require_write_surface(const char* what) const;
+  /// Encodes whole writes (already validated) and folds the delta into
+  /// stats(). `encoded`, non-null only for a single write, receives its
+  /// per-lane physical bursts.
+  StreamStats encode_writes(std::span<const std::uint8_t> data,
+                            engine::ShardPool* pool,
+                            std::vector<dbi::EncodedBurst>* encoded);
   /// Folds a completed surface's delta into the observer counters
   /// (bytes derived as bursts x geometry.bytes_per_burst()).
   void publish_stats(const StreamStats& delta, bool whole_run) const;
@@ -265,11 +272,11 @@ class Session {
   std::unique_ptr<obs::Observer> owned_obs_;
   obs::Observer* obs_ = nullptr;  // owned_obs_ or spec_.observer; nullable
 
-  // Incremental-write surface (lazily set up on first use): persistent
-  // per-lane states shared by write() and write_stream()'s wide
-  // in-place encoder.
-  std::vector<dbi::BusState> lane_states_;
-  std::unique_ptr<engine::StreamEncoder> wide_writer_;
+  // Incremental-write surface: the encoder owning the persistent lane
+  // states (built on first use) and, above 8 lanes, the transposed
+  // block of writes.
+  std::unique_ptr<engine::StreamEncoder> writer_;
+  std::vector<std::uint8_t> write_block_;
   // kRoundTrip runs: the encoder and wire / mask scratch, reused across
   // runs (reset at the start of each). Encode runs build their encoder
   // per run and decode scratch lives for one run: a session that kept

@@ -21,11 +21,9 @@ constexpr std::int64_t kChunkBursts = 1 << 13;
 
 /// Packs one narrow burst's words into the little-endian beat layout.
 void pack_burst(const dbi::Burst& b, int bytes_per_beat, std::uint8_t* dst) {
-  for (int t = 0; t < b.length(); ++t) {
-    const dbi::Word w = b.word(t);
+  for (const dbi::Word w : b.words())
     for (int k = 0; k < bytes_per_beat; ++k)
       *dst++ = static_cast<std::uint8_t>(w >> (8 * k));
-  }
 }
 
 class BurstSpanSource final : public Source {
@@ -33,15 +31,15 @@ class BurstSpanSource final : public Source {
   explicit BurstSpanSource(std::span<const dbi::Burst> bursts)
       : bursts_(bursts) {}
 
+  // Every burst is checked against the bound geometry as it is packed
+  // (on the unpacked fast path, Session::run_bursts and the engine's
+  // lane loop check them).
   void bind(const Geometry& g) override {
     if (g.is_wide())
       throw std::invalid_argument(
           "burst source: Burst spans are narrow single-group payloads; "
           "session geometry is " + g.to_string());
-    if (!bursts_.empty() && bursts_.front().config() != g.bus())
-      throw std::invalid_argument(
-          "burst source: span geometry does not match session geometry " +
-          g.to_string());
+    cfg_ = g.bus();
     bb_ = static_cast<std::size_t>(g.bytes_per_burst());
     bpb_ = g.bytes_per_beat();
     next_ = 0;
@@ -53,9 +51,15 @@ class BurstSpanSource final : public Source {
         std::min(kChunkBursts,
                  static_cast<std::int64_t>(bursts_.size()) - next_);
     buffer_.resize(static_cast<std::size_t>(n) * bb_);
-    for (std::int64_t i = 0; i < n; ++i)
-      pack_burst(bursts_[static_cast<std::size_t>(next_ + i)], bpb_,
-                 buffer_.data() + static_cast<std::size_t>(i) * bb_);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const dbi::Burst& b = bursts_[static_cast<std::size_t>(next_ + i)];
+      if (b.config() != cfg_)
+        throw std::invalid_argument(
+            "burst source: burst " + std::to_string(next_ + i) + " is " +
+            Geometry::of(b.config()).to_string() + ", session geometry is " +
+            Geometry::of(cfg_).to_string());
+      pack_burst(b, bpb_, buffer_.data() + static_cast<std::size_t>(i) * bb_);
+    }
     next_ += n;
     return SourceChunk{buffer_, n, {}};
   }
@@ -64,6 +68,7 @@ class BurstSpanSource final : public Source {
 
  private:
   std::span<const dbi::Burst> bursts_;
+  dbi::BusConfig cfg_;
   std::size_t bb_ = 0;
   int bpb_ = 1;
   std::int64_t next_ = 0;

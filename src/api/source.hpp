@@ -77,8 +77,10 @@ class Source {
   Source() = default;
 };
 
-/// In-RAM Burst span (narrow geometry; the span's BusConfig must match
-/// the session geometry). The span must outlive the source.
+/// In-RAM Burst span (narrow geometry; every burst's BusConfig must
+/// match the session geometry, or the run throws
+/// std::invalid_argument naming the burst). The span must outlive the
+/// source.
 [[nodiscard]] std::unique_ptr<Source> make_burst_source(
     std::span<const dbi::Burst> bursts);
 

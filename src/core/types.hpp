@@ -89,8 +89,8 @@ struct Beat {
 /// one byte per group per beat, beat t at bytes
 /// [t * groups(), (t + 1) * groups()), byte g carrying group g's lanes
 /// (remainder-group bytes must fit the group's dq_mask). This is the
-/// physical wire order of a wide device and the byte order of
-/// workload::Channel::write_stream.
+/// physical wire order of a wide device and the byte order of channel
+/// writes (Session::write_stream).
 struct WideBusConfig {
   int width = 8;         ///< total DQ lines across all groups (1..64)
   int burst_length = 8;  ///< beats per burst (1..64)

@@ -61,6 +61,17 @@ std::size_t wide_burst_count(const char* what,
   return bytes.size() / burst_bytes;
 }
 
+/// One lane is one bus shape: throws for burst i of a lane whose first
+/// burst has BusConfig `lane`.
+[[noreturn]] void throw_lane_shape(const char* what, const Burst& b,
+                                   std::size_t i, const BusConfig& lane) {
+  throw std::invalid_argument(
+      std::string(what) + ": burst " + std::to_string(i) + " is x" +
+      std::to_string(b.config().width) + " BL" +
+      std::to_string(b.config().burst_length) + ", burst 0 is x" +
+      std::to_string(lane.width) + " BL" + std::to_string(lane.burst_length));
+}
+
 }  // namespace
 
 BatchEncoder::BatchEncoder(Scheme scheme, const dbi::CostWeights& w)
@@ -112,25 +123,6 @@ BurstResult BatchEncoder::encode_span(std::span<const Word> words,
   BurstResult r{e.inversion_mask(), e.stats(state)};
   state = e.final_state();
   return r;
-}
-
-BurstStats BatchEncoder::encode_words(std::span<const Word> words,
-                                      const BusConfig& cfg, BusState& state,
-                                      BurstResult* results) const {
-  cfg.validate();
-  const auto bl = static_cast<std::size_t>(cfg.burst_length);
-  if (words.size() % bl != 0)
-    throw std::invalid_argument(
-        "BatchEncoder::encode_words: word count not a multiple of "
-        "burst_length");
-  BurstStats totals;
-  for (std::size_t i = 0; i * bl < words.size(); ++i) {
-    const BurstResult r =
-        encode_span(words.subspan(i * bl, bl), cfg, state, nullptr);
-    totals += r.stats;
-    if (results) results[i] = r;
-  }
-  return totals;
 }
 
 BurstStats BatchEncoder::encode_packed(std::span<const std::uint8_t> bytes,
@@ -332,7 +324,11 @@ BurstStats BatchEncoder::encode_lane(std::span<const Burst> bursts,
                                      BusState& state,
                                      BurstResult* results) const {
   BurstStats totals;
+  if (bursts.empty()) return totals;
+  const BusConfig lane = bursts.front().config();
   for (std::size_t i = 0; i < bursts.size(); ++i) {
+    if (bursts[i].config() != lane)
+      throw_lane_shape("BatchEncoder::encode_lane", bursts[i], i, lane);
     const BurstResult r = encode(bursts[i], state);
     totals += r.stats;
     if (results) results[i] = r;
@@ -343,9 +339,13 @@ BurstStats BatchEncoder::encode_lane(std::span<const Burst> bursts,
 BurstStats BatchEncoder::boundary_totals(std::span<const Burst> bursts,
                                          const BusState& boundary) const {
   BurstStats totals;
-  for (const Burst& b : bursts) {
+  if (bursts.empty()) return totals;
+  const BusConfig lane = bursts.front().config();
+  for (std::size_t i = 0; i < bursts.size(); ++i) {
+    if (bursts[i].config() != lane)
+      throw_lane_shape("BatchEncoder::boundary_totals", bursts[i], i, lane);
     BusState state = boundary;
-    totals += encode(b, state).stats;
+    totals += encode(bursts[i], state).stats;
   }
   return totals;
 }

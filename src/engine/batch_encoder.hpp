@@ -86,11 +86,6 @@ class BatchEncoder {
   /// engine or be detached first).
   void set_observer(const obs::Observer* obs) { obs_ = obs; }
 
-  /// The scalar encoder the engine is bit-exact against (also the
-  /// slow-path implementation). Lets engine-backed callers expose a
-  /// dbi::Encoder without constructing a second one.
-  [[nodiscard]] const dbi::Encoder& scalar_twin() const { return *fallback_; }
-
   /// Encodes one burst against `state` and advances `state` to the
   /// post-burst line values. Bit-exact vs the scalar encoder.
   [[nodiscard]] BurstResult encode(const dbi::Burst& data,
@@ -99,27 +94,19 @@ class BatchEncoder {
   /// Encodes a lane's stream in order, threading `state` through all
   /// bursts. Writes one BurstResult per burst to `results` when it is
   /// non-null (then it must hold bursts.size() slots) and returns the
-  /// summed stats.
+  /// summed stats. A lane is one bus shape: a burst whose BusConfig
+  /// differs from the first burst's throws std::invalid_argument
+  /// naming its index in `bursts`.
   dbi::BurstStats encode_lane(std::span<const dbi::Burst> bursts,
                               dbi::BusState& state,
                               BurstResult* results = nullptr) const;
-
-  /// Flat-buffer variant for callers that keep payloads out of Burst
-  /// objects: `words` holds consecutive bursts back to back (burst i is
-  /// words[i * cfg.burst_length ... (i+1) * cfg.burst_length)), every
-  /// word already inside cfg.dq_mask(). Threads `state` like
-  /// encode_lane and returns the summed stats.
-  dbi::BurstStats encode_words(std::span<const dbi::Word> words,
-                               const dbi::BusConfig& cfg,
-                               dbi::BusState& state,
-                               BurstResult* results = nullptr) const;
 
   /// Packed-byte variant for streaming callers (the trace replay path):
   /// `bytes` holds consecutive bursts in the binary trace format's
   /// payload layout — burst_length beats of cfg.bytes_per_beat()
   /// little-endian bytes each, bursts back to back. Decodes beats on a
   /// fixed stack buffer (no heap traffic) and threads `state` like
-  /// encode_words. Beats outside cfg.dq_mask() throw.
+  /// encode_lane. Beats outside cfg.dq_mask() throw.
   dbi::BurstStats encode_packed(std::span<const std::uint8_t> bytes,
                                 const dbi::BusConfig& cfg,
                                 dbi::BusState& state,
@@ -127,15 +114,16 @@ class BatchEncoder {
 
   /// Wide-bus packed encode: `bytes` holds consecutive beat-major wide
   /// bursts (cfg.bytes_per_burst() bytes each, byte g of a beat carrying
-  /// byte group g — the trace format's wide payload layout and the
-  /// Channel write layout). Every group is encoded independently with
-  /// its own DBI line, threading states[g] (cfg.groups() entries);
-  /// kernels read the payload in place at stride cfg.groups(), so
-  /// mmap'd wide chunks replay with no widening pass. When `results` is
-  /// non-null it must hold bursts * cfg.groups() slots; burst i's group
-  /// g is written to results[i * cfg.groups() + g]. Returns the summed
-  /// stats of all groups. OPT on eight full groups dispatches to the
-  /// kernel variant's whole-burst trellis (encode_trellis_wide8).
+  /// byte group g — the trace format's wide payload layout and, up to
+  /// 8 lanes, Session's write layout). Every group is encoded
+  /// independently with its own DBI line, threading states[g]
+  /// (cfg.groups() entries); kernels read the payload in place at
+  /// stride cfg.groups(), so mmap'd wide chunks replay with no widening
+  /// pass. When `results` is non-null it must hold bursts * cfg.groups()
+  /// slots; burst i's group g is written to results[i * cfg.groups() +
+  /// g]. Returns the summed stats of all groups. OPT on eight full
+  /// groups dispatches to the kernel variant's whole-burst trellis
+  /// (encode_trellis_wide8).
   dbi::BurstStats encode_packed_wide(std::span<const std::uint8_t> bytes,
                                      const dbi::WideBusConfig& cfg,
                                      std::span<dbi::BusState> states,
@@ -159,6 +147,7 @@ class BatchEncoder {
 
   /// Sum of per-burst stats with the paper's fixed boundary condition
   /// (state reset to `boundary` before every burst, not threaded).
+  /// Checks the bursts' BusConfigs like encode_lane.
   [[nodiscard]] dbi::BurstStats boundary_totals(
       std::span<const dbi::Burst> bursts, const dbi::BusState& boundary) const;
 
@@ -175,7 +164,7 @@ class BatchEncoder {
 
   dbi::Scheme scheme_;
   dbi::CostWeights weights_;
-  std::unique_ptr<dbi::Encoder> fallback_;  // scalar twin / slow path
+  std::unique_ptr<dbi::Encoder> fallback_;  // scalar slow path
   const KernelVariant* kernel_;             // never null
   const obs::Observer* obs_ = nullptr;      // dispatch counters; nullable
 };

@@ -3,15 +3,18 @@
 //
 // This is the one lane-sharding implementation behind every streaming
 // front-end: dbi::Session's chunk loop feeds it chunks pulled from any
-// Source (in-RAM packed spans, generators, zero-copy trace views), and
-// the adaptive selector, the encoded-trace verifier and dbid drive it
-// the same way. It takes the bus shape as a dbi::Geometry and picks
+// Source (in-RAM packed spans, generators, zero-copy trace views),
+// Session::write / write_stream feed it channel writes (in place up to
+// 8 lanes, lane-interleaved narrow bursts above), and the adaptive
+// selector, the encoded-trace verifier and dbid drive it the same way.
+// Only lake replay, which shards whole trace files, runs its own
+// ShardPool work. It takes the bus shape as a dbi::Geometry and picks
 // the BatchEncoder route itself: two or more DBI groups take the
 // multi-group entry points (encode_packed_wide / encode_packed_group),
 // every other geometry — narrow, or a one-group wide bus such as
 // Geometry::wide(8) — is one BusConfig group (encode_packed).
 // The stream is interpreted
-// like a workload::Channel write sequence: burst g belongs to lane
+// like a channel write sequence: burst g belongs to lane
 // g % lanes, and each (lane, byte group) pair has its own threaded
 // BusState. Each (lane, group) pair is one shard unit — so a single x64
 // lane still spreads across 8 workers — unless the engine's kernel

@@ -5,23 +5,6 @@
 
 namespace dbi::workload {
 
-namespace {
-
-dbi::SessionSpec channel_spec(const ChannelConfig& cfg, dbi::Scheme scheme,
-                              const dbi::CostWeights& w) {
-  dbi::SessionSpec spec;
-  spec.policy = scheme;
-  spec.geometry = dbi::Geometry::of(cfg.lane);
-  spec.lanes = cfg.lanes;
-  spec.weights = w;
-  spec.state_policy = cfg.reset_state_per_write
-                          ? dbi::StatePolicy::kResetPerBurst
-                          : dbi::StatePolicy::kThread;
-  return spec;
-}
-
-}  // namespace
-
 void ChannelConfig::validate() const {
   lane.validate();
   if (lanes < 1 || lanes > 64)
@@ -40,13 +23,6 @@ Channel::Channel(const ChannelConfig& cfg,
                      dbi::BusState::all_ones(cfg_.lane));
 }
 
-Channel::Channel(const ChannelConfig& cfg, dbi::Scheme scheme,
-                 const dbi::CostWeights& w)
-    : cfg_(cfg) {
-  cfg_.validate();
-  session_ = std::make_unique<dbi::Session>(channel_spec(cfg_, scheme, w));
-}
-
 dbi::Burst Channel::lane_burst(std::span<const std::uint8_t> data,
                                int lane) const {
   dbi::Burst burst(cfg_.lane);
@@ -58,12 +34,6 @@ dbi::Burst Channel::lane_burst(std::span<const std::uint8_t> data,
 
 std::vector<dbi::EncodedBurst> Channel::write(
     std::span<const std::uint8_t> data) {
-  if (session_) {
-    std::vector<dbi::EncodedBurst> encoded;
-    (void)session_->write(data, &encoded);
-    return encoded;
-  }
-
   if (static_cast<std::int64_t>(data.size()) != cfg_.bytes_per_write())
     throw std::invalid_argument(
         "Channel::write: expected " + std::to_string(cfg_.bytes_per_write()) +
@@ -86,13 +56,7 @@ std::vector<dbi::EncodedBurst> Channel::write(
   return encoded;
 }
 
-StreamStats Channel::write_stream(std::span<const std::uint8_t> data,
-                                  engine::ShardPool* pool) {
-  if (session_) return session_->write_stream(data, pool);
-
-  // Scalar virtual path: a caller-supplied encoder may carry internal
-  // state (e.g. the noisy wrapper's PRNG), so lanes are never sharded
-  // across workers here; the stats are identical to the engine route.
+StreamStats Channel::write_stream(std::span<const std::uint8_t> data) {
   const auto bpw = static_cast<std::size_t>(cfg_.bytes_per_write());
   if (data.size() % bpw != 0)
     throw std::invalid_argument(
@@ -124,10 +88,6 @@ StreamStats Channel::write_stream(std::span<const std::uint8_t> data,
 }
 
 void Channel::reset() {
-  if (session_) {
-    session_->reset();
-    return;
-  }
   lane_state_.assign(static_cast<std::size_t>(cfg_.lanes),
                      dbi::BusState::all_ones(cfg_.lane));
   stats_ = StreamStats{};

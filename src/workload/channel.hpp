@@ -7,12 +7,11 @@
 // all-ones boundary — which is exactly what a memory controller
 // integration would experience.
 //
-// Engine-backed channels are a thin wrapper over dbi::Session (the
-// public streaming facade): the Scheme constructor builds a SessionSpec
-// and both write() and write_stream() delegate to it, so the channel
-// never wires engine objects itself. The Encoder constructor keeps the
-// scalar per-burst virtual path for encoders that have no engine twin
-// (e.g. the noisy wrapper).
+// Channel is the per-lane reference: every burst goes through a scalar
+// dbi::Encoder's virtual encode(), so it takes any encoder, including
+// ones with no engine twin (e.g. the noisy wrapper). For engine speed,
+// drive the same byte layout through dbi::Session::write /
+// write_stream with SessionSpec::lanes set; the two are bit-exact.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +19,6 @@
 #include <span>
 #include <vector>
 
-#include "api/session.hpp"
 #include "api/stream_stats.hpp"
 #include "core/encoder.hpp"
 #include "core/encoding.hpp"
@@ -47,22 +45,10 @@ struct ChannelConfig {
 class Channel {
  public:
   /// The channel takes ownership of the encoder (shared across lanes;
-  /// encoders are stateless, the channel threads per-lane state).
-  /// Writes go through the per-burst virtual path — use the Scheme
-  /// constructor for the Session-backed fast paths.
+  /// the channel threads per-lane state).
   Channel(const ChannelConfig& cfg, std::unique_ptr<dbi::Encoder> encoder);
 
-  /// Session-backed channel: every write routes through the dbi::Session
-  /// facade over the batch-engine fast paths for `scheme` (bit-exact vs
-  /// the scalar encoder). `w` parameterises kOpt, as in dbi::make_encoder.
-  Channel(const ChannelConfig& cfg, dbi::Scheme scheme,
-          const dbi::CostWeights& w = {});
-
   [[nodiscard]] const ChannelConfig& config() const { return cfg_; }
-  [[nodiscard]] const dbi::Encoder& encoder() const {
-    return session_ ? session_->scalar_encoder() : *encoder_;
-  }
-  [[nodiscard]] bool uses_engine() const { return session_ != nullptr; }
 
   /// Writes one full-channel burst. `data.size()` must equal
   /// config().bytes_per_write(); byte b of beat t of lane l is
@@ -72,24 +58,15 @@ class Channel {
   /// running statistics.
   std::vector<dbi::EncodedBurst> write(std::span<const std::uint8_t> data);
 
-  /// Batched stats-only write path: `data` holds any number of
-  /// consecutive full-channel writes (size a multiple of
-  /// bytes_per_write(), same beat-major layout). Session-backed
-  /// channels of up to 8 byte lanes encode the interleaved bytes in
-  /// place as a width-8*lanes wide bus (lane l = byte group l, no
-  /// gather pass); with `pool`, lanes are sharded deterministically
-  /// across its workers. Encoder-backed channels take the scalar route
-  /// — serially even when a pool is given, since a caller-supplied
-  /// encoder (e.g. the noisy wrapper) may carry state that is not safe
-  /// to share across workers — and yield identical stats. Returns the
-  /// stats of just this call.
-  StreamStats write_stream(std::span<const std::uint8_t> data,
-                           engine::ShardPool* pool = nullptr);
+  /// Stats-only write path: `data` holds any number of consecutive
+  /// full-channel writes (size a multiple of bytes_per_write(), same
+  /// beat-major layout), encoded serially — a caller-supplied encoder
+  /// (e.g. the noisy wrapper) may carry state that is not safe to
+  /// share across workers. Returns the stats of just this call.
+  StreamStats write_stream(std::span<const std::uint8_t> data);
 
   /// Statistics of everything written so far.
-  [[nodiscard]] const StreamStats& stats() const {
-    return session_ ? session_->stats() : stats_;
-  }
+  [[nodiscard]] const StreamStats& stats() const { return stats_; }
 
   /// Restores the all-ones line state and clears statistics.
   void reset();
@@ -98,10 +75,9 @@ class Channel {
   dbi::Burst lane_burst(std::span<const std::uint8_t> data, int lane) const;
 
   ChannelConfig cfg_;
-  std::unique_ptr<dbi::Encoder> encoder_;  // scalar virtual path
-  std::unique_ptr<dbi::Session> session_;  // engine facade path
-  std::vector<dbi::BusState> lane_state_;  // scalar path only
-  StreamStats stats_;                      // scalar path only
+  std::unique_ptr<dbi::Encoder> encoder_;
+  std::vector<dbi::BusState> lane_state_;
+  StreamStats stats_;
 };
 
 }  // namespace dbi::workload

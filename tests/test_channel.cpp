@@ -5,6 +5,8 @@
 #include <numeric>
 #include <vector>
 
+#include "api/session.hpp"
+#include "engine/shard_pool.hpp"
 #include "util/rng.hpp"
 
 namespace dbi::workload {
@@ -22,6 +24,15 @@ std::vector<std::uint8_t> random_line(std::uint64_t seed, int bytes) {
   std::vector<std::uint8_t> line(static_cast<std::size_t>(bytes));
   for (auto& b : line) b = static_cast<std::uint8_t>(rng.next());
   return line;
+}
+
+/// A session writing `lanes` byte lanes of x8 BL8 with `scheme`.
+SessionSpec lane_spec(int lanes, Scheme scheme, const CostWeights& w = {}) {
+  SessionSpec spec;
+  spec.policy = scheme;
+  spec.lanes = lanes;
+  spec.weights = w;
+  return spec;
 }
 
 TEST(Channel, BytesPerWriteIsLanesTimesBurstLength) {
@@ -131,11 +142,11 @@ TEST(Channel, PersistentStateDiffersFromPerWriteReset) {
 }
 
 TEST(Channel, WriteStreamWideFastPathMatchesScalarChannel) {
-  // Engine-backed channels of 2/4/8 byte lanes (x16/x32/x64) take the
-  // in-place wide path; a caller-supplied scalar encoder takes the
-  // virtual route. Both must report identical stats for the same
-  // stream, pooled or not — and leave identical line state behind, as
-  // observed through a follow-up write.
+  // Sessions writing 2/4/8 byte lanes (x16/x32/x64) take the in-place
+  // wide path; the channel's scalar encoder takes the virtual route.
+  // Both must report identical stats for the same stream, pooled or
+  // not — and leave identical line state behind, as observed through a
+  // follow-up write.
   engine::ShardPool pool(3);
   for (const int lanes : {2, 4, 8}) {
     for (const Scheme s :
@@ -146,7 +157,7 @@ TEST(Channel, WriteStreamWideFastPathMatchesScalarChannel) {
       const auto data = random_line(
           1000 + static_cast<std::uint64_t>(lanes), cfg.bytes_per_write() * 57);
 
-      Channel wide(cfg, s, CostWeights{0.56, 0.44});
+      Session wide(lane_spec(lanes, s, CostWeights{0.56, 0.44}));
       Channel scalar(cfg, make_encoder(s, CostWeights{0.56, 0.44}));
       const StreamStats a = wide.write_stream(data, &pool);
       const StreamStats b = scalar.write_stream(data);
@@ -166,14 +177,14 @@ TEST(Channel, WriteStreamWideFastPathMatchesScalarChannel) {
 }
 
 TEST(Channel, WriteStreamBeyondWideWidthStillMatches) {
-  // 16 lanes exceed the 64-line wide ceiling, so the engine falls back
-  // to the per-lane gather path; stats must still match the scalar
+  // 16 lanes exceed the 64-line wide ceiling, so the session encodes
+  // lane-interleaved narrow bursts; stats must still match the scalar
   // channel.
   ChannelConfig cfg;
   cfg.lanes = 16;
   cfg.lane = BusConfig{8, 8};
   const auto data = random_line(31, cfg.bytes_per_write() * 9);
-  Channel wide(cfg, Scheme::kAc);
+  Session wide(lane_spec(16, Scheme::kAc));
   Channel scalar(cfg, make_ac_encoder());
   const StreamStats a = wide.write_stream(data);
   const StreamStats b = scalar.write_stream(data);

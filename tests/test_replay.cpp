@@ -153,9 +153,9 @@ TEST(Replay, ExhaustiveSchemeFallsBackToScalarAndMatches) {
 }
 
 TEST(Replay, MatchesChannelWriteStream) {
-  // The replay interleave (burst g -> lane g % L) is exactly Channel's
-  // write order, so totals must equal write_stream on the interleaved
-  // byte stream.
+  // The replay interleave (burst g -> lane g % L) is exactly the
+  // channel write order, so totals must equal Session::write_stream on
+  // the interleaved byte stream.
   const workload::ChannelConfig ccfg{4, BusConfig{8, 8}, false};
   constexpr int kWrites = 200;
   const auto bpw = static_cast<std::size_t>(ccfg.bytes_per_write());
@@ -178,7 +178,10 @@ TEST(Replay, MatchesChannelWriteStream) {
   for (const Burst& b : bursts) trace.push(b);
 
   for (Scheme s : {Scheme::kDc, Scheme::kAc, Scheme::kOptFixed}) {
-    workload::Channel channel(ccfg, s);
+    SessionSpec spec;
+    spec.policy = s;
+    spec.lanes = ccfg.lanes;
+    Session channel(spec);
     const StreamStats want = channel.write_stream(data);
 
     const auto reader = reader_for(trace, 128);

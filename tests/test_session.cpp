@@ -8,9 +8,11 @@
 // against the scalar Channel path and the 64-bit counter satellites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -471,42 +473,130 @@ TEST(SessionSpecValidation, RejectsBadGeometryAndMismatchedSources) {
   const std::vector<std::uint8_t> ragged(13, 0);
   auto packed = make_packed_source(ragged);
   EXPECT_THROW((void)narrow.run(*packed), std::invalid_argument);
+
+  // Every burst of a Burst span must match the session geometry, not
+  // just the first: a longer later burst would overrun the packing
+  // buffer, a wider one would be truncated. One lane takes the
+  // unpacked fast path (threaded and reset per burst), two lanes the
+  // packing source.
+  for (const BusConfig later : {BusConfig{8, 64}, BusConfig{16, 8}}) {
+    const std::vector<Burst> mixed{Burst(BusConfig{8, 8}), Burst(later)};
+    for (const int lanes : {1, 2}) {
+      for (const bool reset : {false, true}) {
+        Session s(
+            spec_for(Geometry::narrow(8), Scheme::kDc, {}, lanes, reset));
+        auto src = make_burst_source(mixed);
+        try {
+          (void)s.run(*src);
+          ADD_FAILURE() << "mismatched burst 1 accepted at lanes " << lanes;
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find("burst 1"), std::string::npos)
+              << e.what();
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------- incremental write surface
 
+/// One write() on both surfaces: equal deltas and, lane by lane, equal
+/// physical bursts.
+void expect_same_write(Session& session, workload::Channel& scalar,
+                       std::span<const std::uint8_t> one,
+                       const std::string& label) {
+  std::vector<EncodedBurst> mine;
+  const StreamStats before = scalar.stats();
+  const StreamStats delta = session.write(one, &mine);
+  const std::vector<EncodedBurst> theirs = scalar.write(one);
+  StreamStats want = scalar.stats();
+  want.bursts -= before.bursts;
+  want.writes -= before.writes;
+  want.zeros -= before.zeros;
+  want.transitions -= before.transitions;
+  EXPECT_EQ(delta, want) << label;
+  ASSERT_EQ(mine.size(), theirs.size()) << label;
+  for (std::size_t l = 0; l < mine.size(); ++l) {
+    EXPECT_EQ(mine[l].inversion_mask(), theirs[l].inversion_mask())
+        << label << " lane " << l;
+    EXPECT_EQ(mine[l].uses_dbi_line(), theirs[l].uses_dbi_line())
+        << label << " lane " << l;
+    EXPECT_TRUE(std::equal(mine[l].beats().begin(), mine[l].beats().end(),
+                           theirs[l].beats().begin(), theirs[l].beats().end()))
+        << label << " lane " << l;
+  }
+}
+
 TEST(SessionWrite, MatchesScalarChannelIncludingResetPolicy) {
+  // Every write route (up to 8 lanes the in-place wide bus, above that
+  // lane-interleaved bursts) against the scalar per-lane Channel, for
+  // every engine scheme, both state policies, serial and pooled.
+  // write() and write_stream() interleave on one threaded line state;
+  // the 2600-write stream at 16 lanes spans several encode blocks.
+  const CostWeights w{0.56, 0.44};
+  obs::Observer observer({.level = obs::ObsLevel::kCounters});
+  engine::ShardPool pool(3);
+  observer.attach_pool(pool);
   util::Xoshiro256 rng(2027);
-  for (const bool reset : {false, true}) {
-    for (const int lanes : {4, 8}) {
-      workload::ChannelConfig cfg{lanes, BusConfig{8, 8}, reset};
-      workload::Channel scalar(cfg, make_encoder(Scheme::kAcDc, {}));
-      SessionSpec spec = spec_for(Geometry::narrow(8), Scheme::kAcDc, {},
-                                  lanes, reset);
-      Session session(spec);
+  for (const int lanes : {1, 2, 4, 8, 9, 16, 64}) {
+    const workload::ChannelConfig base{lanes, BusConfig{8, 8}, false};
+    const auto bpw = static_cast<std::size_t>(base.bytes_per_write());
+    const int long_stream = lanes == 16 ? 2600 : 33;
+    std::vector<std::uint8_t> data(bpw * static_cast<std::size_t>(
+                                             3 + 57 + long_stream));
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+    const auto bytes = std::span<const std::uint8_t>(data);
 
-      std::vector<std::uint8_t> data(
-          static_cast<std::size_t>(cfg.bytes_per_write()) * 64);
-      for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+    for (const Scheme s : {Scheme::kRaw, Scheme::kDc, Scheme::kAc,
+                           Scheme::kAcDc, Scheme::kOpt, Scheme::kOptFixed}) {
+      for (const bool reset : {false, true}) {
+        for (engine::ShardPool* p :
+             {static_cast<engine::ShardPool*>(nullptr), &pool}) {
+          const std::string label =
+              std::string(scheme_name(s)) + " lanes=" +
+              std::to_string(lanes) + " reset=" + std::to_string(reset) +
+              (p ? " pool" : " serial");
+          workload::ChannelConfig cfg = base;
+          cfg.reset_state_per_write = reset;
+          workload::Channel scalar(cfg, make_encoder(s, w));
+          SessionSpec spec =
+              spec_for(Geometry::narrow(8), s, w, lanes, reset);
+          spec.pool = p;
+          Session session(spec);
 
-      // Interleave write() and write_stream() so both surfaces share
-      // the same threaded line state.
-      const auto one = std::span<const std::uint8_t>(data).first(
-          static_cast<std::size_t>(cfg.bytes_per_write()));
-      std::vector<EncodedBurst> mine;
-      (void)session.write(one, &mine);
-      const std::vector<EncodedBurst> theirs = scalar.write(one);
-      ASSERT_EQ(mine.size(), theirs.size());
-      for (std::size_t l = 0; l < mine.size(); ++l)
-        EXPECT_EQ(mine[l].inversion_mask(), theirs[l].inversion_mask());
+          std::size_t at = 0;
+          const auto take = [&](int writes) {
+            const auto n = bpw * static_cast<std::size_t>(writes);
+            const auto span = bytes.subspan(at, n);
+            at += n;
+            return span;
+          };
+          expect_same_write(session, scalar, take(1), label + " write 1");
+          const auto short_stream = take(57);
+          EXPECT_EQ(session.write_stream(short_stream),
+                    scalar.write_stream(short_stream))
+              << label << " stream 57";
+          expect_same_write(session, scalar, take(1), label + " write 2");
+          const double runs0 =
+              observer.snapshot().value("dbi_pool_runs_total");
+          const auto stream = take(long_stream);
+          EXPECT_EQ(session.write_stream(stream), scalar.write_stream(stream))
+              << label << " stream " << long_stream;
+          if (p && lanes == 16) {
+            EXPECT_GT(observer.snapshot().value("dbi_pool_runs_total"), runs0)
+                << label;
+          }
+          expect_same_write(session, scalar, take(1), label + " write 3");
+          EXPECT_EQ(session.stats(), scalar.stats()) << label;
 
-      const StreamStats d1 = session.write_stream(data);
-      const StreamStats d2 = scalar.write_stream(data);
-      EXPECT_EQ(d1, d2) << "lanes=" << lanes << " reset=" << reset;
-      EXPECT_EQ(session.stats(), scalar.stats());
-
-      session.reset();
-      EXPECT_EQ(session.stats(), StreamStats{});
+          // reset() restores all-ones line state on every lane.
+          session.reset();
+          EXPECT_EQ(session.stats(), StreamStats{}) << label;
+          workload::Channel fresh(cfg, make_encoder(s, w));
+          expect_same_write(session, fresh, bytes.first(bpw),
+                            label + " after reset");
+        }
+      }
     }
   }
 }

@@ -323,22 +323,29 @@ StreamStats Session::run_bursts(std::span<const dbi::Burst> bursts) {
   const dbi::BusState boundary = dbi::BusState::all_ones(cfg);
   StreamStats totals;
   dbi::BusState state = boundary;
+  const auto shape_error = [&](std::size_t i) {
+    return std::invalid_argument(
+        "Session::run: burst " + std::to_string(i) + " is " +
+        Geometry::of(bursts[i].config()).to_string() +
+        ", session geometry is " + spec_.geometry.to_string());
+  };
   for (std::size_t b0 = 0; b0 < bursts.size(); b0 += kAccumBlockBursts) {
     const std::size_t n = std::min(kAccumBlockBursts, bursts.size() - b0);
     const std::span<const dbi::Burst> block = bursts.subspan(b0, n);
+    if (block.front().config() != cfg) throw shape_error(b0);
     // The engine checks every burst of the block against its first, in
-    // its encode loop, and names the index within the block: a separate
-    // pass here cost about 4% of an x8 AC span encode on a 4-vCPU
-    // AVX-512 VM.
-    if (block.front().config() != cfg)
-      throw std::invalid_argument(
-          "Session::run: burst " + std::to_string(b0) + " is " +
-          Geometry::of(block.front().config()).to_string() +
-          ", session geometry is " + spec_.geometry.to_string());
-    const dbi::BurstStats s =
-        spec_.state_policy == StatePolicy::kResetPerBurst
-            ? engine_.boundary_totals(block, boundary)
-            : engine_.encode_lane(block, state);
+    // its encode loop (a separate pass here cost about 4% of an x8 AC
+    // span encode on a 4-vCPU AVX-512 VM); the error path rescans.
+    dbi::BurstStats s;
+    try {
+      s = spec_.state_policy == StatePolicy::kResetPerBurst
+              ? engine_.boundary_totals(block, boundary)
+              : engine_.encode_lane(block, state);
+    } catch (const std::invalid_argument&) {
+      for (std::size_t i = 1; i < n; ++i)
+        if (block[i].config() != cfg) throw shape_error(b0 + i);
+      throw;
+    }
     totals.add(s, static_cast<std::int64_t>(n));
   }
   return totals;

@@ -1,7 +1,5 @@
 #include "lake/lake.hpp"
 
-#include <algorithm>
-#include <array>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -11,7 +9,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/encoder.hpp"
 #include "trace/format.hpp"
 #include "trace/probe.hpp"
 #include "trace/trace_reader.hpp"
@@ -48,15 +45,17 @@ constexpr std::uint64_t kMaxMemberFileBytes = std::uint64_t{1} << 56;
   return join(dir, kCatalogName);
 }
 
+/// The trace header fields a member record stores; the others keep
+/// their defaults, as in a record read back from the catalog.
+[[nodiscard]] trace::TraceHeader recorded_fields(const trace::TraceHeader& h) {
+  return {.cfg = h.cfg,
+          .groups = h.groups,
+          .flags = h.flags,
+          .enc_scheme = h.enc_scheme,
+          .version = h.version};
+}
+
 }  // namespace
-
-bool LakeMember::encoded() const {
-  return (flags & trace::kFileFlagEncoded) != 0;
-}
-
-bool LakeMember::mixed() const {
-  return encoded() && enc_scheme == trace::kEncSchemeMixed;
-}
 
 const std::string& validate_member_name(const std::string& name) {
   if (name.empty() || name.size() > kLakeMaxNameBytes)
@@ -159,12 +158,12 @@ void LakeReader::parse(std::vector<std::uint8_t> image, bool verify_crc) {
     for (std::uint32_t i = 0; i < member_count; ++i) {
       LakeMember m;
       const auto name_bytes = static_cast<std::uint16_t>(cur.le(2));
-      m.trace_version = static_cast<std::uint8_t>(cur.le(1));
-      m.groups = static_cast<std::uint8_t>(cur.le(1));
-      m.width = static_cast<std::uint16_t>(cur.le(2));
-      m.burst_length = static_cast<std::uint16_t>(cur.le(2));
-      m.flags = static_cast<std::uint16_t>(cur.le(2));
-      m.enc_scheme = static_cast<std::uint8_t>(cur.le(1));
+      m.header.version = static_cast<std::uint8_t>(cur.le(1));
+      m.header.groups = static_cast<std::uint8_t>(cur.le(1));
+      m.header.cfg.width = static_cast<int>(cur.le(2));
+      m.header.cfg.burst_length = static_cast<int>(cur.le(2));
+      m.header.flags = static_cast<std::uint16_t>(cur.le(2));
+      m.header.enc_scheme = static_cast<std::uint8_t>(cur.le(1));
       (void)cur.le(1);  // reserved
       m.chunk_count = static_cast<std::uint32_t>(cur.le(4));
       m.file_bytes = cur.le(8);
@@ -184,57 +183,17 @@ void LakeReader::parse(std::vector<std::uint8_t> image, bool verify_crc) {
       validate_member_name(m.name);
       if (!names.insert(m.name).second)
         throw LakeError("lake: duplicate member name " + m.name);
-
-      if (m.trace_version != trace::kFormatVersion &&
-          m.trace_version != trace::kFormatVersionMixed)
-        throw LakeError("lake: " + where + " has unsupported trace version " +
-                        std::to_string(m.trace_version));
-      if ((m.flags &
-           ~(trace::kFileFlagCompressed | trace::kFileFlagEncoded)) != 0)
-        throw LakeError("lake: " + where + " carries unknown flag bits");
-      // The trace header's encode-scheme rules, verbatim.
-      if (!m.encoded() && m.enc_scheme != 0)
-        throw LakeError("lake: " + where +
-                        " records an encode scheme without the encoded flag");
-      if (m.trace_version == trace::kFormatVersionMixed) {
-        if (!m.encoded() || m.enc_scheme != trace::kEncSchemeMixed)
-          throw LakeError("lake: " + where +
-                          " is version 3 but not a mixed-scheme encoded "
-                          "trace (enc_scheme = 0xFF)");
-      } else if (m.enc_scheme != 0 && !scheme_from_tag(m.enc_scheme)) {
-        throw LakeError("lake: " + where + " encode scheme tag " +
-                        std::to_string(m.enc_scheme) + " out of range");
-      }
-      try {
-        if (m.groups == 0) {
-          dbi::BusConfig{m.width, m.burst_length}.validate();
-        } else {
-          const dbi::WideBusConfig wide{m.width, m.burst_length};
-          wide.validate();
-          if (static_cast<int>(m.groups) != wide.groups())
-            throw std::invalid_argument(
-                "dbi_groups byte " + std::to_string(m.groups) +
-                " does not match width " + std::to_string(wide.width));
-        }
-      } catch (const std::invalid_argument& e) {
-        throw LakeError("lake: " + where + " has bad geometry: " + e.what());
-      }
-      if (m.stats.bursts < 0 || m.stats.payload_zeros < 0 ||
-          m.stats.raw_transitions < 0)
-        throw LakeError("lake: " + where + " has negative counters");
       if (m.stats.bursts >= kMaxMemberBursts ||
           m.file_bytes >= kMaxMemberFileBytes)
         throw LakeError("lake: " + where + " has an implausible size");
-      if (m.file_bytes < trace::kHeaderBytes + trace::kFooterBytes)
-        throw LakeError("lake: " + where + " byte extent " +
-                        std::to_string(m.file_bytes) +
-                        " is smaller than a trace header + footer");
-      if (m.chunk_count >
-          (m.file_bytes - trace::kHeaderBytes - trace::kFooterBytes) /
-              trace::kChunkHeaderBytes)
-        throw LakeError("lake: " + where + " chunk count " +
-                        std::to_string(m.chunk_count) +
-                        " exceeds what its byte extent can hold");
+      // The record's trace fields pass exactly when the member's own
+      // header and footer would.
+      try {
+        trace::validate_header(m.header);
+        trace::validate_footer({m.chunk_count, m.stats, m.crc}, m.file_bytes);
+      } catch (const trace::TraceError& e) {
+        throw LakeError("lake: " + where + " (" + m.name + "): " + e.what());
+      }
       // The collection-level extent check: members cover the global
       // burst axis contiguously, in catalog order.
       if (m.first_burst != bursts_seen)
@@ -250,9 +209,8 @@ void LakeReader::parse(std::vector<std::uint8_t> image, bool verify_crc) {
           std::numeric_limits<std::uint64_t>::max() - m.file_bytes)
         throw LakeError("lake: total byte count overflows");
       bytes_seen += m.file_bytes;
-      m.stats.payload_bits = m.stats.bursts *
-                             static_cast<std::int64_t>(m.width) *
-                             static_cast<std::int64_t>(m.burst_length);
+      m.stats.payload_bits = m.stats.bursts * m.header.cfg.width *
+                             m.header.cfg.burst_length;
       members_.push_back(std::move(m));
     }
     if (cur.remaining() != 0)
@@ -291,20 +249,14 @@ void LakeReader::check_members() const {
                       " bytes on disk, catalog says " +
                       std::to_string(m.file_bytes) +
                       " (re-run dbitool lake add)");
-    std::ifstream in(path, std::ios::binary);
-    std::array<std::uint8_t, trace::kFooterBytes> fbuf{};
-    in.seekg(static_cast<std::streamoff>(size - trace::kFooterBytes),
-             std::ios::beg);
-    in.read(reinterpret_cast<char*>(fbuf.data()),
-            static_cast<std::streamsize>(fbuf.size()));
-    if (!in) throw LakeError(stale + "footer cannot be read");
     std::uint32_t crc = 0;
-    for (int b = 0; b < 4; ++b)
-      crc |= static_cast<std::uint32_t>(fbuf[56 + b]) << (8 * b);
-    const bool magics_ok =
-        std::equal(fbuf.begin(), fbuf.begin() + 4, trace::kFooterMagic) &&
-        std::equal(fbuf.begin() + 60, fbuf.end(), trace::kEndMagic);
-    if (!magics_ok || crc != m.crc)
+    try {
+      crc = trace::probe_trace_footer(path, size).crc;
+    } catch (const trace::TraceError& e) {
+      throw LakeError(stale + "has a bad footer (" + e.what() +
+                      "; re-run dbitool lake add)");
+    }
+    if (crc != m.crc)
       throw LakeError(stale +
                       "changed on disk since the catalog was written "
                       "(footer CRC mismatch; re-run dbitool lake add)");
@@ -324,12 +276,8 @@ void LakeReader::verify_members() const {
     }();
     // The deep pass also cross-checks the catalog record against what
     // the member actually parses as.
-    const trace::TraceHeader& h = reader.header();
     const bool record_matches =
-        h.version == m.trace_version && h.groups == m.groups &&
-        h.cfg.width == static_cast<int>(m.width) &&
-        h.cfg.burst_length == static_cast<int>(m.burst_length) &&
-        h.flags == m.flags && h.enc_scheme == m.enc_scheme &&
+        recorded_fields(reader.header()) == m.header &&
         reader.chunk_count() == m.chunk_count &&
         reader.file_bytes() == m.file_bytes &&
         reader.stats().bursts == m.stats.bursts &&
@@ -376,19 +324,13 @@ const LakeMember& LakeWriter::add(const std::string& rel_name) {
     (void)trace::TraceReader::open(path, /*verify_crc=*/true);
     LakeMember m;
     m.name = rel_name;
-    m.trace_version = probe.header.version;
-    m.groups = probe.header.groups;
-    m.width = static_cast<std::uint16_t>(probe.header.cfg.width);
-    m.burst_length = static_cast<std::uint16_t>(probe.header.cfg.burst_length);
-    m.flags = probe.header.flags;
-    m.enc_scheme = probe.header.enc_scheme;
-    m.chunk_count = static_cast<std::uint32_t>(probe.chunk_count);
+    m.header = recorded_fields(probe.header);
+    m.chunk_count = static_cast<std::uint32_t>(probe.footer.chunk_count);
     m.file_bytes = probe.file_bytes;
-    m.crc = probe.crc;
-    m.stats = probe.stats;
-    m.stats.payload_bits = m.stats.bursts *
-                           static_cast<std::int64_t>(m.width) *
-                           static_cast<std::int64_t>(m.burst_length);
+    m.crc = probe.footer.crc;
+    m.stats = probe.footer.stats;
+    m.stats.payload_bits = m.stats.bursts * m.header.cfg.width *
+                           m.header.cfg.burst_length;
     m.first_burst = members_.empty() ? 0
                                      : members_.back().first_burst +
                                            members_.back().stats.bursts;
@@ -401,13 +343,7 @@ const LakeMember& LakeWriter::add(const std::string& rel_name) {
 
 void LakeWriter::write() const {
   using trace::put_le;
-  // push_back (not range-insert) for the 4-byte magics: GCC 12's
-  // -Wstringop-overflow misfires on inserting a constexpr array into a
-  // small vector at -O2.
-  const auto put_magic = [](std::vector<std::uint8_t>& v,
-                            const std::uint8_t (&magic)[4]) {
-    for (const std::uint8_t b : magic) v.push_back(b);
-  };
+  using trace::put_magic;
   std::vector<std::uint8_t> out;
   put_magic(out, kLakeMagic);
   put_le(out, kLakeVersion, 1);
@@ -425,12 +361,12 @@ void LakeWriter::write() const {
   put_le(out, total_bytes, 8);
   for (const LakeMember& m : members_) {
     put_le(out, m.name.size(), 2);
-    put_le(out, m.trace_version, 1);
-    put_le(out, m.groups, 1);
-    put_le(out, m.width, 2);
-    put_le(out, m.burst_length, 2);
-    put_le(out, m.flags, 2);
-    put_le(out, m.enc_scheme, 1);
+    put_le(out, m.header.version, 1);
+    put_le(out, m.header.groups, 1);
+    put_le(out, static_cast<std::uint64_t>(m.header.cfg.width), 2);
+    put_le(out, static_cast<std::uint64_t>(m.header.cfg.burst_length), 2);
+    put_le(out, m.header.flags, 2);
+    put_le(out, m.header.enc_scheme, 1);
     put_le(out, 0, 1);
     put_le(out, m.chunk_count, 4);
     put_le(out, m.file_bytes, 8);

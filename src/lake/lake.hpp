@@ -44,17 +44,18 @@
 //     8   u32    crc32 of file bytes [0, footer_offset + 8)
 //     12  u8[4]  end magic "LIBD"
 //
-// LakeReader applies the TraceReader hardening discipline up front:
-// magic/version checks, an allocation clamp on member_count, full
-// per-member field validation (geometry, flags, scheme rules, name
-// safety), contiguous first_burst extents, header-vs-member total
-// agreement, and whole-catalog CRC. open() additionally detects STALE
-// catalogs: every member is stat'ed (exact size match) and its stored
-// footer CRC re-read and compared against the catalog record — a
-// member rewritten, truncated or replaced since `dbitool lake add`
-// fails loudly instead of replaying wrong bytes. verify_members()
-// goes deeper still (full TraceReader::open per member, whole-file
-// CRC + chunk-index walk) and backs `dbitool lake verify`.
+// LakeReader checks a member record's trace fields with the trace
+// format's own rules (trace::validate_header / validate_footer on the
+// record's TraceHeader and TraceFooter), so a record passes exactly
+// when its trace's header and footer would. The catalog's own checks
+// follow: magic/version, an allocation clamp on member_count, name
+// safety and duplicates, plausible sizes, contiguous first_burst
+// extents, header-vs-member totals, and whole-catalog CRC. open() also
+// detects STALE catalogs: every member is stat'ed (exact size match)
+// and its footer re-read (trace::probe_trace_footer) for the stored
+// CRC — a member rewritten, truncated or replaced since `dbitool lake
+// add` fails loudly, naming the member. verify_members() goes deeper
+// (full TraceReader::open per member) and backs `dbitool lake verify`.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +64,7 @@
 #include <vector>
 
 #include "api/geometry.hpp"
+#include "trace/format.hpp"
 #include "workload/trace.hpp"
 
 namespace dbi::lake {
@@ -91,28 +93,21 @@ inline constexpr const char* kCatalogName = "catalog.dbil";
 /// without opening it.
 struct LakeMember {
   std::string name;  ///< path relative to the lake directory
-  std::uint8_t trace_version = 0;
-  std::uint8_t groups = 0;  ///< trace header byte 16; 0 = narrow
-  std::uint16_t width = 0;
-  std::uint16_t burst_length = 0;
-  std::uint16_t flags = 0;
-  std::uint8_t enc_scheme = 0;
+  /// The trace header fields the record stores (version, dbi_groups,
+  /// width, burst length, flags, encode scheme); the rest hold their
+  /// defaults.
+  trace::TraceHeader header;
   std::uint32_t chunk_count = 0;
   std::uint64_t file_bytes = 0;
   std::uint32_t crc = 0;  ///< member's stored footer CRC-32
   workload::TraceStats stats;
   std::int64_t first_burst = 0;  ///< cumulative offset in catalog order
 
-  [[nodiscard]] bool encoded() const;
-  [[nodiscard]] bool mixed() const;
-
-  /// The member's bus shape in the Session API vocabulary, by the
-  /// trace header's rule (TraceHeader::geometry()): wide whenever
-  /// byte 16 is nonzero, so a one-group wide member stays wide.
-  [[nodiscard]] dbi::Geometry geometry() const {
-    return groups != 0 ? dbi::Geometry::wide(width, burst_length)
-                       : dbi::Geometry::narrow(width, burst_length);
-  }
+  [[nodiscard]] bool encoded() const { return header.encoded(); }
+  [[nodiscard]] bool mixed() const { return header.mixed(); }
+  /// The member's bus shape (TraceHeader::geometry(): wide whenever
+  /// dbi_groups is nonzero, so a one-group wide member stays wide).
+  [[nodiscard]] dbi::Geometry geometry() const { return header.geometry(); }
 };
 
 struct LakeOptions {

@@ -176,7 +176,7 @@ std::string run_sweep(const LakeReader& lake, const SweepOptions& options) {
     append_quoted(out, m.name);
     out += ",\"geometry\":";
     append_quoted(out, m.geometry().to_string());
-    out += ",\"version\":" + std::to_string(m.trace_version);
+    out += ",\"version\":" + std::to_string(m.header.version);
     out += ",\"encoded\":";
     out += m.encoded() ? "true" : "false";
     out += ",\"bursts\":" + std::to_string(m.stats.bursts);

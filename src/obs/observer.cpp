@@ -26,9 +26,7 @@ std::string label(std::string_view key, std::string_view value) {
 Observer::Observer(ObsConfig cfg)
     : level_(cfg.level == ObsLevel::kOff ? ObsLevel::kCounters : cfg.level),
       registry_(std::make_unique<Registry>(cfg.max_cells)) {
-  if (level_ == ObsLevel::kFull)
-    tracer_ = std::make_unique<Tracer>(Tracer::Options{
-        cfg.ring_capacity, cfg.span_stride, cfg.unit_span_stride});
+  if (level_ == ObsLevel::kFull) tracer_ = std::make_unique<Tracer>();
 
   Registry& r = *registry_;
   runs = r.counter("dbi_runs_total");

@@ -48,17 +48,10 @@ enum class ObsLevel : std::uint8_t {
   kFull       ///< metrics + span tracing (ring buffers, trace_event JSON)
 };
 
+/// At kFull the span Tracer runs at its default Tracer::Options.
 struct ObsConfig {
   ObsLevel level = ObsLevel::kOff;
-  std::uint32_t span_stride = 1;      ///< time every Nth span per site
-  /// Stride for the hot stages (encode_unit, gather, pool_run), which
-  /// fire per (lane, group) slice / per worker task and dominate span
-  /// volume. Sampled by default so a kFull run stays within ~2% of an
-  /// uninstrumented one; set to 1 for exhaustive traces (costs a few
-  /// percent more on hot replays).
-  std::uint32_t unit_span_stride = 16;
-  std::size_t ring_capacity = 16384;  ///< spans kept per thread
-  std::size_t max_cells = 4096;       ///< registry slab cells per thread
+  std::size_t max_cells = 4096;  ///< registry slab cells per thread
 };
 
 class Observer {

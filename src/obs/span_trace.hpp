@@ -11,7 +11,8 @@
 // The hot stages (kEncodeUnit and kGather fire per (lane, group)
 // slice, kPoolRun per worker task — all far hotter than the per-chunk
 // stages) take their own `unit_sample_stride`, defaulting to sampled,
-// the same way a sampling profiler treats its hottest frames.
+// the same way a sampling profiler treats its hottest frames. An
+// Observer at kFull always builds its Tracer with the default Options.
 //
 // write_chrome_json() must be called at quiescence (no spans being
 // recorded); dbitool and the Session call it after runs complete.

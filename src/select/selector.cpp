@@ -201,11 +201,8 @@ double ChunkSelector::block_cost(Candidate& c,
       rle_scratch_.clear();
       trace::rle_compress(wire_, rle_scratch_);
       double bytes = static_cast<double>(rle_scratch_.size());
-      wire_.resize(mask_words_.size() * trace::kMaskBytesPerBurst);
-      for (std::size_t i = 0; i < mask_words_.size(); ++i)
-        for (std::size_t b = 0; b < trace::kMaskBytesPerBurst; ++b)
-          wire_[i * trace::kMaskBytesPerBurst + b] =
-              static_cast<std::uint8_t>(mask_words_[i] >> (8 * b));
+      wire_.clear();
+      trace::append_masks(wire_, mask_words_);
       rle_scratch_.clear();
       trace::rle_compress(wire_, rle_scratch_);
       bytes += static_cast<double>(rle_scratch_.size());

@@ -4,6 +4,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <array>
 #include <bit>
 #include <cerrno>
 #include <cstring>
@@ -40,6 +41,7 @@ void put_bytes(std::vector<std::uint8_t>& out,
 /// per-byte push_backs.
 void put_u64s(std::vector<std::uint8_t>& out,
               std::span<const std::uint64_t> values) {
+  if (values.empty()) return;  // memcpy must not see a null pointer
   const std::size_t at = out.size();
   out.resize(at + values.size() * 8);
   if constexpr (std::endian::native == std::endian::little) {
@@ -89,6 +91,7 @@ class Reader {
   /// Bulk little-endian u64 read, the receive twin of put_u64s.
   void u64s(std::uint64_t* dst, std::size_t count) {
     auto b = take(count * 8);
+    if (count == 0) return;  // memcpy must not see a null pointer
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(dst, b.data(), count * 8);
     } else {
@@ -368,10 +371,9 @@ BusyInfo BusyInfo::parse(std::span<const std::uint8_t> p) {
 
 // --- frame I/O --------------------------------------------------------
 
-bool read_frame(int fd, Frame& out) {
-  std::uint8_t header[16];
-  if (!read_all(fd, header, sizeof(header), /*eof_ok=*/true)) return false;
-  Reader r(std::span<const std::uint8_t>(header, sizeof(header)));
+std::uint32_t decode_frame_header(
+    std::span<const std::uint8_t, kFrameHeaderBytes> bytes, Frame& out) {
+  Reader r(bytes);
   const std::uint32_t magic = r.u32();
   if (magic != kMagic)
     throw ProtocolError("serve: bad frame magic (not a dbid stream?)");
@@ -386,6 +388,14 @@ bool read_frame(int fd, Frame& out) {
   const std::uint32_t length = r.u32();
   if (length > kMaxPayload)
     throw ProtocolError("serve: frame payload over the 64 MiB cap");
+  return length;
+}
+
+bool read_frame(int fd, Frame& out) {
+  std::array<std::uint8_t, kFrameHeaderBytes> bytes{};
+  if (!read_all(fd, bytes.data(), bytes.size(), /*eof_ok=*/true))
+    return false;
+  const std::uint32_t length = decode_frame_header(bytes, out);
   out.payload.resize(length);
   if (length > 0)
     (void)read_all(fd, out.payload.data(), length, /*eof_ok=*/false);

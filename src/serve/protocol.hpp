@@ -15,6 +15,9 @@
 //       12     4  payload length in bytes
 //       16     …  payload (layout per frame type, see the structs)
 //
+// decode_frame_header and the payload codecs below are what
+// fuzz/fuzz_serve_protocol.cpp drives.
+//
 // A connection speaks for exactly one tenant: the first frame must be
 // kHello, which names the tenant and fixes its geometry / scheme /
 // lanes / kernel for the life of the tenant (reconnecting with the
@@ -173,9 +176,18 @@ struct BusyInfo {
 
 // --- frame I/O --------------------------------------------------------
 
-/// Blocking full-frame read. Returns false on clean EOF at a frame
-/// boundary; throws ProtocolError on malformed headers / short reads
-/// and std::system_error on socket errors.
+inline constexpr std::size_t kFrameHeaderBytes = 16;
+
+/// Decodes a frame header into `out`'s type, status and seq and returns
+/// the payload length, checking the magic, the protocol version and the
+/// kMaxPayload cap (throws ProtocolError). Type and status are taken as
+/// sent: the server answers unknown ones itself.
+[[nodiscard]] std::uint32_t decode_frame_header(
+    std::span<const std::uint8_t, kFrameHeaderBytes> bytes, Frame& out);
+
+/// Blocking full-frame read (header through decode_frame_header).
+/// Returns false on clean EOF at a frame boundary; throws ProtocolError
+/// on malformed headers / short reads, std::system_error on sockets.
 [[nodiscard]] bool read_frame(int fd, Frame& out);
 
 /// Blocking full-frame write (handles partial writes / EINTR).

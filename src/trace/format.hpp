@@ -1,7 +1,12 @@
 // Binary trace format v2/v3: the on-disk layout shared by TraceWriter
 // and TraceReader, plus the small codecs (CRC-32, zero-run RLE, packed
-// little-endian beat words) both sides use. The CRC-32 runs through the
-// engine's kernel registry (see Crc32).
+// little-endian beat words, the mask stream) both sides use. The
+// CRC-32 runs through the engine's kernel registry (see Crc32).
+//
+// The header and footer records have one codec each here
+// (decode_/encode_header, decode_/encode_footer) and one set of field
+// rules (validate_header / validate_footer), which every reader,
+// writer and lake member record goes through.
 //
 // File layout (all integers little-endian):
 //
@@ -12,7 +17,8 @@
 //     6   u16    width            (total DQ lines; 1..32 single-group,
 //                                  1..64 wide multi-group)
 //     8   u16    burst_length     (beats per burst, 1..64)
-//     10  u16    file flags       (bit 0: chunks may be RLE-compressed)
+//     10  u16    file flags       (bit 0: chunks may be RLE-compressed,
+//                                  bit 1: encoded; no other bits)
 //     12  u32    bursts_per_chunk (chunk capacity, >= 1)
 //     16  u8     dbi_groups       (0: single-group trace, one DBI line
 //                                  over all `width` lanes — the original
@@ -33,7 +39,7 @@
 //     20  u8     enc_policy       (encoded traces: 0 = line state
 //                                  threaded per lane, 1 = reset to the
 //                                  all-ones boundary per burst)
-//     21  u8[11] reserved (zero)
+//     21  u8[11] reserved (written zero, not checked on read)
 //
 //   Chunk (repeated; at least one unless the trace is empty)
 //     0   u8[4]  magic "CHNK"
@@ -80,8 +86,9 @@
 //   Footer (64 bytes)
 //     0   u8[4]  magic "DBTF"
 //     4   u32    reserved (zero)
-//     8   u64    chunk_count
-//     16  i64    bursts
+//     8   u64    chunk_count      (at most what the file size can hold:
+//                                  16 bytes per chunk header)
+//     16  i64    bursts           (>= 0, like the three stats below)
 //     24  i64    payload_bits
 //     32  i64    payload_zeros
 //     40  i64    raw_transitions
@@ -90,6 +97,7 @@
 //     60  u8[4]  end magic "2TBD"
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -99,6 +107,7 @@
 
 #include "api/geometry.hpp"
 #include "core/types.hpp"
+#include "workload/trace.hpp"
 
 namespace dbi::engine {
 class KernelVariant;
@@ -125,6 +134,8 @@ inline constexpr std::uint8_t kLittleEndianTag = 1;
 inline constexpr std::size_t kHeaderBytes = 32;
 inline constexpr std::size_t kChunkHeaderBytes = 16;
 inline constexpr std::size_t kFooterBytes = 64;
+/// Footer offset of the CRC, which seals every file byte before it.
+inline constexpr std::size_t kFooterCrcOffset = 56;
 
 inline constexpr std::uint16_t kFileFlagCompressed = 1U << 0;
 /// The payload chunks hold the transmitted (post-inversion) stream and
@@ -153,6 +164,10 @@ inline constexpr std::uint32_t kDefaultBurstsPerChunk = 4096;
 
 /// Appends `v` to `out` as `n` little-endian bytes.
 void put_le(std::vector<std::uint8_t>& out, std::uint64_t v, int n);
+
+/// Appends a 4-byte magic by push_back: gcc 12's -Wstringop-overflow
+/// misfires on vector::insert from small constant arrays.
+void put_magic(std::vector<std::uint8_t>& out, const std::uint8_t (&magic)[4]);
 
 /// Bounds-checked little-endian cursor over a byte view; every overrun
 /// throws TraceError instead of reading past the buffer.
@@ -213,6 +228,16 @@ void rle_compress(std::span<const std::uint8_t> in,
 void rle_decompress(std::span<const std::uint8_t> in,
                     std::span<std::uint8_t> out);
 
+// ----------------------------------------------------------- mask stream
+
+/// Appends `masks` as a mask stream, one little-endian u64 each (a
+/// single memcpy on little-endian hosts); read_masks is the inverse
+/// and fills all of `out` from `bytes`.
+void append_masks(std::vector<std::uint8_t>& out,
+                  std::span<const std::uint64_t> masks);
+void read_masks(std::span<const std::uint8_t> bytes,
+                std::span<std::uint64_t> out);
+
 // ----------------------------------------------------- beat word packing
 
 /// Packs one burst's beat words into `cfg.bytes_per_burst()` bytes at
@@ -224,8 +249,9 @@ void pack_burst(std::span<const dbi::Word> words, const dbi::BusConfig& cfg,
 void unpack_burst(const std::uint8_t* in, const dbi::BusConfig& cfg,
                   std::span<dbi::Word> words);
 
-// --------------------------------------------------------------- headers
+// --------------------------------------------------------- fixed records
 
+/// The 32-byte file header, field by field (see the layout above).
 struct TraceHeader {
   /// Width and burst length as stored. For multi-group traces
   /// cfg.width is the TOTAL bus width (may exceed BusConfig's 32-lane
@@ -271,10 +297,6 @@ struct TraceHeader {
     return encoded() && enc_scheme == kEncSchemeMixed;
   }
 
-  [[nodiscard]] dbi::WideBusConfig wide_config() const {
-    return dbi::WideBusConfig{cfg.width, cfg.burst_length};
-  }
-
   /// DBI groups per burst (mask words per burst in encoded traces).
   [[nodiscard]] int group_count() const { return geometry().groups(); }
 
@@ -282,15 +304,44 @@ struct TraceHeader {
   [[nodiscard]] int bytes_per_burst() const {
     return geometry().bytes_per_burst();
   }
+
+  friend bool operator==(const TraceHeader&, const TraceHeader&) = default;
 };
 
-struct ChunkHeader {
-  std::uint32_t burst_count = 0;
-  std::uint32_t flags = 0;
-  std::uint32_t payload_bytes = 0;
-
-  [[nodiscard]] bool compressed() const { return (flags & kChunkFlagRle) != 0; }
+/// The 64-byte file footer (chunk count and totals of the payload
+/// stream) and its stored CRC.
+struct TraceFooter {
+  std::uint64_t chunk_count = 0;
+  workload::TraceStats stats;
+  std::uint32_t crc = 0;
 };
+
+/// The header field rules for a header from any source (a file or a
+/// lake member record): version 2 or 3, file flags, encode metadata and
+/// the v3 sentinel, scheme tag and state policy, geometry and
+/// bursts_per_chunk, as the layout above states them. Throws
+/// TraceError.
+void validate_header(const TraceHeader& header);
+
+/// Decodes a header record: the magic and endianness tag, the fields,
+/// then validate_header. Reserved bytes are written zero and not read.
+[[nodiscard]] TraceHeader decode_header(
+    std::span<const std::uint8_t, kHeaderBytes> bytes);
+[[nodiscard]] std::array<std::uint8_t, kHeaderBytes> encode_header(
+    const TraceHeader& header);
+
+/// The footer field rules for a file of `file_bytes` bytes: room for a
+/// header and footer, non-negative counts, and a chunk count the file
+/// can hold. Throws TraceError.
+void validate_footer(const TraceFooter& footer, std::uint64_t file_bytes);
+
+/// Decodes a footer record: both magics, the fields, then
+/// validate_footer. The CRC is returned, not verified.
+[[nodiscard]] TraceFooter decode_footer(
+    std::span<const std::uint8_t, kFooterBytes> bytes,
+    std::uint64_t file_bytes);
+[[nodiscard]] std::array<std::uint8_t, kFooterBytes> encode_footer(
+    const TraceFooter& footer);
 
 /// Flag bits a v3 payload chunk carries for scheme tag `tag`
 /// (1 + Scheme enum value, the header-byte-17 mapping).

@@ -1,8 +1,6 @@
 #include "trace/trace_reader.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <utility>
 
@@ -124,91 +122,20 @@ void TraceReader::parse(bool verify_crc) {
     throw TraceError("trace: file too small (" + std::to_string(file.size()) +
                      " bytes) for a v2 header + footer");
 
-  // Header.
-  ByteReader hdr(file, "trace header");
-  hdr.expect_magic(kFileMagic, "file");
-  const auto version = static_cast<std::uint8_t>(hdr.le(1));
-  if (version != kFormatVersion && version != kFormatVersionMixed)
-    throw TraceError("trace: unsupported version " + std::to_string(version));
-  header_.version = version;
-  const auto endianness = static_cast<std::uint8_t>(hdr.le(1));
-  if (endianness != kLittleEndianTag)
-    throw TraceError("trace: unsupported endianness tag " +
-                     std::to_string(endianness));
-  header_.cfg.width = static_cast<int>(hdr.le(2));
-  header_.cfg.burst_length = static_cast<int>(hdr.le(2));
-  header_.flags = static_cast<std::uint16_t>(hdr.le(2));
-  header_.bursts_per_chunk = static_cast<std::uint32_t>(hdr.le(4));
-  header_.groups = static_cast<std::uint8_t>(hdr.le(1));
-  header_.enc_scheme = static_cast<std::uint8_t>(hdr.le(1));
-  header_.enc_lanes = static_cast<std::uint16_t>(hdr.le(2));
-  header_.enc_policy = static_cast<std::uint8_t>(hdr.le(1));
-  if (!header_.encoded() &&
-      (header_.enc_scheme != 0 || header_.enc_lanes != 0 ||
-       header_.enc_policy != 0))
-    throw TraceError(
-        "trace: encode metadata set in a trace without the encoded flag");
-  if (version == kFormatVersionMixed) {
-    // Version 3 exists only for mixed-scheme encoded traces: it must
-    // carry the per-chunk sentinel, and every payload chunk its tag.
-    if (!header_.encoded() || header_.enc_scheme != kEncSchemeMixed)
-      throw TraceError(
-          "trace: a version-3 file must be an encoded mixed-scheme trace "
-          "(enc_scheme = 0xFF)");
-  } else if (header_.enc_scheme != 0 &&
-             !scheme_from_tag(header_.enc_scheme)) {
-    throw TraceError("trace: encode scheme tag " +
-                     std::to_string(header_.enc_scheme) + " out of range");
-  }
-  if (header_.enc_policy > 1)
-    throw TraceError("trace: encode state-policy byte " +
-                     std::to_string(header_.enc_policy) + " out of range");
-  try {
-    if (header_.groups == 0) {
-      // Legacy single-group file: byte 16 was reserved-zero.
-      header_.cfg.validate();
-    } else {
-      // Wide multi-group file: the group count is derived from the
-      // width, so a mismatching byte means corruption.
-      const dbi::WideBusConfig wide = header_.wide_config();
-      wide.validate();
-      if (static_cast<int>(header_.groups) != wide.groups())
-        throw std::invalid_argument(
-            "dbi_groups byte " + std::to_string(header_.groups) +
-            " does not match width " + std::to_string(wide.width) + " (" +
-            std::to_string(wide.groups()) + " byte groups)");
-    }
-  } catch (const std::invalid_argument& e) {
-    throw TraceError(std::string("trace: bad geometry: ") + e.what());
-  }
-  if (header_.bursts_per_chunk < 1)
-    throw TraceError("trace: bursts_per_chunk must be >= 1");
-
-  // Footer.
+  header_ = decode_header(file.first<kHeaderBytes>());
   const std::size_t footer_off = file.size() - kFooterBytes;
-  ByteReader ftr(file.subspan(footer_off), "trace footer");
-  ftr.expect_magic(kFooterMagic, "footer");
-  (void)ftr.le(4);  // reserved
-  const std::uint64_t chunk_count = ftr.le(8);
-  stats_.bursts = static_cast<std::int64_t>(ftr.le(8));
-  stats_.payload_bits = static_cast<std::int64_t>(ftr.le(8));
-  stats_.payload_zeros = static_cast<std::int64_t>(ftr.le(8));
-  stats_.raw_transitions = static_cast<std::int64_t>(ftr.le(8));
-  (void)ftr.le(8);  // reserved
-  const auto stored_crc = static_cast<std::uint32_t>(ftr.le(4));
-  ByteReader end(file.subspan(footer_off + kFooterBytes - 4), "trace footer");
-  end.expect_magic(kEndMagic, "end");
-  if (stats_.bursts < 0)
-    throw TraceError("trace: negative burst count in footer");
+  const TraceFooter footer =
+      decode_footer(file.last<kFooterBytes>(), file.size());
+  stats_ = footer.stats;
 
   if (verify_crc) {
     const auto crc_start = std::chrono::steady_clock::now();
-    const std::uint32_t got = crc32(file.first(footer_off + kFooterBytes - 8));
+    const std::uint32_t got = crc32(file.first(footer_off + kFooterCrcOffset));
     metrics_->crc_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - crc_start)
             .count());
-    if (got != stored_crc)
+    if (got != footer.crc)
       throw TraceError("trace: CRC mismatch (file corrupted or truncated)");
   }
 
@@ -218,10 +145,9 @@ void TraceReader::parse(bool verify_crc) {
   ByteReader cur(file.first(footer_off), "trace chunks");
   (void)cur.bytes(kHeaderBytes);
   std::int64_t bursts_seen = 0;
-  // Clamp the reserve: with verify_crc off, a corrupted footer must not
-  // drive a huge allocation before the chunk walk catches it.
-  chunks_.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(chunk_count, file.size() / kChunkHeaderBytes)));
+  // decode_footer bounds the count by the file size, so a corrupted
+  // footer cannot drive a huge allocation here.
+  chunks_.reserve(static_cast<std::size_t>(footer.chunk_count));
   while (cur.remaining() > 0) {
     cur.expect_magic(kChunkMagic, "chunk");
     const auto burst_count = static_cast<std::uint32_t>(cur.le(4));
@@ -325,9 +251,10 @@ void TraceReader::parse(bool verify_crc) {
   if (header_.encoded() && !chunks_.empty() && !chunks_.back().has_mask())
     throw TraceError(
         "trace: encoded trace is missing the final mask-stream chunk");
-  if (chunks_.size() != chunk_count)
+  if (chunks_.size() != footer.chunk_count)
     throw TraceError("trace: footer chunk count " +
-                     std::to_string(chunk_count) + " != chunks present " +
+                     std::to_string(footer.chunk_count) +
+                     " != chunks present " +
                      std::to_string(chunks_.size()));
   if (bursts_seen != stats_.bursts)
     throw TraceError("trace: footer burst count " +
@@ -370,15 +297,9 @@ void TraceReader::validate_chunk_index(std::size_t footer_off) const {
   }
 }
 
-std::span<const std::uint8_t> TraceReader::chunk_payload(
-    std::size_t i, std::vector<std::uint8_t>& scratch) const {
-  const ChunkInfo& info = chunks_.at(i);
-  const auto on_disk = file_.bytes().subspan(
-      static_cast<std::size_t>(info.payload_offset), info.payload_bytes);
-  if (!info.compressed()) return on_disk;  // zero copy
-  const std::size_t raw =
-      static_cast<std::size_t>(info.burst_count) *
-      static_cast<std::size_t>(header_.bytes_per_burst());
+std::span<const std::uint8_t> TraceReader::expand(
+    std::span<const std::uint8_t> on_disk, std::size_t raw,
+    std::vector<std::uint8_t>& scratch) const {
   scratch.resize(raw);
   rle_decompress(on_disk, scratch);
   metrics_->rle_chunks.fetch_add(1, std::memory_order_relaxed);
@@ -386,6 +307,18 @@ std::span<const std::uint8_t> TraceReader::chunk_payload(
                                            std::memory_order_relaxed);
   metrics_->rle_bytes_expanded.fetch_add(raw, std::memory_order_relaxed);
   return scratch;
+}
+
+std::span<const std::uint8_t> TraceReader::chunk_payload(
+    std::size_t i, std::vector<std::uint8_t>& scratch) const {
+  const ChunkInfo& info = chunks_.at(i);
+  const auto on_disk = file_.bytes().subspan(
+      static_cast<std::size_t>(info.payload_offset), info.payload_bytes);
+  if (!info.compressed()) return on_disk;  // zero copy
+  return expand(on_disk,
+                static_cast<std::size_t>(info.burst_count) *
+                    static_cast<std::size_t>(header_.bytes_per_burst()),
+                scratch);
 }
 
 std::span<const std::uint64_t> TraceReader::chunk_masks(
@@ -400,31 +333,21 @@ std::span<const std::uint64_t> TraceReader::chunk_masks(
   const std::size_t raw = static_cast<std::size_t>(info.burst_count) *
                           static_cast<std::size_t>(header_.group_count()) *
                           kMaskBytesPerBurst;
-  std::span<const std::uint8_t> bytes = on_disk;
-  if ((info.mask_flags & kChunkFlagRle) != 0) {
-    scratch.resize(raw);
-    rle_decompress(on_disk, scratch);
-    metrics_->rle_chunks.fetch_add(1, std::memory_order_relaxed);
-    metrics_->rle_bytes_compressed.fetch_add(on_disk.size(),
-                                             std::memory_order_relaxed);
-    metrics_->rle_bytes_expanded.fetch_add(raw, std::memory_order_relaxed);
-    bytes = scratch;
-  }
+  const std::span<const std::uint8_t> bytes =
+      (info.mask_flags & kChunkFlagRle) != 0 ? expand(on_disk, raw, scratch)
+                                             : on_disk;
   out.resize(raw / kMaskBytesPerBurst);
+  read_masks(bytes, out);
   const int bl = header_.cfg.burst_length;
-  for (std::size_t w = 0; w < out.size(); ++w) {
-    std::uint64_t m = 0;
-    for (std::size_t b = 0; b < kMaskBytesPerBurst; ++b)
-      m |= static_cast<std::uint64_t>(bytes[w * kMaskBytesPerBurst + b])
-           << (8 * b);
-    if (bl < 64 && (m >> bl) != 0) {
+  if (bl < 64) {
+    for (std::size_t w = 0; w < out.size(); ++w) {
+      if ((out[w] >> bl) == 0) continue;
       const auto groups = static_cast<std::size_t>(header_.group_count());
       throw TraceError("trace: inversion mask of burst " +
                        std::to_string(w / groups) + " group " +
                        std::to_string(w % groups) +
                        " has bits beyond burst length " + std::to_string(bl));
     }
-    out[w] = m;
   }
   return out;
 }

@@ -3,8 +3,9 @@
 // scheme tags; see trace/format.hpp).
 //
 // open() maps the whole file read-only (falling back to a buffered read
-// on platforms without mmap), validates header, chunk index, footer and
-// CRC up front, and then serves fixed-size chunks as views straight
+// on platforms without mmap), checks the header and footer through
+// decode_header / decode_footer (trace/format.hpp), then the CRC and
+// the chunk index, all up front, and then serves chunks as views straight
 // into the mapping: uncompressed chunks cost no copy at all, RLE chunks
 // decompress into a caller-provided scratch buffer that is reused
 // across chunks — no per-burst allocation anywhere.
@@ -104,7 +105,7 @@ class TraceReader {
   /// this; config() / wide() describe the on-disk layout.
   [[nodiscard]] dbi::Geometry geometry() const { return header_.geometry(); }
   /// Width and burst length as stored; for multi-group traces only
-  /// those two fields are meaningful (see header().wide_config()).
+  /// those two fields are meaningful (see geometry()).
   [[nodiscard]] const dbi::BusConfig& config() const { return header_.cfg; }
   /// True when the payload is the multi-group layout (two or more DBI
   /// groups, one byte per group per beat).
@@ -154,6 +155,10 @@ class TraceReader {
   explicit TraceReader(MappedFile file) : file_(std::move(file)) {}
   void parse(bool verify_crc);
   void validate_chunk_index(std::size_t footer_off) const;
+  /// RLE-expands `on_disk` into `raw` bytes of `scratch` and counts it.
+  std::span<const std::uint8_t> expand(
+      std::span<const std::uint8_t> on_disk, std::size_t raw,
+      std::vector<std::uint8_t>& scratch) const;
 
   MappedFile file_;
   TraceHeader header_;

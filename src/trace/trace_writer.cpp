@@ -4,43 +4,6 @@
 #include <bit>
 
 namespace dbi::trace {
-namespace {
-
-/// push_back-based append of the 4-byte magics: gcc 12's
-/// -Wstringop-overflow misfires on vector::insert from small constant
-/// arrays (same family as the -Wrestrict workaround in netlist/export).
-void put_magic(std::vector<std::uint8_t>& out, const std::uint8_t (&m)[4]) {
-  for (const std::uint8_t b : m) out.push_back(b);
-}
-
-}  // namespace
-
-void TraceWriterOptions::validate() const {
-  if (bursts_per_chunk < 1)
-    throw std::invalid_argument("TraceWriterOptions: bursts_per_chunk >= 1");
-  if (!encoded && (enc_scheme != 0 || enc_lanes != 0 || enc_policy != 0))
-    throw std::invalid_argument(
-        "TraceWriterOptions: encode metadata (enc_scheme / enc_lanes / "
-        "enc_policy) requires encoded = true");
-  if (!encoded && per_chunk_schemes)
-    throw std::invalid_argument(
-        "TraceWriterOptions: per_chunk_schemes (mixed-scheme v3 trace) "
-        "requires encoded = true");
-  if (per_chunk_schemes) {
-    if (enc_scheme != 0 && enc_scheme != kEncSchemeMixed)
-      throw std::invalid_argument(
-          "TraceWriterOptions: a mixed-scheme trace records its schemes "
-          "per chunk; enc_scheme must be left 0 (the writer stamps the "
-          "0xFF sentinel)");
-  } else if (enc_scheme != 0 && !scheme_from_tag(enc_scheme)) {
-    throw std::invalid_argument(
-        "TraceWriterOptions: enc_scheme must be 0 (not recorded) or a "
-        "scheme_to_tag() value");
-  }
-  if (enc_policy > 1)
-    throw std::invalid_argument(
-        "TraceWriterOptions: enc_policy must be 0 (threaded) or 1 (reset)");
-}
 
 TraceWriter::TraceWriter(std::ostream& os, const dbi::Geometry& geometry,
                          const TraceWriterOptions& opt)
@@ -61,8 +24,35 @@ TraceWriter::TraceWriter(const std::string& path, const dbi::Geometry& geometry,
 }
 
 void TraceWriter::init() {
-  geometry_.validate();
-  opt_.validate();
+  if (opt_.per_chunk_schemes && opt_.enc_scheme != 0 &&
+      opt_.enc_scheme != kEncSchemeMixed)
+    throw std::invalid_argument(
+        "TraceWriterOptions: a mixed-scheme trace records its schemes per "
+        "chunk; enc_scheme must be left 0 (the writer stamps the 0xFF "
+        "sentinel)");
+  // Version 3 with the 0xFF sentinel marks only mixed-scheme traces,
+  // and byte 16 stays zero for narrow ones, so every other file keeps
+  // the bytes older writers produced.
+  const bool mixed = opt_.per_chunk_schemes;
+  const TraceHeader header{
+      .cfg = {geometry_.width(), geometry_.burst_length()},
+      .groups = static_cast<std::uint8_t>(
+          geometry_.is_wide() ? geometry_.groups() : 0),
+      .flags = static_cast<std::uint16_t>(
+          (opt_.compress ? kFileFlagCompressed : 0) |
+          (opt_.encoded ? kFileFlagEncoded : 0)),
+      .bursts_per_chunk = opt_.bursts_per_chunk,
+      .enc_scheme = mixed ? kEncSchemeMixed : opt_.enc_scheme,
+      .enc_lanes = opt_.enc_lanes,
+      .enc_policy = opt_.enc_policy,
+      .version = mixed ? kFormatVersionMixed : kFormatVersion,
+  };
+  // The geometry and options must make a header every reader accepts.
+  try {
+    validate_header(header);
+  } catch (const TraceError& e) {
+    throw std::invalid_argument(std::string("TraceWriter: ") + e.what());
+  }
   // The chunk header stores the payload size as a u32; compression only
   // ever shrinks a kept payload, so bounding the raw chunk bounds both.
   const std::uint64_t max_chunk_bytes =
@@ -78,36 +68,7 @@ void TraceWriter::init() {
         "chunk payload size field");
   pending_.reserve(static_cast<std::size_t>(opt_.bursts_per_chunk) *
                    bytes_per_burst());
-
-  std::vector<std::uint8_t> header;
-  put_magic(header, kFileMagic);
-  // Version 3 marks ONLY mixed-scheme traces; everything else stays a
-  // byte-identical version-2 file.
-  header.push_back(opt_.per_chunk_schemes ? kFormatVersionMixed
-                                          : kFormatVersion);
-  header.push_back(kLittleEndianTag);
-  put_le(header, static_cast<std::uint64_t>(geometry_.width()), 2);
-  put_le(header, static_cast<std::uint64_t>(geometry_.burst_length()), 2);
-  put_le(header,
-         (opt_.compress ? kFileFlagCompressed : 0) |
-             (opt_.encoded ? kFileFlagEncoded : 0),
-         2);
-  put_le(header, opt_.bursts_per_chunk, 4);
-  // Byte 16: DBI group count of a wide geometry (1 for a one-group
-  // one); narrow files keep the legacy reserved zero, so they stay
-  // byte-identical to pre-wide writers.
-  header.push_back(geometry_.is_wide()
-                       ? static_cast<std::uint8_t>(geometry_.groups())
-                       : std::uint8_t{0});
-  // Bytes 17..20: encode metadata (zero for plain payload traces, so
-  // those stay byte-identical to pre-encoded writers). Mixed traces
-  // stamp the per-chunk sentinel.
-  header.push_back(opt_.per_chunk_schemes ? kEncSchemeMixed
-                                          : opt_.enc_scheme);
-  put_le(header, opt_.enc_lanes, 2);
-  header.push_back(opt_.enc_policy);
-  header.resize(kHeaderBytes, 0);
-  emit(header);
+  emit(encode_header(header));
 }
 
 TraceWriter::~TraceWriter() {
@@ -263,9 +224,7 @@ void TraceWriter::append_packed(std::span<const std::uint8_t> bytes,
     pending_.insert(pending_.end(), burst.begin(), burst.end());
     if (masks) {
       const auto g_count = static_cast<std::size_t>(groups);
-      for (std::size_t g = 0; g < g_count; ++g)
-        put_le(pending_masks_, masks[i * g_count + g],
-               static_cast<int>(kMaskBytesPerBurst));
+      append_masks(pending_masks_, {masks + i * g_count, g_count});
     }
     if (++pending_bursts_ == opt_.bursts_per_chunk) flush_chunk();
   }
@@ -343,23 +302,15 @@ void TraceWriter::finish() {
   if (finished_) return;
   flush_chunk();
 
-  std::vector<std::uint8_t> footer;
-  put_magic(footer, kFooterMagic);
-  put_le(footer, 0, 4);
-  put_le(footer, chunks_, 8);
-  put_le(footer, static_cast<std::uint64_t>(stats_.bursts), 8);
-  put_le(footer, static_cast<std::uint64_t>(stats_.payload_bits), 8);
-  put_le(footer, static_cast<std::uint64_t>(stats_.payload_zeros), 8);
-  put_le(footer, static_cast<std::uint64_t>(stats_.raw_transitions), 8);
-  put_le(footer, 0, 8);
-  emit(footer);
-
-  // The CRC seals everything before it, including the footer stats.
-  std::vector<std::uint8_t> tail;
-  put_le(tail, crc_.value(), 4);
-  put_magic(tail, kEndMagic);
-  os_->write(reinterpret_cast<const char*>(tail.data()),
-             static_cast<std::streamsize>(tail.size()));
+  // The CRC seals everything before its own field, the footer stats
+  // included.
+  TraceFooter footer{chunks_, stats_, 0};
+  std::array<std::uint8_t, kFooterBytes> record = encode_footer(footer);
+  crc_.update(std::span(record).first(kFooterCrcOffset));
+  footer.crc = crc_.value();
+  record = encode_footer(footer);
+  os_->write(reinterpret_cast<const char*>(record.data()),
+             static_cast<std::streamsize>(record.size()));
   os_->flush();
   if (!*os_) throw TraceError("TraceWriter: write failed");
   finished_ = true;

@@ -1,12 +1,16 @@
-// TraceWriter: buffered, chunked writer for the binary trace format v2.
+// TraceWriter: buffered, chunked writer for the binary trace format
+// v2/v3.
 //
 // Bursts are appended one at a time (or as flat word buffers), packed
 // into fixed-capacity chunks, optionally zero-run RLE compressed per
 // chunk (only kept when it actually shrinks the payload), and flushed
-// with a trailing stats footer + CRC on finish(). Payload statistics
-// (zeros / raw transitions with the paper's all-ones boundary) are
-// accumulated on the fly in 64-bit counters, so recording a trace also
-// yields its workload::TraceStats without a second pass.
+// with a trailing stats footer + CRC on finish(). The header and footer
+// go through encode_header / encode_footer, and options whose header
+// fails validate_header (the readers' rules) throw
+// std::invalid_argument. Payload statistics (zeros / raw transitions
+// with the paper's all-ones boundary) are accumulated on the fly in
+// 64-bit counters, so recording a trace also yields its
+// workload::TraceStats without a second pass.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +50,6 @@ struct TraceWriterOptions {
   /// preceded by a set_chunk_scheme() call so its tag is known. Leave
   /// false for single-scheme traces, which stay byte-identical v2.
   bool per_chunk_schemes = false;
-
-  void validate() const;
 };
 
 class TraceWriter {

@@ -4,17 +4,11 @@
 // hardening surface fuzz_trace_reader pounds on in CI.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/encoder.hpp"
-#include "trace/probe.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
 #include "util/rng.hpp"
@@ -368,32 +362,6 @@ TEST(EncodedTrace, RejectsCraftedChunkIndexes) {
     std::vector<std::uint64_t> words;
     EXPECT_THROW((void)reader.chunk_masks(0, scratch, words), TraceError);
   }
-}
-
-TEST(EncodedTrace, ProbeRejectsOutOfRangeSchemeTag) {
-  // The lake's header-only probe applies the reader's scheme-tag rule:
-  // the last table tag is accepted, the next byte value is not.
-  const BusConfig cfg{8, 8};
-  const auto tx = random_bytes(16 * 8, 5);
-  const auto masks = random_masks(16, 8, 6);
-  TraceWriterOptions opt;
-  opt.enc_scheme = scheme_to_tag(Scheme::kExhaustive);
-  std::vector<std::uint8_t> image = encoded_image(cfg, tx, masks, opt);
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("dbi_probe_tag_" + std::to_string(::getpid()) + ".dbt"))
-          .string();
-  const auto probe = [&](std::uint8_t tag) {
-    image[17] = tag;  // header byte 17: enc_scheme
-    std::ofstream(path, std::ios::binary)
-        .write(reinterpret_cast<const char*>(image.data()),
-               static_cast<std::streamsize>(image.size()));
-    return probe_trace_file(path);
-  };
-  EXPECT_EQ(probe(scheme_to_tag(Scheme::kExhaustive)).header.enc_scheme,
-            scheme_to_tag(Scheme::kExhaustive));
-  EXPECT_THROW((void)probe(8), TraceError);
-  std::filesystem::remove(path);
 }
 
 TEST(EncodedTrace, ChunkIndexInvariantsHoldOnWellFormedFiles) {

@@ -102,7 +102,7 @@ TEST(LakeCatalog, RoundTripsEveryMemberField) {
   const LakeMember& a = reader.members()[0];
   EXPECT_EQ(a.name, "a.dbt");
   EXPECT_EQ(a.geometry(), Geometry::narrow(8, 8));
-  EXPECT_EQ(a.trace_version, 2);
+  EXPECT_EQ(a.header.version, 2);
   EXPECT_FALSE(a.encoded());
   EXPECT_EQ(a.stats.bursts, 333);
   EXPECT_EQ(a.first_burst, 0);
@@ -177,7 +177,7 @@ TEST(LakeCatalog, RejectsOutOfRangeSchemeTag) {
   };
   const LakeReader ac =
       LakeReader::from_bytes(with_tag(scheme_to_tag(Scheme::kAc)));
-  EXPECT_EQ(ac.members()[0].enc_scheme, scheme_to_tag(Scheme::kAc));
+  EXPECT_EQ(ac.members()[0].header.enc_scheme, scheme_to_tag(Scheme::kAc));
   EXPECT_THROW((void)LakeReader::from_bytes(with_tag(8)), LakeError);
 }
 

@@ -478,9 +478,17 @@ TEST(SessionSpecValidation, RejectsBadGeometryAndMismatchedSources) {
   // just the first: a longer later burst would overrun the packing
   // buffer, a wider one would be truncated. One lane takes the
   // unpacked fast path (threaded and reset per burst), two lanes the
-  // packing source.
-  for (const BusConfig later : {BusConfig{8, 64}, BusConfig{16, 8}}) {
-    const std::vector<Burst> mixed{Burst(BusConfig{8, 8}), Burst(later)};
+  // packing source. The message names the burst's index in the span,
+  // also past the fast path's first 65536-burst block.
+  struct Case {
+    std::size_t bad;
+    BusConfig later;
+  };
+  for (const Case c : {Case{1, BusConfig{8, 64}}, Case{1, BusConfig{16, 8}},
+                       Case{70000, BusConfig{8, 64}}}) {
+    std::vector<Burst> mixed(c.bad, Burst(BusConfig{8, 8}));
+    mixed.emplace_back(c.later);
+    const std::string want = "burst " + std::to_string(c.bad);
     for (const int lanes : {1, 2}) {
       for (const bool reset : {false, true}) {
         Session s(
@@ -488,9 +496,10 @@ TEST(SessionSpecValidation, RejectsBadGeometryAndMismatchedSources) {
         auto src = make_burst_source(mixed);
         try {
           (void)s.run(*src);
-          ADD_FAILURE() << "mismatched burst 1 accepted at lanes " << lanes;
+          ADD_FAILURE() << "mismatched " << want << " accepted at lanes "
+                        << lanes;
         } catch (const std::invalid_argument& e) {
-          EXPECT_NE(std::string(e.what()).find("burst 1"), std::string::npos)
+          EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
               << e.what();
         }
       }

@@ -2,9 +2,13 @@
 // and rejection of corrupted / truncated files.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <span>
@@ -13,7 +17,9 @@
 #include <vector>
 
 #include "api/session.hpp"
+#include "lake/lake.hpp"
 #include "trace/convert.hpp"
+#include "trace/probe.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
 #include "workload/generators.hpp"
@@ -146,26 +152,6 @@ TEST(TraceFormat, RejectsTruncationEverywhere) {
   }
 }
 
-TEST(TraceFormat, RejectsBadGeometryAndVersion) {
-  const auto trace = random_trace(BusConfig{8, 8}, 4, 37);
-  const auto image = write_to_bytes(trace);
-  {
-    auto bad = image;
-    bad[4] = 1;  // version
-    EXPECT_THROW((void)TraceReader::from_bytes(std::move(bad)), TraceError);
-  }
-  {
-    auto bad = image;
-    bad[5] = 2;  // endianness tag
-    EXPECT_THROW((void)TraceReader::from_bytes(std::move(bad)), TraceError);
-  }
-  {
-    auto bad = image;
-    bad[6] = 77;  // width out of range
-    EXPECT_THROW((void)TraceReader::from_bytes(std::move(bad)), TraceError);
-  }
-}
-
 // --------------------------------------------------- wide trace extension
 
 std::vector<std::uint8_t> wide_bytes(const WideBusConfig& cfg, int bursts,
@@ -205,7 +191,7 @@ TEST(TraceFormat, WideHeaderRoundTripsAndPayloadSurvives) {
     const auto reader = TraceReader::from_bytes(image);
     EXPECT_TRUE(reader.wide());
     EXPECT_EQ(reader.header().groups, cfg.groups());
-    EXPECT_EQ(reader.header().wide_config(), cfg);
+    EXPECT_EQ(reader.geometry().wide_bus(), cfg);
     EXPECT_EQ(reader.header().bytes_per_burst(), cfg.bytes_per_burst());
     EXPECT_EQ(reader.bursts(), 100);
 
@@ -242,7 +228,8 @@ TEST(TraceFormat, WideFooterStatsMatchDirectAccounting) {
       const Word gmask = cfg.group_config(g).dq_mask();
       Word last = gmask;  // all-ones boundary per burst
       for (int t = 0; t < cfg.burst_length; ++t) {
-        const Word b = payload[j * bb + static_cast<std::size_t>(t * groups + g)];
+        const Word b =
+            payload[j * bb + static_cast<std::size_t>(t * groups + g)];
         zeros += gw - std::popcount(b);
         transitions += std::popcount((last ^ b) & gmask);
         last = b;
@@ -263,30 +250,15 @@ TEST(TraceFormat, SingleGroupFilesKeepReservedZeroGroupsByte) {
 }
 
 TEST(TraceFormat, RejectsCorruptWideGeometry) {
-  const WideBusConfig cfg{16, 8};
-  const auto image = write_wide_to_bytes(cfg, wide_bytes(cfg, 8, 0x11));
-  {
-    auto bad = image;
-    bad[16] = 5;  // width 16 has 2 groups, not 5
-    EXPECT_THROW((void)TraceReader::from_bytes(std::move(bad), false),
-                 TraceError);
-  }
-  {
-    auto bad = image;
-    bad[6] = 65;  // wide width out of range
-    EXPECT_THROW((void)TraceReader::from_bytes(std::move(bad), false),
-                 TraceError);
-  }
-  {
-    // Clearing the groups byte of a width-24 wide trace reinterprets it
-    // as single-group (4 bytes per beat, not 3): the chunk payload
-    // sizes no longer match and the reader must say so.
-    const WideBusConfig x24{24, 8};
-    auto bad = write_wide_to_bytes(x24, wide_bytes(x24, 8, 0x33));
-    bad[16] = 0;
-    EXPECT_THROW((void)TraceReader::from_bytes(std::move(bad), false),
-                 TraceError);
-  }
+  // Clearing the groups byte of a width-24 wide trace reinterprets it
+  // as single-group (4 bytes per beat, not 3): the header is valid, but
+  // the chunk payload sizes no longer match and the reader must say so.
+  // (Header-field corruption is in EveryEntryPointAppliesTheSameRules.)
+  const WideBusConfig x24{24, 8};
+  auto bad = write_wide_to_bytes(x24, wide_bytes(x24, 8, 0x33));
+  bad[16] = 0;
+  EXPECT_THROW((void)TraceReader::from_bytes(std::move(bad), false),
+               TraceError);
 }
 
 TEST(TraceFormat, WideTracesHaveNoSingleGroupViews) {
@@ -314,7 +286,8 @@ TEST(TraceFormat, WideWriterRejectsMisuse) {
   // Payload size and remainder-group range are validated per burst.
   const std::vector<std::uint8_t> short_bytes(7, 0);
   EXPECT_THROW(writer.write_packed(short_bytes), std::invalid_argument);
-  std::vector<std::uint8_t> overflow(static_cast<std::size_t>(cfg.bytes_per_burst()), 0);
+  std::vector<std::uint8_t> overflow(
+      static_cast<std::size_t>(cfg.bytes_per_burst()), 0);
   overflow[1] = 0x20;  // beat 0, group 1: 4-lane group takes 0x0..0xF
   EXPECT_THROW(writer.write_packed(overflow), std::invalid_argument);
 }
@@ -702,6 +675,277 @@ TEST(TraceFormat, TextBinaryConversionIsLossless) {
   binary_to_text(reader, text2);
   EXPECT_EQ(text2.str(), text1.str());
   expect_equal(reader.to_burst_trace(), trace);
+}
+
+// ------------------------------------------ one rule set, every entry
+
+using Bytes = std::vector<std::uint8_t>;
+
+/// A fresh, unique directory under the system temp dir; removed on
+/// destruction.
+struct TempDir {
+  std::string path;
+
+  TempDir() {
+    static std::atomic<int> n{0};
+    path = (std::filesystem::temp_directory_path() /
+            ("dbi_trace_rules_" + std::to_string(::getpid()) + "_" +
+             std::to_string(n++)))
+               .string();
+    std::filesystem::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
+void write_file(const std::string& path, const Bytes& bytes) {
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Stores `v` as `n` little-endian bytes at `at`.
+void poke_le(Bytes& image, std::size_t at, std::uint64_t v, int n) {
+  for (int i = 0; i < n; ++i)
+    image[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// Recomputes the footer CRC, so only a field rule can refuse the image.
+void reseal(Bytes& image) {
+  const std::size_t at = image.size() - 8;
+  poke_le(image, at, crc32(std::span<const std::uint8_t>(image).first(at)),
+          4);
+}
+
+/// True when `f` returns, false when it throws `Error`; any other
+/// exception fails the test.
+template <typename Error, typename F>
+bool accepts(F&& f) {
+  try {
+    f();
+    return true;
+  } catch (const Error&) {
+    return false;
+  }
+}
+
+/// An encoded x8 BL8 trace of 16 bursts in two chunks. With `mixed`, a
+/// v3 trace whose chunks are DC then AC; otherwise a v2 trace stamped
+/// with scheme tag `enc_scheme`.
+Bytes encoded_bytes(bool mixed, std::uint8_t enc_scheme = 0) {
+  TraceWriterOptions opt;
+  opt.encoded = true;
+  opt.enc_scheme = enc_scheme;
+  opt.enc_lanes = 1;
+  opt.per_chunk_schemes = mixed;
+  opt.bursts_per_chunk = 8;
+  std::ostringstream os(std::ios::binary);
+  TraceWriter writer(os, BusConfig{8, 8}, opt);
+  const Bytes tx(8 * 8, 0x3C);
+  const std::vector<std::uint64_t> masks(8, 0x81);
+  for (const Scheme scheme : {Scheme::kDc, Scheme::kAc}) {
+    if (mixed) writer.set_chunk_scheme(scheme);
+    writer.write_encoded(tx, masks);
+  }
+  writer.finish();
+  const std::string s = os.str();
+  return {s.begin(), s.end()};
+}
+
+TEST(TraceFormat, EveryEntryPointAppliesTheSameRules) {
+  // Each row corrupts one header or footer field of a written trace
+  // and reseals its CRC. The reader (CRC check off, so the field rule
+  // decides), the header + footer probe and lake add must all give the
+  // row's verdict, and a lake that refused the add must still open.
+  const Bytes narrow = write_to_bytes(random_trace(BusConfig{8, 8}, 40, 41));
+  const WideBusConfig x16{16, 8};
+  const Bytes wide = write_wide_to_bytes(x16, wide_bytes(x16, 8, 0x11));
+  const Bytes encoded =
+      encoded_bytes(false, scheme_to_tag(Scheme::kExhaustive));
+  const Bytes mixed = encoded_bytes(true);
+  constexpr std::size_t kFooterFromEnd = kFooterBytes;
+  struct Row {
+    const char* what;
+    const Bytes* base;
+    void (*poke)(Bytes&);
+    bool accepted;
+  };
+  const Row rows[] = {
+      {"narrow as written", &narrow, [](Bytes&) {}, true},
+      {"wide x16 as written", &wide, [](Bytes&) {}, true},
+      {"encoded with the last scheme tag", &encoded, [](Bytes&) {}, true},
+      {"mixed v3 as written", &mixed, [](Bytes&) {}, true},
+      {"version 1", &narrow, [](Bytes& b) { b[4] = 1; }, false},
+      {"version 3 without the mixed sentinel", &encoded,
+       [](Bytes& b) { b[4] = kFormatVersionMixed; }, false},
+      {"version 2 with the mixed sentinel", &mixed,
+       [](Bytes& b) { b[4] = kFormatVersion; }, false},
+      {"endianness tag 2", &narrow, [](Bytes& b) { b[5] = 2; }, false},
+      {"narrow width 77", &narrow, [](Bytes& b) { b[6] = 77; }, false},
+      {"burst length 0", &narrow, [](Bytes& b) { b[8] = 0; }, false},
+      {"unknown file flag bit 0x8", &narrow, [](Bytes& b) { b[10] |= 0x8; },
+       false},
+      {"bursts_per_chunk 0", &narrow, [](Bytes& b) { poke_le(b, 12, 0, 4); },
+       false},
+      {"wide x16 with groups byte 5", &wide, [](Bytes& b) { b[16] = 5; },
+       false},
+      {"wide width 65", &wide, [](Bytes& b) { b[6] = 65; }, false},
+      {"scheme tag past the table", &encoded, [](Bytes& b) { b[17] = 8; },
+       false},
+      {"encode lanes without the encoded flag", &narrow,
+       [](Bytes& b) { b[18] = 4; }, false},
+      {"state-policy byte 2", &encoded, [](Bytes& b) { b[20] = 2; }, false},
+      {"footer magic", &narrow,
+       [](Bytes& b) { b[b.size() - kFooterFromEnd] ^= 1; }, false},
+      {"end magic", &narrow, [](Bytes& b) { b.back() ^= 1; }, false},
+      {"footer chunk count beyond the file", &narrow,
+       [](Bytes& b) { poke_le(b, b.size() - kFooterFromEnd + 8, 1 << 20, 8); },
+       false},
+      {"footer bursts -1", &narrow,
+       [](Bytes& b) { poke_le(b, b.size() - kFooterFromEnd + 16, ~0ULL, 8); },
+       false},
+      {"footer payload_zeros -1", &narrow,
+       [](Bytes& b) { poke_le(b, b.size() - kFooterFromEnd + 32, ~0ULL, 8); },
+       false},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.what);
+    Bytes image = *row.base;
+    row.poke(image);
+    reseal(image);
+    EXPECT_EQ(accepts<TraceError>(
+                  [&] { (void)TraceReader::from_bytes(image, false); }),
+              row.accepted)
+        << "TraceReader";
+
+    const TempDir dir;
+    write_file(dir.path + "/good.dbt", narrow);
+    write_file(dir.path + "/m.dbt", image);
+    EXPECT_EQ(accepts<TraceError>(
+                  [&] { (void)probe_trace_file(dir.path + "/m.dbt"); }),
+              row.accepted)
+        << "probe_trace_file";
+
+    lake::LakeWriter writer = lake::LakeWriter::create(dir.path);
+    writer.add("good.dbt");
+    EXPECT_EQ(accepts<lake::LakeError>([&] { (void)writer.add("m.dbt"); }),
+              row.accepted)
+        << "LakeWriter::add";
+    writer.write();
+    try {
+      const auto lake = lake::LakeReader::open(dir.path);
+      EXPECT_EQ(lake.members().size(), row.accepted ? 2U : 1U);
+    } catch (const lake::LakeError& e) {
+      ADD_FAILURE() << "the lake no longer opens: " << e.what();
+    }
+  }
+}
+
+/// An encoded wide x12 BL4 trace with every header field set: two
+/// bursts in one uncompressed chunk.
+Bytes pinned_trace() {
+  TraceWriterOptions opt;
+  opt.bursts_per_chunk = 100;
+  opt.compress = false;
+  opt.encoded = true;
+  opt.enc_scheme = scheme_to_tag(Scheme::kAcDc);
+  opt.enc_lanes = 4;
+  opt.enc_policy = 1;
+  std::ostringstream os(std::ios::binary);
+  TraceWriter writer(os, Geometry::wide(12, 4), opt);
+  const Bytes tx{0xA5, 0x0F, 0x00, 0x03, 0xFF, 0x0C, 0x5A, 0x00,
+                 0x01, 0x02, 0x80, 0x0F, 0x7E, 0x09, 0x00, 0x00};
+  const std::vector<std::uint64_t> masks{0x5, 0x0, 0xF, 0x2};
+  writer.write_encoded(tx, masks);
+  writer.finish();
+  const std::string s = os.str();
+  return {s.begin(), s.end()};
+}
+
+const Bytes kPinnedHeader{
+    'D',  'B',  'T',  '2',  0x02, 0x01, 0x0C, 0x00,  // version 2, x12
+    0x04, 0x00, 0x02, 0x00, 0x64, 0x00, 0x00, 0x00,  // BL4, encoded, 100
+    0x02, 0x04, 0x04, 0x00, 0x01, 0x00, 0x00, 0x00,  // 2 groups, ACDC, 4, 1
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+};
+
+const Bytes kPinnedFooter{
+    'D',  'B',  'T',  'F',  0x00, 0x00, 0x00, 0x00,  // reserved
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 1 chunk
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 2 bursts
+    0x60, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 96 payload bits
+    0x39, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 57 zeros
+    0x3C, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 60 raw transitions
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // reserved
+    0x39, 0xFE, 0x11, 0x91, '2',  'T',  'B',  'D',   // CRC, end magic
+};
+
+TEST(TraceFormat, WrittenHeaderAndFooterBytesArePinned) {
+  // Reader and writer share one codec, so a layout change made on both
+  // sides would still round-trip; these bytes catch it.
+  const Bytes image = pinned_trace();
+  ASSERT_EQ(image.size(), 176U);
+  EXPECT_EQ(Bytes(image.begin(), image.begin() + kHeaderBytes), kPinnedHeader);
+  EXPECT_EQ(Bytes(image.end() - kFooterBytes, image.end()), kPinnedFooter);
+  const auto reader = TraceReader::from_bytes(image);
+  EXPECT_EQ(reader.geometry(), Geometry::wide(12, 4));
+  EXPECT_EQ(reader.bursts(), 2);
+}
+
+TEST(TraceFormat, HeaderAndFooterRecordsRoundTrip) {
+  TraceHeader narrow;
+  narrow.cfg = {32, 16};
+  narrow.flags = kFileFlagCompressed;
+  TraceHeader wide;
+  wide.cfg = {64, 8};
+  wide.groups = 8;
+  TraceHeader one_group;
+  one_group.groups = 1;
+  TraceHeader encoded;
+  encoded.cfg = {12, 4};
+  encoded.groups = 2;
+  encoded.flags = kFileFlagEncoded;
+  encoded.bursts_per_chunk = 100;
+  encoded.enc_scheme = scheme_to_tag(Scheme::kOpt);
+  encoded.enc_lanes = 4;
+  encoded.enc_policy = 1;
+  TraceHeader mixed;
+  mixed.version = kFormatVersionMixed;
+  mixed.flags = kFileFlagCompressed | kFileFlagEncoded;
+  mixed.enc_scheme = kEncSchemeMixed;
+  mixed.enc_lanes = 2;
+  for (const TraceHeader& h : {narrow, wide, one_group, encoded, mixed}) {
+    EXPECT_NO_THROW(validate_header(h));
+    EXPECT_EQ(decode_header(encode_header(h)), h);
+  }
+  EXPECT_EQ(decode_header(encode_header(one_group)).geometry(),
+            Geometry::wide(8, 8));
+
+  TraceFooter footer;
+  footer.chunk_count = 3;
+  footer.stats = {1000, 64000, 31000, 25000};
+  footer.crc = 0xDEADBEEFU;
+  const TraceFooter back = decode_footer(encode_footer(footer), 4096);
+  EXPECT_EQ(back.chunk_count, footer.chunk_count);
+  EXPECT_EQ(back.stats.bursts, footer.stats.bursts);
+  EXPECT_EQ(back.stats.payload_bits, footer.stats.payload_bits);
+  EXPECT_EQ(back.stats.payload_zeros, footer.stats.payload_zeros);
+  EXPECT_EQ(back.stats.raw_transitions, footer.stats.raw_transitions);
+  EXPECT_EQ(back.crc, footer.crc);
+
+  // The writer's own records go through the same codecs.
+  const Bytes image = pinned_trace();
+  const auto reader = TraceReader::from_bytes(image);
+  const auto header_bytes = encode_header(reader.header());
+  EXPECT_EQ(Bytes(header_bytes.begin(), header_bytes.end()), kPinnedHeader);
+  const auto pinned = std::span<const std::uint8_t>(kPinnedFooter);
+  const TraceFooter written =
+      decode_footer(pinned.first<kFooterBytes>(), image.size());
+  const auto footer_bytes = encode_footer(written);
+  EXPECT_EQ(Bytes(footer_bytes.begin(), footer_bytes.end()), kPinnedFooter);
 }
 
 }  // namespace

@@ -1287,7 +1287,7 @@ int cmd_lake(const Args& args) {
         const lake::LakeMember& m = reader.members()[i];
         os << (i ? ",\n    " : "\n    ") << "{\"name\": \"" << esc(m.name)
            << "\", \"geometry\": \"" << esc(m.geometry().to_string())
-           << "\", \"version\": " << static_cast<int>(m.trace_version)
+           << "\", \"version\": " << static_cast<int>(m.header.version)
            << ", \"encoded\": " << (m.encoded() ? "true" : "false")
            << ", \"bursts\": " << m.stats.bursts
            << ", \"chunks\": " << m.chunk_count
@@ -1301,7 +1301,7 @@ int cmd_lake(const Args& args) {
                       "chunks", "file_bytes"});
     for (const lake::LakeMember& m : reader.members())
       table.add_row({m.name, m.geometry().to_string(),
-                     std::to_string(static_cast<int>(m.trace_version)),
+                     std::to_string(static_cast<int>(m.header.version)),
                      m.encoded() ? (m.mixed() ? "mixed" : "yes") : "no",
                      std::to_string(m.stats.bursts),
                      std::to_string(m.chunk_count),

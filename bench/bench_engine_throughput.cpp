@@ -11,9 +11,12 @@
 // itself: Session::run vs the direct BatchEncoder entry points on the
 // same payload (the only place the bench touches the engine directly —
 // it is the overhead reference the CI gate holds Session against,
-// acceptance <= 2%). A last, ungated section reports the per-burst
-// OPT (Fixed) references: the gate-level netlist and the scalar trellis
-// at burst lengths 2-32. Emits a single JSON object so the numbers can
+// acceptance <= 2%). An ungated range_shard section times single-lane
+// trellis chunks through a StreamEncoder with a 4-worker pool (burst
+// range units) against none, and a last, ungated section reports the
+// per-burst OPT (Fixed) references: the gate-level netlist and the
+// scalar trellis at burst lengths 2-32. Emits a single JSON object so
+// the numbers can
 // be tracked as a trajectory across commits (BENCH_*.json, gated by
 // tools/bench_compare.py).
 //
@@ -31,7 +34,9 @@
 #include "core/encoder.hpp"
 #include "engine/batch_decoder.hpp"
 #include "engine/batch_encoder.hpp"
+#include "engine/kernel_registry.hpp"
 #include "engine/shard_pool.hpp"
+#include "engine/stream_encoder.hpp"
 #include "hw/hw_encoder.hpp"
 #include "select/scheme_policy.hpp"
 #include "util/rng.hpp"
@@ -741,6 +746,57 @@ ReferenceReport run_reference(const std::string& path, const Encoder& encoder,
   return {path, bl, encodes / dt / 1e6};
 }
 
+struct RangeShardReport {
+  std::string label;
+  double serial_us = 0;  // median single-chunk encode, no pool
+  double pooled_us = 0;  // median with the 4-worker pool
+  double ratio = 0;      // median of per-pair serial / pooled
+};
+
+/// One single-lane chunk of `bursts` random bursts at `g` through a
+/// StreamEncoder with `pool` and with none, the two arms alternating
+/// (which goes first flips every pair); results collected, as the
+/// round trip collects them.
+RangeShardReport run_range_shard(const std::string& label, Scheme scheme,
+                                 const Geometry& g, int bursts,
+                                 engine::ShardPool& pool, int pairs) {
+  const engine::BatchEncoder batch(scheme, CostWeights{0.56, 0.44});
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(bursts) *
+                                  static_cast<std::size_t>(
+                                      g.bytes_per_burst()));
+  util::Xoshiro256 rng(29);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+  engine::StreamEncodeOptions so;
+  engine::StreamEncoder serial(batch, g, so);
+  so.pool = &pool;
+  engine::StreamEncoder pooled(batch, g, so);
+  const auto time_us = [&](engine::StreamEncoder& enc) {
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)enc.encode_chunk(0, bytes, static_cast<std::size_t>(bursts), true);
+    return seconds_since(t0) * 1e6;
+  };
+  for (int i = 0; i < 2; ++i) (void)(time_us(serial) + time_us(pooled));
+  std::vector<double> s_us, p_us, ratios;
+  for (int i = 0; i < pairs; ++i) {
+    double s = 0, p = 0;
+    if (i % 2 == 0) {
+      s = time_us(serial);
+      p = time_us(pooled);
+    } else {
+      p = time_us(pooled);
+      s = time_us(serial);
+    }
+    s_us.push_back(s);
+    p_us.push_back(p);
+    ratios.push_back(p > 0 ? s / p : 0);
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  return {label, median(s_us), median(p_us), median(ratios)};
+}
+
 int main(int argc, char** argv) {
   const int bursts_per_lane = argc > 1 ? std::atoi(argv[1]) : 16384;
   const int lane_count = argc > 2 ? std::atoi(argv[2]) : 8;
@@ -1045,6 +1101,33 @@ int main(int argc, char** argv) {
                   "\"session_vs_engine\": %.3f}",
                   first ? "" : ",\n", r.label.c_str(), r.engine_mbps,
                   r.session_mbps, r.ratio);
+      first = false;
+    }
+    std::printf("\n  ],\n");
+  }
+
+  // Trellis chunks over burst ranges, report-only (no gate): one lane
+  // of the round trip's 4096-burst chunk, pooled vs serial.
+  {
+    engine::ShardPool range_pool(4);
+    constexpr int kRangeBursts = 4096;
+    const RangeShardReport reports[] = {
+        run_range_shard("opt_x64", Scheme::kOpt, Geometry::wide(64),
+                        kRangeBursts, range_pool, 15),
+        run_range_shard("opt_x8", Scheme::kOpt, Geometry::narrow(8),
+                        kRangeBursts, range_pool, 15),
+        run_range_shard("opt_fixed_x8", Scheme::kOptFixed,
+                        Geometry::narrow(8), kRangeBursts, range_pool, 15),
+    };
+    std::printf("  \"range_shard\": [\n");
+    first = true;
+    for (const RangeShardReport& r : reports) {
+      std::printf("%s    {\"case\": \"%s\", \"kernel\": \"%s\", "
+                  "\"bursts\": %d, \"workers\": 4, \"serial_us\": %.1f, "
+                  "\"pooled_us\": %.1f, \"pool_vs_serial\": %.2f}",
+                  first ? "" : ",\n", r.label.c_str(),
+                  std::string(engine::default_kernel().name()).c_str(),
+                  kRangeBursts, r.serial_us, r.pooled_us, r.ratio);
       first = false;
     }
     std::printf("\n  ],\n");

@@ -5,19 +5,27 @@
 // for the engine kernels at every geometry the bytes can reach,
 // bit-exact parity of the drawn kernel variant against the portable
 // "swar" reference (masks, stats, threaded state, decoded bytes — the
-// SIMD differential), plus scalar-reference parity on a bounded prefix
-// of the stream. A mismatch aborts; sanitizers catch UB.
+// SIMD differential), scalar-reference parity on a bounded prefix of
+// the stream, and a pooled arm: StreamEncoder split into (lane, burst
+// range) units by a plan drawn from the payload, on a 3-worker pool,
+// against the serial stream encode. A mismatch aborts; sanitizers
+// catch UB.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "api/geometry.hpp"
 #include "core/encoder.hpp"
 #include "engine/batch_decoder.hpp"
 #include "engine/batch_encoder.hpp"
 #include "engine/kernel_registry.hpp"
+#include "engine/shard_pool.hpp"
+#include "engine/stream_encoder.hpp"
 
 namespace {
 
@@ -45,6 +53,52 @@ const engine::KernelVariant& draw_kernel(std::uint8_t byte) {
   const auto kernels = engine::registered_kernels();
   const engine::KernelVariant* k = kernels[byte % kernels.size()];
   return engine::isa_available(k->isa()) ? *k : engine::portable_kernel();
+}
+
+/// Pooled arm: the stream in two chunks at 1-3 interleaved lanes, once
+/// serially and once split into ranges at payload-drawn offsets on a
+/// 3-worker pool; masks, totals and final states must agree.
+void check_ranges(const engine::BatchEncoder& engine, const Geometry& g,
+                  std::span<const std::uint8_t> payload, std::size_t bursts,
+                  bool reset) {
+  static engine::ShardPool pool(3);
+  const int lanes = 1 + payload[payload.size() / 2] % 3;
+  std::vector<std::size_t> starts;
+  for (std::size_t i = 0, at = 0; i < 4 && i < payload.size(); ++i) {
+    at += 1 + payload[i] % 8;
+    starts.push_back(at);
+  }
+  const std::size_t states =
+      static_cast<std::size_t>(lanes) * static_cast<std::size_t>(g.groups());
+  const auto run = [&](engine::ShardPool* p, std::vector<BusState>& st) {
+    engine::StreamEncodeOptions so;
+    so.lanes = lanes;
+    so.reset_state_per_burst = reset;
+    so.pool = p;
+    st.resize(states);
+    engine::StreamEncoder enc(engine, g, so, st);
+    enc.reset();
+    std::vector<engine::BurstResult> out;
+    const std::size_t half = bursts / 2;
+    const auto bb = static_cast<std::size_t>(g.bytes_per_burst());
+    for (const auto [first, n] : {std::pair{std::size_t{0}, half},
+                                  std::pair{half, bursts - half}}) {
+      const auto chunk = payload.subspan(first * bb, n * bb);
+      const auto r =
+          p ? enc.encode_chunk_ranges(static_cast<std::int64_t>(first), chunk,
+                                      n, true, starts)
+            : enc.encode_chunk(static_cast<std::int64_t>(first), chunk, n,
+                               true);
+      out.insert(out.end(), r.begin(), r.end());
+    }
+    return std::tuple{out, enc.zeros(), enc.transitions()};
+  };
+  std::vector<BusState> serial_states;
+  std::vector<BusState> pooled_states;
+  if (run(nullptr, serial_states) != run(&pool, pooled_states))
+    fail("ranged pooled stream encode diverges from the serial encode");
+  if (serial_states != pooled_states)
+    fail("ranged pooled stream encode leaves a diverged line state");
 }
 
 }  // namespace
@@ -148,6 +202,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       if (!(e.decode() == burst)) fail("scalar decode is not identity");
       sstate = e.final_state();
     }
+    check_ranges(engine, Geometry::of(cfg), payload, bursts, reset);
     return 0;
   }
 
@@ -208,5 +263,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   swar_decoder.decode(tx, masks, Geometry::of(cfg), swar_out);
   if (swar_out != out)
     fail("wide decode variant diverges from the portable reference");
+  check_ranges(engine, Geometry::of(cfg), payload, bursts, reset);
   return 0;
 }

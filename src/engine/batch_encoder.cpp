@@ -314,12 +314,6 @@ BurstStats BatchEncoder::encode_packed_wide(std::span<const std::uint8_t> bytes,
   return totals;
 }
 
-bool BatchEncoder::encodes_whole_bursts(const dbi::WideBusConfig& cfg) const {
-  return scheme_ == Scheme::kOpt && trellis_wide8_geometry(cfg) &&
-         kernel_->isa() != KernelIsa::kPortable &&
-         kernel_->supports_trellis_wide8(cfg.burst_length);
-}
-
 BurstStats BatchEncoder::encode_lane(std::span<const Burst> bursts,
                                      BusState& state,
                                      BurstResult* results) const {

@@ -30,11 +30,10 @@
 // device: encode_packed_wide / encode_packed_group run the kernels
 // above per group directly over the beat-major packed payload (group
 // g's bytes read at stride groups(), zero widening pass), threading one
-// BusState per group. The engine itself is single-threaded: lane and
-// group sharding across a ShardPool lives in engine::StreamEncoder,
-// which splits a stream into (lane, group) units — or whole lanes where
-// the SIMD trellis encodes all groups of a burst at once
-// (encodes_whole_bursts).
+// BusState per group. The engine itself is single-threaded: sharding
+// across a ShardPool lives in engine::StreamEncoder, which splits a
+// stream into (lane, group) units for the fixed schemes and into
+// (lane, burst range) units for the trellis ones.
 //
 // Results are compact BurstResult records (inversion mask + stats), not
 // EncodedBursts: callers that need the physical beats call
@@ -130,20 +129,14 @@ class BatchEncoder {
                                      BurstResult* results = nullptr) const;
 
   /// One group slice of a wide packed stream — the unit StreamEncoder
-  /// shards on. Encodes group `group` of every burst in `bytes`,
-  /// threading `state`; burst i's result is written to
+  /// shards the fixed schemes on. Encodes group `group` of every burst
+  /// in `bytes`, threading `state`; burst i's result is written to
   /// results[i * results_stride] when `results` is non-null.
   dbi::BurstStats encode_packed_group(std::span<const std::uint8_t> bytes,
                                       const dbi::WideBusConfig& cfg, int group,
                                       dbi::BusState& state,
                                       BurstResult* results = nullptr,
                                       std::size_t results_stride = 1) const;
-
-  /// True when encode_packed_wide hands `cfg` to the selected variant's
-  /// SIMD whole-burst trellis (OPT, eight full byte groups, burst length
-  /// in its envelope): every group of a burst advances in one vector,
-  /// so a lane is the natural shard unit, not a (lane, group) pair.
-  [[nodiscard]] bool encodes_whole_bursts(const dbi::WideBusConfig& cfg) const;
 
   /// Sum of per-burst stats with the paper's fixed boundary condition
   /// (state reset to `boundary` before every burst, not threaded).

@@ -1,7 +1,7 @@
-// StreamEncoder: lane/group-sharded encoding of a packed burst stream,
-// one chunk at a time.
+// StreamEncoder: pool-sharded encoding of a packed burst stream, one
+// chunk at a time.
 //
-// This is the one lane-sharding implementation behind every streaming
+// This is the one sharding implementation behind every streaming
 // front-end: dbi::Session's chunk loop feeds it chunks pulled from any
 // Source (in-RAM packed spans, generators, zero-copy trace views),
 // Session::write / write_stream feed it channel writes (in place up to
@@ -13,23 +13,38 @@
 // multi-group entry points (encode_packed_wide / encode_packed_group),
 // every other geometry — narrow, or a one-group wide bus such as
 // Geometry::wide(8) — is one BusConfig group (encode_packed).
-// The stream is interpreted
-// like a channel write sequence: burst g belongs to lane
-// g % lanes, and each (lane, byte group) pair has its own threaded
-// BusState. Each (lane, group) pair is one shard unit — so a single x64
-// lane still spreads across 8 workers — unless the engine's kernel
-// encodes every group of a burst at once
-// (BatchEncoder::encodes_whole_bursts: OPT on x64 under a SIMD
-// variant), in which case each lane is one unit. Fixed-scheme chunks
-// (RAW / DC / AC / ACDC) of less than 32 KB of payload run their units
-// on the caller even with a pool, since a fork-join costs more than
-// their kernel work; trellis and exhaustive units shard at any size.
-// Totals accumulate in 64-bit counters internally
-// (chunks of any size are block-split so BurstStats's int fields never
-// overflow), and single-lane streams are encoded in place with zero
-// copy (wide groups read their bytes at stride groups()); multi-lane
-// streams gather each lane's bursts, 8-byte bursts with a
-// constant-size copy.
+// The stream is interpreted like a channel write sequence: burst g
+// belongs to lane g % lanes, and each (lane, byte group) pair has its
+// own threaded BusState.
+//
+// Shard units depend on the scheme, never on the kernel:
+//   * The fixed rules (RAW / DC / AC / ACDC) shard by (lane, group):
+//     each unit threads one group over the lane's whole share of the
+//     chunk. Chunks of less than 32 KB of payload run their units on
+//     the caller even with a pool, since a fork-join costs more than
+//     their kernel work.
+//   * Every other scheme (OPT, OPT (Fixed), the exhaustive ablation)
+//     shards by (lane, burst range) of whole bursts, so a single lane
+//     spreads over the pool. A range after the first does not know the
+//     line state it starts from until the range before it is encoded,
+//     but per group that state has two values: the previous burst's
+//     last beat sent plain or inverted. The range runs from the plain
+//     entry over all of its bursts, and from the inverted entry burst
+//     by burst until both runs leave a burst with the same exit bit;
+//     from there on the runs agree, since the encoder is deterministic.
+//     One serial pass after the join walks the ranges in order and,
+//     wherever the range before left a group inverted, splices in that
+//     group's inverted-entry prefix and its stats delta. Each lane gets
+//     up to workers / lanes ranges, as long as every range keeps a
+//     minimum of estimated trellis work, and a chunk of two or more
+//     units goes to the pool; a single-lane chunk under twice that
+//     minimum is one unit and encodes on the caller.
+// Results are identical with and without a pool, at any split.
+// Totals accumulate in 64-bit counters internally (chunks of any size
+// are block-split so BurstStats's int fields never overflow),
+// single-lane streams are encoded in place with zero copy (wide groups
+// read their bytes at stride groups()), and multi-lane streams gather
+// each unit's bursts, 8-byte bursts with a constant-size copy.
 #pragma once
 
 #include <cstdint>
@@ -51,24 +66,14 @@ struct StreamEncodeOptions {
   /// paper's per-burst assumption) instead of threading state.
   bool reset_state_per_burst = false;
   /// Shard the units (see above) across this pool; null encodes
-  /// serially, and so do fixed-scheme chunks under the 32 KB floor.
-  /// Results are identical either way.
+  /// serially, and so do chunks under the fixed-scheme floor or the
+  /// trellis work minimum. Results are identical either way.
   ShardPool* pool = nullptr;
   /// Chunk counters + stage spans (encode_chunk / unit / gather); null
   /// disables. Must outlive the StreamEncoder or be detached first.
   const obs::Observer* obs = nullptr;
 
   void validate() const;
-};
-
-/// One shard unit's scratch: gathered payload slice, per-unit results
-/// staging, and the unit's 64-bit totals.
-struct StreamUnit {
-  std::vector<std::uint8_t> bytes;   // gathered packed slice
-  std::vector<BurstResult> results;  // only when collecting results
-  std::vector<std::size_t> positions;  // chunk-order burst slots
-  std::int64_t zeros = 0;
-  std::int64_t transitions = 0;
 };
 
 class StreamEncoder {
@@ -91,10 +96,10 @@ class StreamEncoder {
   StreamEncoder& operator=(const StreamEncoder&) = delete;
 
   [[nodiscard]] int groups() const { return groups_; }
-  [[nodiscard]] int units() const { return static_cast<int>(units_.size()); }
   [[nodiscard]] std::size_t bytes_per_burst() const { return bytes_per_burst_; }
 
-  /// Restores every unit to the all-ones boundary and zeroes the totals.
+  /// Restores every line state to the all-ones boundary and zeroes the
+  /// totals.
   void reset();
 
   /// Re-targets the shard pool (results are pool-independent, so this
@@ -111,15 +116,81 @@ class StreamEncoder {
       std::int64_t first_burst, std::span<const std::uint8_t> payload,
       std::size_t burst_count, bool collect_results = false);
 
+  /// encode_chunk with an explicit range plan, for the parity tests and
+  /// the fuzz harness: every lane's share of the chunk splits into
+  /// (lane, burst range) units at `range_starts` (lane-local burst
+  /// offsets, ascending; 0 and offsets at or past a lane's share are
+  /// ignored), whatever the scheme and the work, and the units go to
+  /// the pool whenever there are two or more. Results equal
+  /// encode_chunk's.
+  std::span<const BurstResult> encode_chunk_ranges(
+      std::int64_t first_burst, std::span<const std::uint8_t> payload,
+      std::size_t burst_count, bool collect_results,
+      std::span<const std::size_t> range_starts);
+
   /// 64-bit totals over everything encoded since the last reset().
   [[nodiscard]] std::int64_t bursts() const { return bursts_; }
-  [[nodiscard]] std::int64_t zeros() const;
-  [[nodiscard]] std::int64_t transitions() const;
+  [[nodiscard]] std::int64_t zeros() const { return zeros_; }
+  [[nodiscard]] std::int64_t transitions() const { return transitions_; }
 
  private:
-  void encode_unit_slice(int unit, std::int64_t first_burst,
-                         std::span<const std::uint8_t> payload,
-                         std::size_t burst_count, bool collect_results);
+  /// One group's run from the inverted entry in a range after the
+  /// lane's first: its prefix ends at the first burst whose exit bit
+  /// matches the plain-entry run's, or at the range's end.
+  struct AltRun {
+    std::size_t bursts = 0;  // prefix length
+    bool rejoined = false;   // exit bits met inside the range
+    std::int64_t zeros = 0;  // stats delta against the plain run
+    std::int64_t transitions = 0;
+  };
+
+  /// One shard unit: lane `lane`'s bursts [begin, end) (lane-local
+  /// indices) over groups [group, group + group_count), plus its
+  /// scratch, reused across chunks.
+  struct Unit {
+    int lane = 0;
+    int group = 0;
+    int group_count = 1;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::vector<std::uint8_t> bytes;    // gathered payload (multi-lane)
+    std::vector<BurstResult> results;   // staged results
+    std::vector<dbi::BusState> states;  // plain-entry run (begin > 0)
+    std::vector<AltRun> alt;            // per group (begin > 0)
+    std::vector<dbi::BusState> alt_states;  // inverted run; its exit
+                                            // where it never rejoined
+    std::vector<BurstResult> alt_results;  // inverted prefix, burst-major
+    std::int64_t zeros = 0;  // this chunk's plain-run totals
+    std::int64_t transitions = 0;
+  };
+
+  /// The chunk being encoded, as every unit sees it.
+  struct Chunk {
+    std::int64_t first_burst = 0;
+    std::span<const std::uint8_t> payload;
+    std::size_t bursts = 0;
+    bool collect = false;
+    bool ranged = false;  // (lane, range) units, else (lane, group)
+  };
+
+  /// Checks the payload size and lays out this chunk's units: (lane,
+  /// group) units, or `ranges` even (lane, range) units per lane, or
+  /// ranges split at `starts`.
+  void plan(const Chunk& c, std::size_t ranges,
+            std::span<const std::size_t> starts);
+  std::span<const BurstResult> run(const Chunk& c);
+  void encode_unit(Unit& u, const Chunk& c);
+  /// Runs a range's first bursts from both entries until every group's
+  /// exit bits agree; returns how many bursts the plain run covered.
+  std::size_t encode_prefix(Unit& u, std::span<const std::uint8_t> bytes,
+                            std::span<dbi::BusState> states,
+                            BurstResult* results);
+  /// Adds the units' totals and threads each lane's ranges onto one
+  /// another (see above).
+  void stitch(const Chunk& c);
+  /// First chunk-local index of lane `lane`'s bursts.
+  [[nodiscard]] std::size_t lane_offset(std::int64_t first_burst,
+                                        int lane) const;
   /// Bus config of line state s (lane-major, group-minor).
   [[nodiscard]] dbi::BusConfig state_config(std::size_t s) const;
 
@@ -127,10 +198,12 @@ class StreamEncoder {
   dbi::Geometry geometry_;
   StreamEncodeOptions opt_;
   int groups_ = 1;
-  int unit_groups_ = 1;  // groups per unit: 1, or groups_ for lane units
   std::size_t bytes_per_burst_ = 0;
   std::int64_t bursts_ = 0;
-  std::vector<StreamUnit> units_;  // lane-major, group-minor
+  std::int64_t zeros_ = 0;
+  std::int64_t transitions_ = 0;
+  std::vector<Unit> units_;  // lane-major; the first unit_count_ are live
+  std::size_t unit_count_ = 0;
   std::vector<dbi::BusState> owned_states_;  // empty with external states
   std::span<dbi::BusState> states_;  // lanes x groups, group-minor
   std::vector<BurstResult> chunk_results_;  // only when collecting

@@ -35,7 +35,7 @@ enum class Stage : std::uint8_t {
   kSourceRead,    ///< Source::next() — payload generation, page-in, RLE
                   ///< expansion, lake member opens
   kEncodeChunk,   ///< StreamEncoder: one chunk through the engine
-  kEncodeUnit,    ///< one (lane, group) unit slice incl. kernel time
+  kEncodeUnit,    ///< one StreamEncoder shard unit incl. kernel time
   kGather,        ///< multi-lane / wide-bus gather into the lane buffer
   kDecodeChunk,   ///< BatchDecoder: one chunk decoded
   kSinkWrite,     ///< Sink::consume()

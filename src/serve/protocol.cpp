@@ -5,17 +5,21 @@
 #include <unistd.h>
 
 #include <array>
-#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <system_error>
+
+#include "trace/format.hpp"
 
 namespace dbi::serve {
 
 namespace {
 
 // Little-endian scalar put/get — explicit byte moves, so the wire
-// format is identical on every host and no struct padding leaks.
+// format is identical on every host and no struct padding leaks. Mask
+// streams use the trace format's codec (trace::append_masks /
+// read_masks): the same little-endian u64s, one memcpy on
+// little-endian hosts.
 void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
   out.push_back(v);
 }
@@ -34,24 +38,6 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
 void put_bytes(std::vector<std::uint8_t>& out,
                std::span<const std::uint8_t> bytes) {
   out.insert(out.end(), bytes.begin(), bytes.end());
-}
-/// Bulk little-endian u64 append — the mask streams are the largest
-/// fields on the wire (8 bytes per burst per group), so they go
-/// through one resize + memcpy on little-endian hosts instead of
-/// per-byte push_backs.
-void put_u64s(std::vector<std::uint8_t>& out,
-              std::span<const std::uint64_t> values) {
-  if (values.empty()) return;  // memcpy must not see a null pointer
-  const std::size_t at = out.size();
-  out.resize(at + values.size() * 8);
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out.data() + at, values.data(), values.size() * 8);
-  } else {
-    std::uint8_t* dst = out.data() + at;
-    for (const std::uint64_t v : values)
-      for (int i = 0; i < 8; ++i)
-        *dst++ = static_cast<std::uint8_t>(v >> (8 * i));
-  }
 }
 void put_string(std::vector<std::uint8_t>& out, std::string_view s) {
   if (s.size() > 0xFFFF)
@@ -88,21 +74,6 @@ class Reader {
     return std::string(reinterpret_cast<const char*>(b.data()), b.size());
   }
   std::span<const std::uint8_t> bytes(std::size_t n) { return take(n); }
-  /// Bulk little-endian u64 read, the receive twin of put_u64s.
-  void u64s(std::uint64_t* dst, std::size_t count) {
-    auto b = take(count * 8);
-    if (count == 0) return;  // memcpy must not see a null pointer
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(dst, b.data(), count * 8);
-    } else {
-      for (std::size_t k = 0; k < count; ++k) {
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-          v |= static_cast<std::uint64_t>(b[k * 8 + i]) << (8 * i);
-        dst[k] = v;
-      }
-    }
-  }
   std::span<const std::uint8_t> rest() { return take(p_.size() - off_); }
   [[nodiscard]] std::size_t remaining() const { return p_.size() - off_; }
   void expect_end() const {
@@ -272,7 +243,7 @@ std::vector<std::uint8_t> EncodeAck::to_payload() const {
   put_u32(out, static_cast<std::uint32_t>(masks.size()));
   put_u64(out, zeros);
   put_u64(out, transitions);
-  put_u64s(out, masks);
+  trace::append_masks(out, masks);
   put_u32(out, static_cast<std::uint32_t>(tx.size()));
   put_bytes(out, tx);
   return out;
@@ -288,7 +259,7 @@ EncodeAck EncodeAck::parse(std::span<const std::uint8_t> p) {
   if (r.remaining() < mask_count * 8ull)
     throw ProtocolError("serve: encode ack mask stream truncated");
   a.masks.resize(mask_count);
-  r.u64s(a.masks.data(), mask_count);
+  trace::read_masks(r.bytes(mask_count * 8ull), a.masks);
   const std::uint32_t tx_len = r.u32();
   auto tx = r.bytes(tx_len);
   a.tx.assign(tx.begin(), tx.end());
@@ -303,7 +274,7 @@ std::vector<std::uint8_t> DecodeRequest::to_payload() const {
   out.reserve(8 + masks.size() * 8 + tx.size());
   put_u32(out, burst_count);
   put_u32(out, static_cast<std::uint32_t>(masks.size()));
-  put_u64s(out, masks);
+  trace::append_masks(out, masks);
   put_bytes(out, tx);
   return out;
 }
@@ -317,7 +288,7 @@ DecodeRequest DecodeRequest::parse(std::span<const std::uint8_t> p,
   if (r.remaining() < mask_count * 8ull)
     throw ProtocolError("serve: decode request mask stream truncated");
   mask_store.resize(mask_count);
-  r.u64s(mask_store.data(), mask_count);
+  trace::read_masks(r.bytes(mask_count * 8ull), mask_store);
   d.masks = mask_store;
   d.tx = r.rest();
   return d;

@@ -139,7 +139,10 @@ void TraceReader::parse(bool verify_crc) {
       throw TraceError("trace: CRC mismatch (file corrupted or truncated)");
   }
 
-  // Chunk index.
+  // Chunk index. The cursor only moves forward, inside [header end,
+  // footer), and every chunk holds at least one burst, so the recorded
+  // offsets are disjoint, in file order and clear of the footer, and
+  // first_burst rises strictly.
   const auto burst_bytes =
       static_cast<std::uint64_t>(header_.bytes_per_burst());
   ByteReader cur(file.first(footer_off), "trace chunks");
@@ -260,41 +263,6 @@ void TraceReader::parse(bool verify_crc) {
     throw TraceError("trace: footer burst count " +
                      std::to_string(stats_.bursts) + " != bursts present " +
                      std::to_string(bursts_seen));
-  validate_chunk_index(footer_off);
-}
-
-void TraceReader::validate_chunk_index(std::size_t footer_off) const {
-  // Defense in depth for the offsets chunk_payload() / chunk_masks()
-  // trust for the reader's lifetime: every chunk's extent (header +
-  // payload, then its mask rider) must start after the previous extent
-  // ends and finish before the footer, in strictly increasing file
-  // order. The sequential walk above derives offsets from a bounded
-  // cursor, so a violation here means the index-construction invariant
-  // itself broke — fail loudly instead of serving overlapping views.
-  std::uint64_t prev_end = kHeaderBytes;
-  std::int64_t prev_first = -1;
-  for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    const ChunkInfo& c = chunks_[i];
-    if (c.first_burst <= prev_first)
-      throw TraceError("trace: chunk " + std::to_string(i) +
-                       " first_burst out of order");
-    prev_first = c.first_burst;
-    if (c.payload_offset < prev_end + kChunkHeaderBytes ||
-        c.payload_offset + c.payload_bytes < c.payload_offset)
-      throw TraceError("trace: chunk " + std::to_string(i) +
-                       " payload offset overlaps the preceding chunk");
-    prev_end = c.payload_offset + c.payload_bytes;
-    if (c.has_mask()) {
-      if (c.mask_offset < prev_end + kChunkHeaderBytes ||
-          c.mask_offset + c.mask_bytes < c.mask_offset)
-        throw TraceError("trace: chunk " + std::to_string(i) +
-                         " mask offset overlaps its payload chunk");
-      prev_end = c.mask_offset + c.mask_bytes;
-    }
-    if (prev_end > footer_off)
-      throw TraceError("trace: chunk " + std::to_string(i) +
-                       " extends into the footer");
-  }
 }
 
 std::span<const std::uint8_t> TraceReader::expand(

@@ -45,7 +45,6 @@ class MappedFile {
   [[nodiscard]] std::span<const std::uint8_t> bytes() const {
     return {data_, size_};
   }
-  [[nodiscard]] bool is_mmap() const { return mapped_; }
 
  private:
   const std::uint8_t* data_ = nullptr;
@@ -121,7 +120,6 @@ class TraceReader {
     return chunks_.at(i);
   }
   [[nodiscard]] std::size_t file_bytes() const { return file_.bytes().size(); }
-  [[nodiscard]] bool is_mmap() const { return file_.is_mmap(); }
   [[nodiscard]] const ReaderMetrics& metrics() const { return *metrics_; }
 
   /// Unpacked-on-disk payload of chunk `i`: burst_count bursts of
@@ -154,7 +152,6 @@ class TraceReader {
  private:
   explicit TraceReader(MappedFile file) : file_(std::move(file)) {}
   void parse(bool verify_crc);
-  void validate_chunk_index(std::size_t footer_off) const;
   /// RLE-expands `on_disk` into `raw` bytes of `scratch` and counts it.
   std::span<const std::uint8_t> expand(
       std::span<const std::uint8_t> on_disk, std::size_t raw,

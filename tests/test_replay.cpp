@@ -213,7 +213,7 @@ TEST(Replay, PoolAndSerialAgree) {
                                  &got_masks);
   EXPECT_EQ(got, want);
   EXPECT_EQ(got_masks, want_masks);
-  EXPECT_GT(observer.snapshot().value("dbi_pool_runs_total"), 0.0);
+  EXPECT_GE(observer.snapshot().value("dbi_pool_shards_total"), 2.0 * 3);
 }
 
 TEST(Replay, CompressedAndRawTracesReplayIdentically) {
@@ -441,7 +441,7 @@ TEST(WideReplay, PoolDoesNotChangeResults) {
                                  &got_masks);
   EXPECT_EQ(got, want);
   EXPECT_EQ(got_masks, want_masks);
-  EXPECT_GT(observer.snapshot().value("dbi_pool_runs_total"), 0.0);
+  EXPECT_GE(observer.snapshot().value("dbi_pool_shards_total"), 2.0 * 4);
 
   // The exhaustive-search fallback must ride along on wide traces too.
   const WideBusConfig small{12, 4};

@@ -22,10 +22,13 @@
 #include "trace/trace_writer.hpp"
 #include "util/rng.hpp"
 #include "workload/channel.hpp"
+#include "test_util.hpp"
 
 namespace {
 
 using namespace dbi;
+using test::random_packed;
+using test::unpack_group;
 
 struct RefResult {
   std::uint64_t mask = 0;
@@ -36,61 +39,6 @@ struct Reference {
   std::vector<RefResult> results;  // [burst * groups + group]
   StreamStats totals;
 };
-
-/// Packs `bursts` random bursts at `g` into the beat-major packed
-/// layout (every word masked to its group / lane width).
-std::vector<std::uint8_t> random_packed(const Geometry& g, int bursts,
-                                        std::uint64_t seed) {
-  util::Xoshiro256 rng(seed);
-  std::vector<std::uint8_t> bytes(
-      static_cast<std::size_t>(bursts) *
-      static_cast<std::size_t>(g.bytes_per_burst()));
-  if (g.is_wide()) {
-    const WideBusConfig cfg = g.wide_bus();
-    std::size_t pos = 0;
-    for (int i = 0; i < bursts; ++i)
-      for (int t = 0; t < cfg.burst_length; ++t)
-        for (int grp = 0; grp < cfg.groups(); ++grp)
-          bytes[pos++] = static_cast<std::uint8_t>(rng.next() &
-                                                   cfg.group_mask(grp));
-  } else {
-    const BusConfig cfg = g.bus();
-    const int bpb = cfg.bytes_per_beat();
-    std::size_t pos = 0;
-    for (int i = 0; i < bursts; ++i)
-      for (int t = 0; t < cfg.burst_length; ++t) {
-        const Word w = static_cast<Word>(rng.next()) & cfg.dq_mask();
-        for (int k = 0; k < bpb; ++k)
-          bytes[pos++] = static_cast<std::uint8_t>(w >> (8 * k));
-      }
-  }
-  return bytes;
-}
-
-/// Unpacks group `grp` of packed burst `i` into a standalone Burst.
-Burst unpack_group(const Geometry& g, std::span<const std::uint8_t> bytes,
-                   int i, int grp) {
-  const BusConfig cfg = g.group_config(grp);
-  Burst burst(cfg);
-  const auto bb = static_cast<std::size_t>(g.bytes_per_burst());
-  const std::uint8_t* base = bytes.data() + static_cast<std::size_t>(i) * bb;
-  if (g.is_wide()) {
-    const auto stride = static_cast<std::size_t>(g.groups());
-    for (int t = 0; t < cfg.burst_length; ++t)
-      burst.set_word(t, base[static_cast<std::size_t>(t) * stride +
-                             static_cast<std::size_t>(grp)]);
-  } else {
-    const int bpb = g.bytes_per_beat();
-    for (int t = 0; t < cfg.burst_length; ++t) {
-      Word w = 0;
-      for (int k = 0; k < bpb; ++k)
-        w |= static_cast<Word>(base[static_cast<std::size_t>(t * bpb + k)])
-             << (8 * k);
-      burst.set_word(t, w);
-    }
-  }
-  return burst;
-}
 
 /// Independent reference: the scalar Encoder hierarchy driven with the
 /// documented Session semantics.
@@ -362,7 +310,7 @@ TEST(SessionParity, StatsSinkMatchesResultSinkTotals) {
 TEST(SessionParity, OwnedPoolMatchesSerial) {
   // Each run is one chunk past StreamEncoder's 32 KB fixed-scheme
   // floor, so the owned pool really shards: (lane, group) units on x64,
-  // lane units on x8.
+  // lane units on x8, two or more shards either way.
   struct Case {
     Geometry g;
     int lanes;
@@ -384,7 +332,7 @@ TEST(SessionParity, OwnedPoolMatchesSerial) {
       const std::string label = c.g.to_string() + " scheme " +
                                 std::to_string(static_cast<int>(scheme));
       EXPECT_EQ(a.run(*s1), b.run(*s2)) << label;
-      EXPECT_GT(observer.snapshot().value("dbi_pool_runs_total"), 0.0)
+      EXPECT_GE(observer.snapshot().value("dbi_pool_shards_total"), 2.0)
           << label;
     }
   }
@@ -424,6 +372,8 @@ TEST(SessionParity, FixedSchemePoolFloorLeavesResultsUnchanged) {
             std::vector<engine::BurstResult> results;
             const double runs0 =
                 observer.snapshot().value("dbi_pool_runs_total");
+            const double shards0 =
+                observer.snapshot().value("dbi_pool_shards_total");
             for (int c = 0; c < kChunks; ++c) {
               const auto r = stream->encode_chunk(
                   static_cast<std::int64_t>(c) * chunk,
@@ -442,8 +392,15 @@ TEST(SessionParity, FixedSchemePoolFloorLeavesResultsUnchanged) {
                 std::to_string(lanes) + " chunk " + std::to_string(chunk) +
                 (p ? " pool" : " serial");
             expect_matches(ref, totals, results, label);
+            const bool pooled = p && chunk >= at_floor;
             EXPECT_EQ(observer.snapshot().value("dbi_pool_runs_total") - runs0,
-                      p && chunk >= at_floor ? kChunks : 0)
+                      pooled ? kChunks : 0)
+                << label;
+            // One (lane, group) shard each; a one-shard run (one x8
+            // lane) stays on the caller.
+            EXPECT_EQ(
+                observer.snapshot().value("dbi_pool_shards_total") - shards0,
+                pooled ? kChunks * lanes * g.groups() : 0)
                 << label;
           }
         }
@@ -586,13 +543,17 @@ TEST(SessionWrite, MatchesScalarChannelIncludingResetPolicy) {
                     scalar.write_stream(short_stream))
               << label << " stream 57";
           expect_same_write(session, scalar, take(1), label + " write 2");
-          const double runs0 =
-              observer.snapshot().value("dbi_pool_runs_total");
+          const double shards0 =
+              observer.snapshot().value("dbi_pool_shards_total");
           const auto stream = take(long_stream);
           EXPECT_EQ(session.write_stream(stream), scalar.write_stream(stream))
               << label << " stream " << long_stream;
           if (p && lanes == 16) {
-            EXPECT_GT(observer.snapshot().value("dbi_pool_runs_total"), runs0)
+            // 2600 writes x 16 lanes encode as three 16384-burst blocks,
+            // each sharded by lane.
+            EXPECT_GE(
+                observer.snapshot().value("dbi_pool_shards_total") - shards0,
+                2.0 * 3)
                 << label;
           }
           expect_same_write(session, scalar, take(1), label + " write 3");

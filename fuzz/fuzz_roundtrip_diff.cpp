@@ -8,12 +8,15 @@
 // SIMD differential), scalar-reference parity on a bounded prefix of
 // the stream, and a pooled arm: StreamEncoder split into (lane, burst
 // range) units by a plan drawn from the payload, on a 3-worker pool,
-// against the serial stream encode. A mismatch aborts; sanitizers
-// catch UB.
+// against the serial stream encode, with a range consumer that must see
+// every burst exactly once and the serial encode's results for it. A
+// mismatch aborts; sanitizers catch UB.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -57,7 +60,9 @@ const engine::KernelVariant& draw_kernel(std::uint8_t byte) {
 
 /// Pooled arm: the stream in two chunks at 1-3 interleaved lanes, once
 /// serially and once split into ranges at payload-drawn offsets on a
-/// 3-worker pool; masks, totals and final states must agree.
+/// 3-worker pool; masks, totals and final states must agree, and the
+/// pooled run's range consumer must see each burst once, with the
+/// serial run's results.
 void check_ranges(const engine::BatchEncoder& engine, const Geometry& g,
                   std::span<const std::uint8_t> payload, std::size_t bursts,
                   bool reset) {
@@ -68,8 +73,9 @@ void check_ranges(const engine::BatchEncoder& engine, const Geometry& g,
     at += 1 + payload[i] % 8;
     starts.push_back(at);
   }
-  const std::size_t states =
-      static_cast<std::size_t>(lanes) * static_cast<std::size_t>(g.groups());
+  const auto groups = static_cast<std::size_t>(g.groups());
+  const std::size_t states = static_cast<std::size_t>(lanes) * groups;
+  std::vector<engine::BurstResult> serial;
   const auto run = [&](engine::ShardPool* p, std::vector<BusState>& st) {
     engine::StreamEncodeOptions so;
     so.lanes = lanes;
@@ -84,18 +90,42 @@ void check_ranges(const engine::BatchEncoder& engine, const Geometry& g,
     for (const auto [first, n] : {std::pair{std::size_t{0}, half},
                                   std::pair{half, bursts - half}}) {
       const auto chunk = payload.subspan(first * bb, n * bb);
-      const auto r =
-          p ? enc.encode_chunk_ranges(static_cast<std::int64_t>(first), chunk,
-                                      n, true, starts)
-            : enc.encode_chunk(static_cast<std::int64_t>(first), chunk, n,
-                               true);
+      if (!p) {
+        const auto r = enc.encode_chunk(static_cast<std::int64_t>(first),
+                                        chunk, n, true);
+        out.insert(out.end(), r.begin(), r.end());
+        continue;
+      }
+      // Ranges may arrive concurrently from the pool's workers.
+      std::mutex mu;
+      std::vector<int> seen(n, 0);
+      const auto consume = [&](std::size_t begin,
+                               std::span<const engine::BurstResult> got) {
+        const std::lock_guard<std::mutex> lock(mu);
+        const std::size_t count = got.size() / groups;
+        if (count == 0 || got.size() % groups != 0 || begin + count > n)
+          fail("range consumer handed a range outside its chunk");
+        for (std::size_t k = 0; k < count; ++k) ++seen[begin + k];
+        if (!std::equal(got.begin(), got.end(),
+                        serial.begin() + static_cast<std::ptrdiff_t>(
+                                             (first + begin) * groups)))
+          fail("range consumer saw results unlike the serial encode's");
+      };
+      // No collect_results: the consumer alone turns collection on.
+      const auto r = enc.encode_chunk_ranges(static_cast<std::int64_t>(first),
+                                             chunk, n, false, starts, consume);
+      if (std::count(seen.begin(), seen.end(), 1) !=
+          static_cast<std::ptrdiff_t>(n))
+        fail("range consumer missed a burst or saw one twice");
       out.insert(out.end(), r.begin(), r.end());
     }
     return std::tuple{out, enc.zeros(), enc.transitions()};
   };
   std::vector<BusState> serial_states;
   std::vector<BusState> pooled_states;
-  if (run(nullptr, serial_states) != run(&pool, pooled_states))
+  const auto want = run(nullptr, serial_states);
+  serial = std::get<0>(want);
+  if (want != run(&pool, pooled_states))
     fail("ranged pooled stream encode diverges from the serial encode");
   if (serial_states != pooled_states)
     fail("ranged pooled stream encode leaves a diverged line state");

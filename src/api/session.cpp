@@ -1,6 +1,7 @@
 #include "api/session.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -87,8 +88,9 @@ Session::Session(const SessionSpec& spec)
           " (this spec runs entirely on the portable reference; candidates: " +
           engine::kernel_candidates() + ")");
   }
-  // Only the encode side shards across a pool; the decoder runs on the
-  // calling thread, so a kDecode session builds none.
+  // Only encode and round-trip sessions shard across a pool (a round
+  // trip decodes inside the encode's fork-join); a kDecode session runs
+  // the decoder on the calling thread and builds none.
   if (!spec_.pool && spec_.threads >= 2 &&
       spec_.direction != Direction::kDecode)
     owned_pool_ = std::make_unique<engine::ShardPool>(spec_.threads);
@@ -360,9 +362,55 @@ std::unique_ptr<engine::StreamEncoder> Session::make_stream_encoder() const {
   return std::make_unique<engine::StreamEncoder>(engine_, spec_.geometry, so);
 }
 
-std::span<const std::uint8_t> Session::roundtrip_slice(
-    std::int64_t first_burst, std::span<const std::uint8_t> bytes,
-    std::span<const engine::BurstResult> results) {
+std::span<const engine::BurstResult> Session::roundtrip_slice(
+    engine::StreamEncoder& enc, std::int64_t first_burst,
+    std::span<const std::uint8_t> bytes) {
+  const Geometry& geometry = spec_.geometry;
+  const auto groups = static_cast<std::size_t>(geometry.groups());
+  const auto bb = static_cast<std::size_t>(geometry.bytes_per_burst());
+  const std::size_t n = bytes.size() / bb;
+  std::vector<std::uint8_t>& wire = roundtrip_wire_;
+  std::vector<std::uint64_t>& masks = roundtrip_masks_;
+  wire.resize(bytes.size());
+  masks.resize(n * groups);
+  const bool inject = static_cast<bool>(spec_.fault_injector);
+
+  // The receive side of one range of final results, on the thread that
+  // holds them (a pool worker for a single-lane trellis range, else the
+  // caller): materialise its wire bytes, then, unless the fault
+  // injector still has to see the whole slice, decode them in place
+  // and compare them with the payload.
+  std::atomic<bool> mismatch{false};
+  const auto receive = [&](std::size_t begin,
+                           std::span<const engine::BurstResult> results) {
+    const auto range_masks =
+        std::span<std::uint64_t>(masks).subspan(begin * groups, results.size());
+    for (std::size_t i = 0; i < results.size(); ++i)
+      range_masks[i] = results[i].invert_mask;
+    const std::size_t len = results.size() / groups * bb;
+    const auto sent = bytes.subspan(begin * bb, len);
+    const auto got = std::span<std::uint8_t>(wire).subspan(begin * bb, len);
+    decoder_.apply(sent, range_masks, geometry, got);
+    if (inject) return;
+    decoder_.decode(got, range_masks, geometry, got);
+    if (std::memcmp(got.data(), sent.data(), len) != 0)
+      mismatch.store(true, std::memory_order_relaxed);
+  };
+  const auto results = enc.encode_chunk(first_burst, bytes, n, true, receive);
+  if (inject) {
+    spec_.fault_injector(first_burst, wire, masks);
+    decoder_.decode(wire, masks, geometry, wire);
+    if (std::memcmp(wire.data(), bytes.data(), wire.size()) != 0)
+      mismatch.store(true, std::memory_order_relaxed);
+  }
+  verify_.bursts += static_cast<std::int64_t>(n);
+  if (mismatch.load(std::memory_order_relaxed))
+    record_mismatches(first_burst, bytes);
+  return results;
+}
+
+void Session::record_mismatches(std::int64_t first_burst,
+                                std::span<const std::uint8_t> bytes) {
   const int groups = spec_.geometry.groups();
   const int bl = spec_.geometry.burst_length();
   const auto bpb = static_cast<std::size_t>(spec_.geometry.bytes_per_beat());
@@ -370,19 +418,6 @@ std::span<const std::uint8_t> Session::roundtrip_slice(
   // Bytes of one group in one beat: the whole beat on a single-group
   // bus, one byte of the beat-major layout on a multi-group one.
   const std::size_t group_bytes = bpb / static_cast<std::size_t>(groups);
-  std::vector<std::uint8_t>& wire = roundtrip_wire_;
-  std::vector<std::uint64_t>& masks = roundtrip_masks_;
-
-  masks.resize(results.size());
-  for (std::size_t i = 0; i < results.size(); ++i)
-    masks[i] = results[i].invert_mask;
-
-  // Materialise the wire stream, optionally corrupt it, then run the
-  // receiver over it — all on the same buffer.
-  wire.assign(bytes.begin(), bytes.end());
-  decoder_.apply(wire, masks, spec_.geometry, wire);
-  if (spec_.fault_injector) spec_.fault_injector(first_burst, wire, masks);
-  decoder_.decode(wire, masks, spec_.geometry, wire);
 
   // Compares one round-tripped burst's group against the original and
   // returns the beat mask of the differing beats.
@@ -399,23 +434,18 @@ std::span<const std::uint8_t> Session::roundtrip_slice(
   };
 
   const auto n = static_cast<std::int64_t>(bytes.size() / bb);
-  verify_.bursts += n;
-  if (std::memcmp(wire.data(), bytes.data(), wire.size()) != 0) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      const std::uint8_t* orig =
-          bytes.data() + static_cast<std::size_t>(j) * bb;
-      const std::uint8_t* got = wire.data() + static_cast<std::size_t>(j) * bb;
-      if (std::memcmp(orig, got, bb) == 0) continue;
-      const std::int64_t burst = first_burst + j;
-      for (int g = 0; g < groups; ++g) {
-        const std::uint64_t mask = diff_mask(orig, got, g);
-        if (mask != 0)
-          verify_.record(burst, static_cast<int>(burst % spec_.lanes), g,
-                         mask);
-      }
+  for (std::int64_t j = 0; j < n; ++j) {
+    const std::uint8_t* orig = bytes.data() + static_cast<std::size_t>(j) * bb;
+    const std::uint8_t* got =
+        roundtrip_wire_.data() + static_cast<std::size_t>(j) * bb;
+    if (std::memcmp(orig, got, bb) == 0) continue;
+    const std::int64_t burst = first_burst + j;
+    for (int g = 0; g < groups; ++g) {
+      const std::uint64_t mask = diff_mask(orig, got, g);
+      if (mask != 0)
+        verify_.record(burst, static_cast<int>(burst % spec_.lanes), g, mask);
     }
   }
-  return wire;
 }
 
 StreamStats Session::run_chunks(Source& source, Sink& sink) {
@@ -563,9 +593,8 @@ StreamStats Session::run_chunks(Source& source, Sink& sink) {
                                  static_cast<std::size_t>(n), collect));
           break;
         case Step::kRoundTrip: {
-          const auto results = enc->encode_chunk(
-              first_burst, bytes, static_cast<std::size_t>(n), true);
-          emit(n, roundtrip_slice(first_burst, bytes, results), results);
+          const auto results = roundtrip_slice(*enc, first_burst, bytes);
+          emit(n, roundtrip_wire_, results);
           break;
         }
         case Step::kDecode: {

@@ -92,9 +92,12 @@ struct SessionSpec {
   int lanes = 1;
   CostWeights weights{};  ///< parameterises kOpt / kExhaustive
   /// 0 or 1: encode on the calling thread. N >= 2: an encode or
-  /// round-trip session owns a ShardPool of N workers and shards
-  /// (lane, group) units across it; a kDecode session builds no pool
-  /// (the decoder runs on the calling thread).
+  /// round-trip session owns a ShardPool of N workers and shards each
+  /// chunk's units across it: (lane, group) units for the fixed rules,
+  /// (lane, burst range) units for OPT, OPT (Fixed) and exhaustive (see
+  /// engine/stream_encoder.hpp). A round trip decodes and compares a
+  /// single-lane trellis range on the worker that encoded it. A kDecode
+  /// session builds no pool (the decoder runs on the calling thread).
   int threads = 0;
   /// Non-null: share this caller-owned pool instead (overrides
   /// `threads`; the pool must outlive the session).
@@ -112,11 +115,15 @@ struct SessionSpec {
   /// variant is bit-exact against "swar".
   std::string kernel;
   Direction direction = Direction::kEncode;
-  /// Round-trip sessions only: called once per chunk between encode
-  /// and decode with the materialised transmitted bytes and the
-  /// per-(burst, group) inversion masks (both mutable), so fault
-  /// studies can corrupt the wire or the DBI decisions at engine speed
-  /// and watch verify_report() catch the damage. Corruptions must stay
+  /// Round-trip sessions only: called once per slice (a source chunk;
+  /// multi-lane sessions cut chunks into slices of 65536 bursts), on
+  /// the calling thread, after the whole slice is encoded and
+  /// materialised and before any of it is decoded, with its
+  /// transmitted bytes and per-(burst, group) inversion masks (both
+  /// mutable), so fault studies can corrupt the wire or the DBI
+  /// decisions at engine speed and watch verify_report() catch the
+  /// damage. With an injector, a pooled round trip decodes and
+  /// compares on the caller after it. Corruptions must stay
   /// on the physical lines: a bus of width w has no wires above
   /// dq_mask, so pushing a transmitted beat out of range (possible at
   /// non-byte widths, where packed bytes have spare bits) is not a
@@ -258,11 +265,20 @@ class Session {
   StreamStats run_bursts(std::span<const dbi::Burst> bursts);
   /// The one chunk loop behind every other run().
   StreamStats run_chunks(Source& source, Sink& sink);
-  /// Round-trip step for one encoded slice: wire, fault injector,
-  /// decode, compare into verify_; returns the received payload.
-  std::span<const std::uint8_t> roundtrip_slice(
-      std::int64_t first_burst, std::span<const std::uint8_t> bytes,
-      std::span<const engine::BurstResult> results);
+  /// Round-trip step for one slice: encodes it on `enc` with a range
+  /// consumer that builds each range's wire bytes where its results
+  /// are final and, without a fault injector, decodes and compares
+  /// them there too (with one, the caller runs the injector, decode and
+  /// compare after the encode); records mismatches into verify_.
+  /// Returns the encode results; the received payload is left in
+  /// roundtrip_wire_.
+  std::span<const engine::BurstResult> roundtrip_slice(
+      engine::StreamEncoder& enc, std::int64_t first_burst,
+      std::span<const std::uint8_t> bytes);
+  /// Records every (burst, group) of the slice whose received bytes in
+  /// roundtrip_wire_ differ from `bytes`, in burst order.
+  void record_mismatches(std::int64_t first_burst,
+                         std::span<const std::uint8_t> bytes);
 
   SessionSpec spec_;
   engine::BatchEncoder engine_;

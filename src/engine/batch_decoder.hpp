@@ -35,15 +35,21 @@
 // is the documented alias Session, the selector, dbid and the
 // encoded-trace sink use to materialise the wire stream.
 //
-// Every call decodes on the calling thread: the kernels run at memory
-// speed, and at the sizes callers decode per call (trace chunks default
-// to 4096 bursts, 256 KB at x64) a fork-join does not pay. On a 4-vCPU
-// AVX-512 VM a 4-thread x64 OPT round trip of 4096 bursts took 378-392
-// us per op with its apply and decode split across a pinned pool, 329
-// us without, while its encode still ran on one core. With the encode
-// split into burst ranges over the pool the op reads 230-268 us at
-// perfbench's p50, 105-135 us of it the pooled encode; apply, decode
-// and compare stay on the caller.
+// The decoder has no pool of its own; every call decodes on the thread
+// that makes it. The kernels run at memory speed, and at the sizes
+// callers decode per call (trace chunks default to 4096 bursts, 256 KB
+// at x64) a fork-join of their own does not pay. A pooled round trip
+// instead decodes inside the encode's fork-join: Session hands
+// StreamEncoder a range consumer, so each single-lane trellis range is
+// applied, decoded and compared on the worker that encoded it, while
+// its bytes are still in that core's cache. On a 4-vCPU AVX-512 VM a
+// 4-thread x64 OPT round trip of 4096 bursts took 378-392 us per op
+// with its apply and decode split across the pool in a fork-join of
+// their own and its encode on one core, 329 us with all of it on the
+// caller, 230-268 us at perfbench's p50 with the encode split into
+// burst ranges over the pool (105-135 us of it) but apply, decode and
+// compare still on the caller, and 141-152 us with those on the
+// workers too.
 #pragma once
 
 #include <cstdint>

@@ -250,6 +250,7 @@ void StreamEncoder::encode_unit(Unit& u, const Chunk& c) {
   // One group of a multi-group bus encodes one byte per beat.
   const bool group_slice = groups_ > 1 && u.group_count == 1;
   const auto slice_bb = static_cast<std::size_t>(geometry_.burst_length());
+  u.prefix = 0;
   u.zeros = 0;
   u.transitions = 0;
 
@@ -286,10 +287,9 @@ void StreamEncoder::encode_unit(Unit& u, const Chunk& c) {
   const bool gathered_slice = group_slice && L > 1;
   const std::size_t step = gathered_slice ? slice_bb : bb;
 
-  // A range unit of a single-lane stream writes its results in chunk
-  // order in place; (lane, group) units and multi-lane streams stage
-  // theirs for the scatter below.
-  const bool direct = c.ranged && L == 1;
+  // Single-lane ranges write their results in place; (lane, group)
+  // units and multi-lane streams stage theirs for the scatter below.
+  const bool direct = in_place(c);
   BurstResult* results = nullptr;
   if (c.collect) {
     if (direct) {
@@ -359,6 +359,7 @@ void StreamEncoder::encode_unit(Unit& u, const Chunk& c) {
   } else {
     const std::size_t k = u.begin == 0 ? 0 : encode_prefix(u, bytes, states,
                                                            results);
+    u.prefix = k;
     for (std::size_t k0 = k; k0 < n; k0 += kAccumBlockBursts) {
       const std::size_t block = std::min(kAccumBlockBursts, n - k0);
       add(encode_block(bytes.subspan(k0 * step, block * step),
@@ -417,6 +418,13 @@ void StreamEncoder::stitch(const Chunk& c) {
   }
 }
 
+void StreamEncoder::deliver(const Chunk& c, std::size_t begin,
+                            std::size_t count) const {
+  const auto G = static_cast<std::size_t>(groups_);
+  c.consumer(begin, std::span<const BurstResult>(chunk_results_)
+                        .subspan(begin * G, count * G));
+}
+
 std::span<const BurstResult> StreamEncoder::run(const Chunk& c) {
   if (c.collect)
     chunk_results_.resize(c.bursts * static_cast<std::size_t>(groups_));
@@ -425,8 +433,13 @@ std::span<const BurstResult> StreamEncoder::run(const Chunk& c) {
                              static_cast<std::int32_t>(std::min<std::size_t>(
                                  c.bursts, INT32_MAX)));
   if (opt_.obs) opt_.obs->chunks.inc();
+  // A single-lane range's results past its entry prefix are final as
+  // soon as it is encoded: its own thread hands them on.
   auto run_unit = [this, &c](int unit) {
-    encode_unit(units_[static_cast<std::size_t>(unit)], c);
+    Unit& u = units_[static_cast<std::size_t>(unit)];
+    encode_unit(u, c);
+    if (c.consumer && in_place(c) && u.begin + u.prefix < u.end)
+      deliver(c, u.begin + u.prefix, u.end - u.begin - u.prefix);
   };
   // Fixed-rule chunks go by their payload size, the others by their
   // unit count (the plan sized the ranges).
@@ -440,6 +453,15 @@ std::span<const BurstResult> StreamEncoder::run(const Chunk& c) {
       run_unit(static_cast<int>(u));
   }
   stitch(c);
+  if (c.consumer) {
+    if (in_place(c)) {
+      for (std::size_t i = 0; i < unit_count_; ++i)
+        if (units_[i].prefix > 0)
+          deliver(c, units_[i].begin, units_[i].prefix);
+    } else if (c.bursts > 0) {
+      deliver(c, 0, c.bursts);
+    }
+  }
   bursts_ += static_cast<std::int64_t>(c.bursts);
   return c.collect ? std::span<const BurstResult>(chunk_results_)
                    : std::span<const BurstResult>{};
@@ -447,9 +469,10 @@ std::span<const BurstResult> StreamEncoder::run(const Chunk& c) {
 
 std::span<const BurstResult> StreamEncoder::encode_chunk(
     std::int64_t first_burst, std::span<const std::uint8_t> payload,
-    std::size_t burst_count, bool collect_results) {
-  const Chunk c{first_burst, payload, burst_count, collect_results,
-                !fixed8_rule(encoder_.scheme()).has_value()};
+    std::size_t burst_count, bool collect_results, RangeConsumer consumer) {
+  const Chunk c{first_burst, payload, burst_count,
+                collect_results || static_cast<bool>(consumer),
+                !fixed8_rule(encoder_.scheme()).has_value(), consumer};
   // Up to workers / lanes ranges per lane, each of at least kMinRangeNs
   // of estimated trellis work.
   std::size_t ranges = 1;
@@ -468,8 +491,10 @@ std::span<const BurstResult> StreamEncoder::encode_chunk(
 std::span<const BurstResult> StreamEncoder::encode_chunk_ranges(
     std::int64_t first_burst, std::span<const std::uint8_t> payload,
     std::size_t burst_count, bool collect_results,
-    std::span<const std::size_t> range_starts) {
-  const Chunk c{first_burst, payload, burst_count, collect_results, true};
+    std::span<const std::size_t> range_starts, RangeConsumer consumer) {
+  const Chunk c{first_burst, payload, burst_count,
+                collect_results || static_cast<bool>(consumer), true,
+                consumer};
   plan(c, 1, range_starts);
   return run(c);
 }

@@ -40,6 +40,20 @@
 //     units goes to the pool; a single-lane chunk under twice that
 //     minimum is one unit and encodes on the caller.
 // Results are identical with and without a pool, at any split.
+//
+// A caller that wants to act on the results while they are still in the
+// cache of the core that made them passes a RangeConsumer. It is called
+// exactly once for every chunk-local burst range whose results are
+// final, with disjoint ranges that together cover the chunk:
+//   * on the thread that encoded it, for a single-lane range's bursts
+//     after its entry prefix (all of the lane's first range, and all of
+//     every range under per-burst resets) — these calls run
+//     concurrently on the pool's workers;
+//   * on the caller after the stitch, for each later range's entry
+//     prefix (the bursts up to where both entry runs agree, which the
+//     stitch may still rewrite; a whole range if they never do), and
+//     for the whole of a chunk that has no such ranges (fixed rules,
+//     multi-lane streams).
 // Totals accumulate in 64-bit counters internally (chunks of any size
 // are block-split so BurstStats's int fields never overflow),
 // single-lane streams are encoded in place with zero copy (wide groups
@@ -47,8 +61,11 @@
 // each unit's bursts, 8-byte bursts with a constant-size copy.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "api/geometry.hpp"
@@ -74,6 +91,38 @@ struct StreamEncodeOptions {
   const obs::Observer* obs = nullptr;
 
   void validate() const;
+};
+
+/// Receives a chunk-local burst range whose results are final (see
+/// above): its first burst and its results, burst-major with groups()
+/// per burst. A non-owning reference to a callable, like
+/// std::function_ref: building one allocates nothing, and the callable
+/// must outlive the encode call it is passed to.
+class RangeConsumer {
+ public:
+  RangeConsumer() = default;
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, RangeConsumer> &&
+             std::is_invocable_v<F&, std::size_t,
+                                 std::span<const BurstResult>>)
+  RangeConsumer(F&& f)  // NOLINT(google-explicit-constructor)
+      : callable_(const_cast<void*>(
+            static_cast<const void*>(std::addressof(f)))),
+        call_([](void* callable, std::size_t begin,
+                 std::span<const BurstResult> results) {
+          (*static_cast<std::remove_reference_t<F>*>(callable))(begin,
+                                                                results);
+        }) {}
+
+  explicit operator bool() const { return call_ != nullptr; }
+  void operator()(std::size_t begin,
+                  std::span<const BurstResult> results) const {
+    call_(callable_, begin, results);
+  }
+
+ private:
+  void* callable_ = nullptr;
+  void (*call_)(void*, std::size_t, std::span<const BurstResult>) = nullptr;
 };
 
 class StreamEncoder {
@@ -111,22 +160,26 @@ class StreamEncoder {
   /// of the chunk's first burst, which fixes the lane interleave.
   /// With collect_results, returns the per-(burst, group) results in
   /// trace order — burst j's group g at [j * groups() + g]; an empty
-  /// span otherwise. The span is valid until the next call.
+  /// span otherwise. The span is valid until the next call. A consumer
+  /// (see RangeConsumer) implies collect_results and must be safe to
+  /// call concurrently on disjoint ranges.
   std::span<const BurstResult> encode_chunk(
       std::int64_t first_burst, std::span<const std::uint8_t> payload,
-      std::size_t burst_count, bool collect_results = false);
+      std::size_t burst_count, bool collect_results = false,
+      RangeConsumer consumer = {});
 
   /// encode_chunk with an explicit range plan, for the parity tests and
   /// the fuzz harness: every lane's share of the chunk splits into
   /// (lane, burst range) units at `range_starts` (lane-local burst
   /// offsets, ascending; 0 and offsets at or past a lane's share are
   /// ignored), whatever the scheme and the work, and the units go to
-  /// the pool whenever there are two or more. Results equal
-  /// encode_chunk's.
+  /// the pool whenever there are two or more. Results and consumer
+  /// calls follow encode_chunk's rules.
   std::span<const BurstResult> encode_chunk_ranges(
       std::int64_t first_burst, std::span<const std::uint8_t> payload,
       std::size_t burst_count, bool collect_results,
-      std::span<const std::size_t> range_starts);
+      std::span<const std::size_t> range_starts,
+      RangeConsumer consumer = {});
 
   /// 64-bit totals over everything encoded since the last reset().
   [[nodiscard]] std::int64_t bursts() const { return bursts_; }
@@ -160,6 +213,7 @@ class StreamEncoder {
     std::vector<dbi::BusState> alt_states;  // inverted run; its exit
                                             // where it never rejoined
     std::vector<BurstResult> alt_results;  // inverted prefix, burst-major
+    std::size_t prefix = 0;  // leading bursts the stitch may rewrite
     std::int64_t zeros = 0;  // this chunk's plain-run totals
     std::int64_t transitions = 0;
   };
@@ -171,6 +225,7 @@ class StreamEncoder {
     std::size_t bursts = 0;
     bool collect = false;
     bool ranged = false;  // (lane, range) units, else (lane, group)
+    RangeConsumer consumer;
   };
 
   /// Checks the payload size and lays out this chunk's units: (lane,
@@ -188,6 +243,13 @@ class StreamEncoder {
   /// Adds the units' totals and threads each lane's ranges onto one
   /// another (see above).
   void stitch(const Chunk& c);
+  /// Whether the chunk's units are single-lane ranges, which write their
+  /// results in chunk order in place (chunk-local index = lane-local).
+  [[nodiscard]] bool in_place(const Chunk& c) const {
+    return c.ranged && opt_.lanes == 1;
+  }
+  /// Hands chunk-local bursts [begin, begin + count) to the consumer.
+  void deliver(const Chunk& c, std::size_t begin, std::size_t count) const;
   /// First chunk-local index of lane `lane`'s bursts.
   [[nodiscard]] std::size_t lane_offset(std::int64_t first_burst,
                                         int lane) const;

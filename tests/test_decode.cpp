@@ -7,6 +7,8 @@
 
 #include <cstring>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "api/session.hpp"
@@ -232,51 +234,69 @@ TEST(SessionRoundTrip, BitExactEverySchemeGeometryLanesAndPolicy) {
       for (const int lanes : {1, 3}) {
         for (const StatePolicy policy :
              {StatePolicy::kThread, StatePolicy::kResetPerBurst}) {
-          const int n = 300;
-          const auto payload = random_payload(
-              g, n,
-              101 + static_cast<std::uint64_t>(g.width()) +
-                  static_cast<std::uint64_t>(lanes));
+          for (const int threads : {0, 4}) {
+            // Enough bursts that a single-lane trellis chunk splits into
+            // ranges under every variant: 300 for the portable trellis,
+            // 4096 (four ranges) for the AVX-512 x64 one.
+            const int n = g.width() == 64 ? 4096 : 300;
+            const auto payload = random_payload(
+                g, n,
+                101 + static_cast<std::uint64_t>(g.width()) +
+                    static_cast<std::uint64_t>(lanes));
+            const std::string label =
+                std::string(scheme_name(scheme)) + " " + g.to_string() +
+                " lanes " + std::to_string(lanes) + " threads " +
+                std::to_string(threads);
 
-          SessionSpec spec;
-          spec.policy = scheme;
-          spec.geometry = g;
-          spec.lanes = lanes;
-          spec.state_policy = policy;
-          spec.direction = Direction::kRoundTrip;
-          Session session(spec);
-          auto source = make_packed_source(payload);
-          std::vector<std::uint8_t> receiver_view;
-          auto sink = make_payload_sink(receiver_view);
-          const StreamStats totals = session.run(*source, *sink);
+            SessionSpec spec;
+            spec.policy = scheme;
+            spec.geometry = g;
+            spec.lanes = lanes;
+            spec.state_policy = policy;
+            spec.direction = Direction::kRoundTrip;
+            spec.threads = threads;
+            spec.obs.level = obs::ObsLevel::kCounters;
+            Session session(spec);
+            auto source = make_packed_source(payload);
+            std::vector<std::uint8_t> receiver_view;
+            auto sink = make_payload_sink(receiver_view);
+            const StreamStats totals = session.run(*source, *sink);
+            // The trellis schemes' chunks really leave the caller (a
+            // one-shard run would count one shard on the caller).
+            if (threads > 0 && !engine::fixed8_rule(scheme)) {
+              EXPECT_GE(
+                  session.report().metrics.value("dbi_pool_shards_total"),
+                  2.0)
+                  << label;
+            }
 
-          EXPECT_TRUE(session.verify_report().ok())
-              << scheme_name(scheme) << " " << g.to_string() << " lanes "
-              << lanes;
-          EXPECT_EQ(session.verify_report().bursts, n);
-          EXPECT_EQ(totals.bursts, n);
-          // The sink sees the receiver-side payload == the original.
-          EXPECT_EQ(receiver_view, payload);
+            EXPECT_TRUE(session.verify_report().ok()) << label;
+            EXPECT_EQ(session.verify_report().bursts, n) << label;
+            EXPECT_EQ(totals.bursts, n) << label;
+            // The sink sees the receiver-side payload == the original.
+            EXPECT_EQ(receiver_view, payload) << label;
 
-          // Totals match a plain encode run of the same stream.
-          SessionSpec enc_spec = spec;
-          enc_spec.direction = Direction::kEncode;
-          Session enc_session(enc_spec);
-          auto enc_source = make_packed_source(payload);
-          EXPECT_EQ(enc_session.run(*enc_source), totals);
+            // Totals match a plain encode run of the same stream.
+            SessionSpec enc_spec = spec;
+            enc_spec.direction = Direction::kEncode;
+            Session enc_session(enc_spec);
+            auto enc_source = make_packed_source(payload);
+            EXPECT_EQ(enc_session.run(*enc_source), totals) << label;
 
-          // Later runs on the same session start from all-ones line
-          // state again, whatever the previous run's length.
-          const auto head =
-              std::span<const std::uint8_t>(payload).first(payload.size() / 3);
-          auto head_source = make_packed_source(head);
-          auto enc_head_source = make_packed_source(head);
-          Session enc_head_session(enc_spec);
-          EXPECT_EQ(session.run(*head_source),
-                    enc_head_session.run(*enc_head_source));
-          auto again = make_packed_source(payload);
-          EXPECT_EQ(session.run(*again), totals);
-          EXPECT_TRUE(session.verify_report().ok());
+            // Later runs on the same session start from all-ones line
+            // state again, whatever the previous run's length.
+            const auto head = std::span<const std::uint8_t>(payload).first(
+                static_cast<std::size_t>(n / 3 * g.bytes_per_burst()));
+            auto head_source = make_packed_source(head);
+            auto enc_head_source = make_packed_source(head);
+            Session enc_head_session(enc_spec);
+            EXPECT_EQ(session.run(*head_source),
+                      enc_head_session.run(*enc_head_source))
+                << label;
+            auto again = make_packed_source(payload);
+            EXPECT_EQ(session.run(*again), totals) << label;
+            EXPECT_TRUE(session.verify_report().ok()) << label;
+          }
         }
       }
     }
@@ -340,6 +360,55 @@ TEST(SessionRoundTrip, WideFaultInjectionAttributesGroup) {
   ASSERT_EQ(report.sites.size(), 1u);
   EXPECT_EQ(report.sites[0],
             (MismatchSite{5, 0, 3, std::uint64_t{1} << 6}));
+
+  // 4096 single-lane x64 OPT bursts on 4 threads split into four burst
+  // ranges (at 1024, 2048 and 3072) under every variant. One fault hits
+  // a later range's first burst (its entry prefix, which reaches the
+  // round trip after the stitch) and one that range's tail (reached on
+  // its worker). The injector must see the whole slice once, on the
+  // calling thread, and the sites must not depend on the pool.
+  const int opt_n = 4096;
+  const auto opt_payload = random_payload(g, opt_n, 78);
+  const std::vector<MismatchSite> want = {
+      {1024, 0, 2, std::uint64_t{1} << 3},
+      {2047, 0, 5, std::uint64_t{1} << 7}};
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int threads : {0, 4}) {
+    int calls = 0;
+    bool on_caller = true;
+    SessionSpec opt_spec;
+    opt_spec.policy = Scheme::kOpt;
+    opt_spec.geometry = g;
+    opt_spec.threads = threads;
+    opt_spec.direction = Direction::kRoundTrip;
+    opt_spec.obs.level = obs::ObsLevel::kCounters;
+    opt_spec.fault_injector = [&](std::int64_t first_burst,
+                                  std::span<std::uint8_t> tx,
+                                  std::span<std::uint64_t> masks) {
+      ++calls;
+      on_caller = on_caller && std::this_thread::get_id() == caller;
+      if (first_burst != 0 || tx.size() != opt_payload.size()) return;
+      tx[1024 * bb + static_cast<std::size_t>(3 * groups + 2)] ^= 0x08;
+      masks[2047 * static_cast<std::size_t>(groups) + 5] ^= std::uint64_t{1}
+                                                            << 7;
+    };
+    Session opt_session(opt_spec);
+    auto opt_source = make_packed_source(opt_payload);
+    (void)opt_session.run(*opt_source);
+
+    const std::string label = "OPT threads " + std::to_string(threads);
+    EXPECT_EQ(calls, 1) << label;
+    EXPECT_TRUE(on_caller) << label;
+    if (threads > 0) {
+      EXPECT_GE(
+          opt_session.report().metrics.value("dbi_pool_shards_total"), 2.0)
+          << label;
+    }
+    const VerifyReport& opt_report = opt_session.verify_report();
+    EXPECT_EQ(opt_report.bursts, opt_n) << label;
+    EXPECT_EQ(opt_report.mismatched_units, 2) << label;
+    EXPECT_EQ(opt_report.sites, want) << label;
+  }
 }
 
 // The fault-study dichotomy (hw/fault_study.hpp) at engine speed: a

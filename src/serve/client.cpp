@@ -4,7 +4,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cstring>
 #include <system_error>
@@ -19,9 +18,12 @@ namespace {
                     std::string(frame.payload.begin(), frame.payload.end()));
 }
 
-}  // namespace
-
-namespace {
+/// True for a kBusy rejection; any other frame but `want` throws.
+bool busy(const Frame& reply, FrameType want) {
+  if (reply.type == FrameType::kBusy) return true;
+  if (reply.type != want) throw_error(reply);
+  return false;
+}
 
 int dial(const std::string& socket_path) {
   sockaddr_un addr{};
@@ -76,52 +78,35 @@ Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Frame Client::roundtrip(Frame request) {
-  write_frame(fd_, request);
+Frame Client::receive() {
   Frame reply;
   if (!read_frame(fd_, reply))
     throw ProtocolError("serve: server closed the connection");
   return reply;
 }
 
-namespace {
-
-/// The 8-byte fixed prefix of an EncodeRequest (flags, burst_count LE)
-/// for the scatter-send path: the burst payload itself goes out as a
-/// second iovec straight from the caller's buffer, never copied.
-std::array<std::uint8_t, 8> encode_prefix(std::uint32_t flags,
-                                          std::uint32_t burst_count) {
-  std::array<std::uint8_t, 8> p;
-  for (int i = 0; i < 4; ++i) {
-    p[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(flags >> (8 * i));
-    p[static_cast<std::size_t>(4 + i)] =
-        static_cast<std::uint8_t>(burst_count >> (8 * i));
-  }
-  return p;
+Frame Client::roundtrip(Frame request) {
+  write_frame(fd_, request);
+  return receive();
 }
 
-}  // namespace
+std::uint32_t Client::send_bursts(FrameType type, std::uint32_t flags,
+                                  std::span<const std::uint8_t> payload,
+                                  std::uint32_t burst_count) {
+  // The request's fixed fields, then the bursts straight from the
+  // caller's buffer as a second iovec, never copied.
+  const auto prefix = EncodeRequest{flags, burst_count, {}}.to_payload();
+  const std::uint32_t seq = next_seq();
+  write_frame_scatter(fd_, type, StatusCode::kOk, seq, prefix, payload);
+  return seq;
+}
 
 Client::EncodeResult Client::encode(std::span<const std::uint8_t> payload,
                                     std::uint32_t burst_count, bool want_tx) {
-  const auto prefix =
-      encode_prefix(want_tx ? EncodeRequest::kWantTx : 0, burst_count);
-  const std::uint32_t seq = next_seq();
-  write_frame_scatter(fd_, FrameType::kEncode, StatusCode::kOk, seq, prefix,
-                      payload);
-  Frame reply;
-  if (!read_frame(fd_, reply))
-    throw ProtocolError("serve: server closed the connection");
-  EncodeResult out;
-  out.seq = reply.seq;
-  if (reply.type == FrameType::kBusy) {
-    out.outcome = Outcome::kBusy;
-    return out;
-  }
-  if (reply.type != FrameType::kEncodeAck) throw_error(reply);
-  out.ack = EncodeAck::parse(reply.payload);
-  return out;
+  (void)send_bursts(FrameType::kEncode, want_tx ? EncodeRequest::kWantTx : 0,
+                    payload, burst_count);
+  Response r = next_response();
+  return {r.outcome, r.seq, std::move(r.ack)};
 }
 
 Client::DecodeResult Client::decode(std::span<const std::uint8_t> tx,
@@ -134,30 +119,22 @@ Client::DecodeResult Client::decode(std::span<const std::uint8_t> tx,
   Frame reply = roundtrip(
       make_frame(FrameType::kDecode, next_seq(), req.to_payload()));
   DecodeResult out;
-  if (reply.type == FrameType::kBusy) {
+  if (busy(reply, FrameType::kDecodeAck))
     out.outcome = Outcome::kBusy;
-    return out;
-  }
-  if (reply.type != FrameType::kDecodeAck) throw_error(reply);
-  out.payload = std::move(reply.payload);
+  else
+    out.payload = std::move(reply.payload);
   return out;
 }
 
 Client::VerifyResult Client::verify(std::span<const std::uint8_t> payload,
                                     std::uint32_t burst_count) {
-  const auto prefix = encode_prefix(0, burst_count);
-  write_frame_scatter(fd_, FrameType::kVerify, StatusCode::kOk, next_seq(),
-                      prefix, payload);
-  Frame reply;
-  if (!read_frame(fd_, reply))
-    throw ProtocolError("serve: server closed the connection");
+  (void)send_bursts(FrameType::kVerify, 0, payload, burst_count);
+  const Frame reply = receive();
   VerifyResult out;
-  if (reply.type == FrameType::kBusy) {
+  if (busy(reply, FrameType::kVerifyAck))
     out.outcome = Outcome::kBusy;
-    return out;
-  }
-  if (reply.type != FrameType::kVerifyAck) throw_error(reply);
-  out.ack = VerifyAck::parse(reply.payload);
+  else
+    out.ack = VerifyAck::parse(reply.payload);
   return out;
 }
 
@@ -174,25 +151,17 @@ void Client::shutdown_server() {
 
 std::uint32_t Client::submit_encode(std::span<const std::uint8_t> payload,
                                     std::uint32_t burst_count) {
-  const auto prefix = encode_prefix(0, burst_count);
-  const std::uint32_t seq = next_seq();
-  write_frame_scatter(fd_, FrameType::kEncode, StatusCode::kOk, seq, prefix,
-                      payload);
-  return seq;
+  return send_bursts(FrameType::kEncode, 0, payload, burst_count);
 }
 
 Client::Response Client::next_response() {
-  Frame reply;
-  if (!read_frame(fd_, reply))
-    throw ProtocolError("serve: server closed the connection");
+  const Frame reply = receive();
   Response out;
   out.seq = reply.seq;
-  if (reply.type == FrameType::kBusy) {
+  if (busy(reply, FrameType::kEncodeAck))
     out.outcome = Outcome::kBusy;
-    return out;
-  }
-  if (reply.type != FrameType::kEncodeAck) throw_error(reply);
-  out.ack = EncodeAck::parse(reply.payload);
+  else
+    out.ack = EncodeAck::parse(reply.payload);
   return out;
 }
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -127,7 +126,12 @@ class Client {
  private:
   explicit Client(int fd) : fd_(fd) {}
 
+  Frame receive();
   Frame roundtrip(Frame request);
+  /// Sends an encode / verify frame straight from `payload`; its seq.
+  std::uint32_t send_bursts(FrameType type, std::uint32_t flags,
+                            std::span<const std::uint8_t> payload,
+                            std::uint32_t burst_count);
   [[nodiscard]] std::uint32_t next_seq() { return seq_++; }
 
   int fd_ = -1;

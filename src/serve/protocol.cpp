@@ -4,6 +4,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
@@ -20,19 +21,9 @@ namespace {
 // streams use the trace format's codec (trace::append_masks /
 // read_masks): the same little-endian u64s, one memcpy on
 // little-endian hosts.
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
+template <typename T>
+void put(std::vector<std::uint8_t>& out, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i)
     out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 void put_bytes(std::vector<std::uint8_t>& out,
@@ -42,7 +33,7 @@ void put_bytes(std::vector<std::uint8_t>& out,
 void put_string(std::vector<std::uint8_t>& out, std::string_view s) {
   if (s.size() > 0xFFFF)
     throw ProtocolError("serve: string field over 64 KiB");
-  put_u16(out, static_cast<std::uint16_t>(s.size()));
+  put<std::uint16_t>(out, static_cast<std::uint16_t>(s.size()));
   out.insert(out.end(), s.begin(), s.end());
 }
 
@@ -51,23 +42,18 @@ class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> p) : p_(p) {}
 
-  std::uint8_t u8() { return take(1)[0]; }
-  std::uint16_t u16() {
-    auto b = take(2);
-    return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-  }
-  std::uint32_t u32() {
-    auto b = take(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
+  template <typename T>
+  T get() {
+    const auto b = take(sizeof(T));
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      v |= static_cast<T>(static_cast<T>(b[i]) << (8 * i));
     return v;
   }
-  std::uint64_t u64() {
-    auto b = take(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return v;
-  }
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint16_t u16() { return get<std::uint16_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
   std::string str() {
     const std::uint16_t n = u16();
     auto b = take(n);
@@ -94,12 +80,10 @@ class Reader {
   std::size_t off_ = 0;
 };
 
-/// Writes every iovec fully, advancing across partial sends — one
-/// sendmsg per frame in the common case instead of one send per part.
-/// MSG_NOSIGNAL: a peer that hung up yields EPIPE here instead of a
-/// process-killing SIGPIPE.
+/// Writes every iovec fully, advancing across partial sends (one
+/// sendmsg per frame in the common case). MSG_NOSIGNAL: a peer that hung
+/// up yields EPIPE here instead of a process-killing SIGPIPE.
 void write_vec(int fd, iovec* iov, std::size_t iov_count) {
-  while (iov_count > 0 && iov[iov_count - 1].iov_len == 0) --iov_count;
   while (iov_count > 0) {
     msghdr msg{};
     msg.msg_iov = iov;
@@ -121,19 +105,6 @@ void write_vec(int fd, iovec* iov, std::size_t iov_count) {
       iov[0].iov_len -= done;
     }
   }
-}
-
-void fill_header(std::uint8_t (&header)[16], FrameType type, StatusCode status,
-                 std::uint32_t seq, std::size_t payload_size) {
-  std::vector<std::uint8_t> h;
-  h.reserve(16);
-  put_u32(h, kMagic);
-  put_u8(h, kProtoVersion);
-  put_u8(h, static_cast<std::uint8_t>(type));
-  put_u16(h, static_cast<std::uint16_t>(status));
-  put_u32(h, seq);
-  put_u32(h, static_cast<std::uint32_t>(payload_size));
-  std::memcpy(header, h.data(), sizeof(header));
 }
 
 /// Reads exactly `size` bytes. Returns false on EOF before the first
@@ -162,13 +133,13 @@ bool read_all(int fd, std::uint8_t* data, std::size_t size, bool eof_ok) {
 
 std::vector<std::uint8_t> HelloRequest::to_payload() const {
   std::vector<std::uint8_t> out;
-  put_u8(out, scheme_to_tag(scheme));
-  put_u8(out, static_cast<std::uint8_t>(geometry.width()));
-  put_u8(out, static_cast<std::uint8_t>(geometry.burst_length()));
-  put_u8(out, geometry.is_wide() ? 1 : 0);
-  put_u16(out, lanes);
-  put_u8(out, reset_state_per_burst ? 1 : 0);
-  put_u8(out, 0);  // reserved
+  put<std::uint8_t>(out, scheme_to_tag(scheme));
+  put<std::uint8_t>(out, static_cast<std::uint8_t>(geometry.width()));
+  put<std::uint8_t>(out, static_cast<std::uint8_t>(geometry.burst_length()));
+  put<std::uint8_t>(out, geometry.is_wide() ? 1 : 0);
+  put<std::uint16_t>(out, lanes);
+  put<std::uint8_t>(out, reset_state_per_burst ? 1 : 0);
+  put<std::uint8_t>(out, 0);  // reserved
   put_string(out, kernel);
   put_string(out, tenant);
   return out;
@@ -200,7 +171,7 @@ HelloRequest HelloRequest::parse(std::span<const std::uint8_t> p) {
 
 std::vector<std::uint8_t> HelloAck::to_payload() const {
   std::vector<std::uint8_t> out;
-  put_u32(out, max_queue_requests);
+  put<std::uint32_t>(out, max_queue_requests);
   put_string(out, build);
   return out;
 }
@@ -219,8 +190,8 @@ HelloAck HelloAck::parse(std::span<const std::uint8_t> p) {
 std::vector<std::uint8_t> EncodeRequest::to_payload() const {
   std::vector<std::uint8_t> out;
   out.reserve(8 + payload.size());
-  put_u32(out, flags);
-  put_u32(out, burst_count);
+  put<std::uint32_t>(out, flags);
+  put<std::uint32_t>(out, burst_count);
   put_bytes(out, payload);
   return out;
 }
@@ -239,12 +210,12 @@ EncodeRequest EncodeRequest::parse(std::span<const std::uint8_t> p) {
 std::vector<std::uint8_t> EncodeAck::to_payload() const {
   std::vector<std::uint8_t> out;
   out.reserve(28 + masks.size() * 8 + tx.size());
-  put_u32(out, burst_count);
-  put_u32(out, static_cast<std::uint32_t>(masks.size()));
-  put_u64(out, zeros);
-  put_u64(out, transitions);
+  put<std::uint32_t>(out, burst_count);
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(masks.size()));
+  put<std::uint64_t>(out, zeros);
+  put<std::uint64_t>(out, transitions);
   trace::append_masks(out, masks);
-  put_u32(out, static_cast<std::uint32_t>(tx.size()));
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(tx.size()));
   put_bytes(out, tx);
   return out;
 }
@@ -272,8 +243,8 @@ EncodeAck EncodeAck::parse(std::span<const std::uint8_t> p) {
 std::vector<std::uint8_t> DecodeRequest::to_payload() const {
   std::vector<std::uint8_t> out;
   out.reserve(8 + masks.size() * 8 + tx.size());
-  put_u32(out, burst_count);
-  put_u32(out, static_cast<std::uint32_t>(masks.size()));
+  put<std::uint32_t>(out, burst_count);
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(masks.size()));
   trace::append_masks(out, masks);
   put_bytes(out, tx);
   return out;
@@ -298,13 +269,13 @@ DecodeRequest DecodeRequest::parse(std::span<const std::uint8_t> p,
 
 std::vector<std::uint8_t> VerifyAck::to_payload() const {
   std::vector<std::uint8_t> out;
-  put_u8(out, ok ? 1 : 0);
-  put_u8(out, 0);
-  put_u16(out, 0);  // reserved
-  put_u32(out, burst_count);
-  put_u64(out, mismatched_bytes);
-  put_u64(out, zeros);
-  put_u64(out, transitions);
+  put<std::uint8_t>(out, ok ? 1 : 0);
+  put<std::uint8_t>(out, 0);
+  put<std::uint16_t>(out, 0);  // reserved
+  put<std::uint32_t>(out, burst_count);
+  put<std::uint64_t>(out, mismatched_bytes);
+  put<std::uint64_t>(out, zeros);
+  put<std::uint64_t>(out, transitions);
   return out;
 }
 
@@ -326,8 +297,8 @@ VerifyAck VerifyAck::parse(std::span<const std::uint8_t> p) {
 
 std::vector<std::uint8_t> BusyInfo::to_payload() const {
   std::vector<std::uint8_t> out;
-  put_u32(out, depth);
-  put_u32(out, limit);
+  put<std::uint32_t>(out, depth);
+  put<std::uint32_t>(out, limit);
   return out;
 }
 
@@ -362,28 +333,105 @@ std::uint32_t decode_frame_header(
   return length;
 }
 
+std::array<std::uint8_t, kFrameHeaderBytes> encode_frame_header(
+    FrameType type, StatusCode status, std::uint32_t seq,
+    std::uint32_t length) {
+  std::array<std::uint8_t, kFrameHeaderBytes> h{};
+  const auto put = [&h](std::size_t at, std::uint32_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i)
+      h[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  put(0, kMagic, 4);
+  h[4] = kProtoVersion;
+  h[5] = static_cast<std::uint8_t>(type);
+  put(6, static_cast<std::uint16_t>(status), 2);
+  put(8, seq, 4);
+  put(12, length, 4);
+  return h;
+}
+
+// --- FrameAssembler ---------------------------------------------------
+
+std::span<std::uint8_t> FrameAssembler::space() {
+  direct_ = have_header_ && begin_ == end_;
+  if (direct_) {
+    // Nothing staged: the payload's rest goes straight into the frame.
+    const std::size_t step =
+        std::min<std::size_t>(want_ - got_, std::max(got_, kPayloadStep));
+    grow(got_ + step);
+    return {frame_.payload.data() + got_, step};
+  }
+  if (begin_ > 0) {  // keep the unparsed tail at the front
+    std::memmove(stage_.data(), stage_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  stage_.resize(kStageBytes);
+  return {stage_.data() + end_, kStageBytes - end_};
+}
+
+void FrameAssembler::grow(std::size_t size) {
+  std::vector<std::uint8_t>& p = frame_.payload;
+  if (p.size() >= size) return;
+  if (p.capacity() < size)
+    p.reserve(std::min<std::size_t>(
+        want_, std::max({2 * p.capacity(), size, kPayloadStep})));
+  p.resize(size);
+}
+
+ssize_t FrameAssembler::read_some(int fd, bool& filled) {
+  const std::span<std::uint8_t> room = space();
+  const ssize_t n = ::read(fd, room.data(), room.size());
+  if (n > 0) (direct_ ? got_ : end_) += static_cast<std::size_t>(n);
+  filled = n > 0 && static_cast<std::size_t>(n) == room.size();
+  return n;
+}
+
+std::size_t FrameAssembler::feed(std::span<const std::uint8_t> bytes) {
+  const std::span<std::uint8_t> room = space();
+  const std::size_t n = std::min(room.size(), bytes.size());
+  std::copy_n(bytes.begin(), n, room.begin());
+  (direct_ ? got_ : end_) += n;
+  return n;
+}
+
+bool FrameAssembler::next(Frame& out) {
+  if (!have_header_) {
+    if (end_ - begin_ < kFrameHeaderBytes) return false;
+    want_ = decode_frame_header(
+        std::span<const std::uint8_t, kFrameHeaderBytes>(
+            stage_.data() + begin_, kFrameHeaderBytes),
+        frame_);
+    begin_ += kFrameHeaderBytes;
+    have_header_ = true;
+    got_ = 0;
+  }
+  const std::size_t take = std::min<std::size_t>(end_ - begin_, want_ - got_);
+  if (take > 0) {
+    grow(got_ + take);
+    std::memcpy(frame_.payload.data() + got_, stage_.data() + begin_, take);
+    begin_ += take;
+    got_ += take;
+  }
+  if (got_ < want_) return false;
+  out = std::move(frame_);
+  frame_ = Frame{};
+  have_header_ = false;
+  return true;
+}
+
 bool read_frame(int fd, Frame& out) {
   std::array<std::uint8_t, kFrameHeaderBytes> bytes{};
   if (!read_all(fd, bytes.data(), bytes.size(), /*eof_ok=*/true))
     return false;
-  const std::uint32_t length = decode_frame_header(bytes, out);
-  out.payload.resize(length);
-  if (length > 0)
-    (void)read_all(fd, out.payload.data(), length, /*eof_ok=*/false);
+  out.payload.resize(decode_frame_header(bytes, out));
+  (void)read_all(fd, out.payload.data(), out.payload.size(), /*eof_ok=*/false);
   return true;
 }
 
 void write_frame(int fd, const Frame& frame) {
-  if (frame.payload.size() > kMaxPayload)
-    throw ProtocolError("serve: refusing to write over-cap frame");
-  std::uint8_t header[16];
-  fill_header(header, frame.type, frame.status, frame.seq,
-              frame.payload.size());
-  iovec iov[2] = {
-      {header, sizeof(header)},
-      {const_cast<std::uint8_t*>(frame.payload.data()), frame.payload.size()},
-  };
-  write_vec(fd, iov, 2);
+  write_frame_scatter(fd, frame.type, frame.status, frame.seq, {},
+                      frame.payload);
 }
 
 void write_frame_scatter(int fd, FrameType type, StatusCode status,
@@ -393,10 +441,10 @@ void write_frame_scatter(int fd, FrameType type, StatusCode status,
   const std::size_t total = prefix.size() + body.size();
   if (total > kMaxPayload)
     throw ProtocolError("serve: refusing to write over-cap frame");
-  std::uint8_t header[16];
-  fill_header(header, type, status, seq, total);
+  auto header = encode_frame_header(type, status, seq,
+                                    static_cast<std::uint32_t>(total));
   iovec iov[3] = {
-      {header, sizeof(header)},
+      {header.data(), header.size()},
       {const_cast<std::uint8_t*>(prefix.data()), prefix.size()},
       {const_cast<std::uint8_t*>(body.data()), body.size()},
   };
@@ -405,34 +453,13 @@ void write_frame_scatter(int fd, FrameType type, StatusCode status,
 
 Frame make_frame(FrameType type, std::uint32_t seq,
                  std::vector<std::uint8_t> payload, StatusCode status) {
-  Frame f;
-  f.type = type;
-  f.status = status;
-  f.seq = seq;
-  f.payload = std::move(payload);
-  return f;
+  return Frame{type, status, seq, std::move(payload)};
 }
 
 Frame make_error(std::uint32_t seq, StatusCode status,
                  std::string_view message) {
-  Frame f;
-  f.type = FrameType::kError;
-  f.status = status;
-  f.seq = seq;
-  f.payload.assign(message.begin(), message.end());
-  return f;
-}
-
-std::string_view status_name(StatusCode s) {
-  switch (s) {
-    case StatusCode::kOk: return "ok";
-    case StatusCode::kBusy: return "busy";
-    case StatusCode::kBadFrame: return "bad-frame";
-    case StatusCode::kBadState: return "bad-state";
-    case StatusCode::kShuttingDown: return "shutting-down";
-    case StatusCode::kInternal: return "internal";
-  }
-  return "unknown";
+  return Frame{FrameType::kError, status, seq,
+               {message.begin(), message.end()}};
 }
 
 }  // namespace dbi::serve

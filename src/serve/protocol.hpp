@@ -15,8 +15,8 @@
 //       12     4  payload length in bytes
 //       16     …  payload (layout per frame type, see the structs)
 //
-// decode_frame_header and the payload codecs below are what
-// fuzz/fuzz_serve_protocol.cpp drives.
+// decode_frame_header, FrameAssembler and the payload codecs below are
+// what fuzz/fuzz_serve_protocol.cpp drives.
 //
 // A connection speaks for exactly one tenant: the first frame must be
 // kHello, which names the tenant and fixes its geometry / scheme /
@@ -27,8 +27,10 @@
 // kBusy / kError with a StatusCode otherwise.
 #pragma once
 
+#include <sys/types.h>
+
+#include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -185,6 +187,48 @@ inline constexpr std::size_t kFrameHeaderBytes = 16;
 [[nodiscard]] std::uint32_t decode_frame_header(
     std::span<const std::uint8_t, kFrameHeaderBytes> bytes, Frame& out);
 
+/// The header decode_frame_header reads back: magic, version, type,
+/// status, seq and payload length.
+[[nodiscard]] std::array<std::uint8_t, kFrameHeaderBytes> encode_frame_header(
+    FrameType type, StatusCode status, std::uint32_t seq,
+    std::uint32_t length);
+
+/// Frame input for a non-blocking socket. One read can carry several
+/// small frames (they land in a staging area); a large payload's rest is
+/// read straight into its frame, whose buffer grows at most 64 KiB (or
+/// its own size) ahead of the bytes that arrived and never past the
+/// length the header claims: a bare header commits no more than that.
+class FrameAssembler {
+ public:
+  /// One non-blocking read from `fd`, once next() returned false: the
+  /// byte count, 0 at EOF or -1 with errno set. `filled` says the read
+  /// took all the room offered, so more bytes may be waiting.
+  ssize_t read_some(int fd, bool& filled);
+  /// Takes bytes as read_some would; returns how many fit (call next()
+  /// until it returns false, then feed the rest).
+  std::size_t feed(std::span<const std::uint8_t> bytes);
+  /// Moves the next complete frame into `out`; false while none is
+  /// buffered. Throws ProtocolError on a malformed header, after which
+  /// the stream cannot be resynchronised.
+  bool next(Frame& out);
+
+ private:
+  static constexpr std::size_t kStageBytes = 8192;
+  static constexpr std::size_t kPayloadStep = 65536;
+
+  /// Where the next bytes go: the payload's rest or the stage's tail.
+  std::span<std::uint8_t> space();
+  void grow(std::size_t size);  ///< payload buffer to at least `size`
+
+  std::vector<std::uint8_t> stage_;  ///< headers and small frames
+  std::size_t begin_ = 0, end_ = 0;  ///< unparsed bytes of stage_
+  Frame frame_;                      ///< the frame being assembled
+  bool have_header_ = false;
+  bool direct_ = false;      ///< space() handed out payload bytes
+  std::uint32_t want_ = 0;   ///< its payload length
+  std::size_t got_ = 0;      ///< payload bytes received
+};
+
 /// Blocking full-frame read (header through decode_frame_header).
 /// Returns false on clean EOF at a frame boundary; throws ProtocolError
 /// on malformed headers / short reads, std::system_error on sockets.
@@ -210,7 +254,5 @@ void write_frame_scatter(int fd, FrameType type, StatusCode status,
                                StatusCode status = StatusCode::kOk);
 [[nodiscard]] Frame make_error(std::uint32_t seq, StatusCode status,
                                std::string_view message);
-
-[[nodiscard]] std::string_view status_name(StatusCode s);
 
 }  // namespace dbi::serve

@@ -1,16 +1,15 @@
 #include "serve/server.hpp"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 #include <system_error>
 
@@ -22,24 +21,26 @@ namespace dbi::serve {
 namespace {
 
 std::string label(std::string_view key, std::string_view value) {
-  std::string out(key);
-  out += "=\"";
-  out += value;
-  out += "\"";
-  return out;
+  return std::string(key) + "=\"" + std::string(value) + "\"";
 }
 
 /// Tenant names become Prometheus label values verbatim, so the
 /// accepted alphabet is locked down at hello time.
 bool valid_tenant_name(std::string_view name) {
-  if (name.empty() || name.size() > 64) return false;
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.';
-    if (!ok) return false;
-  }
-  return true;
+  return !name.empty() && name.size() <= 64 &&
+         std::all_of(name.begin(), name.end(), [](char c) {
+           return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                  (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.';
+         });
 }
+
+/// A frame the server answers with a typed error; any other exception
+/// out of handle_frame is answered as kBadFrame.
+struct Refusal : std::runtime_error {
+  Refusal(StatusCode s, const std::string& message)
+      : std::runtime_error(message), status(s) {}
+  StatusCode status;
+};
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
   return static_cast<std::uint64_t>(
@@ -66,42 +67,32 @@ void ServerOptions::validate() const {
     throw std::invalid_argument("serve: send_timeout must be >= 0");
 }
 
-/// One accepted socket. Reader and scheduler threads both write
-/// responses, serialized by write_mu; the fd closes with the last
-/// shared_ptr owner.
+/// One accepted socket, owned by the loop thread. Frames arrive through
+/// `in`; replies queue in `out` as wire bytes and leave through
+/// non-blocking sends.
 struct Server::Connection {
-  explicit Connection(int fd_in) : fd(fd_in) {}
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
-  }
+  Connection(int fd_in, std::uint64_t id_in) : fd(fd_in), id(id_in) {}
+  ~Connection() { ::close(fd); }
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  /// Sends one frame. The socket carries SO_SNDTIMEO: a write that
-  /// cannot progress within the timeout (the peer stopped reading while
-  /// flooding requests) marks the connection dead and shuts it down, so
-  /// later responses fail fast instead of each paying the timeout — a
-  /// slow consumer costs the scheduler one bounded wait, never a hang.
-  void send(const Frame& frame) {
-    std::lock_guard<std::mutex> lk(write_mu);
-    if (dead.load(std::memory_order_relaxed))
-      throw std::system_error(EPIPE, std::generic_category(),
-                              "serve: connection dropped (slow consumer)");
-    try {
-      write_frame(fd, frame);
-    } catch (const std::system_error& e) {
-      const int err = e.code().value();
-      if (err == EAGAIN || err == EWOULDBLOCK || err == ETIMEDOUT) {
-        dead.store(true, std::memory_order_relaxed);
-        ::shutdown(fd, SHUT_RDWR);  // also unblocks the reader thread
-      }
-      throw;
-    }
+  [[nodiscard]] bool finished() const {
+    return eof && owed == 0 && out.empty();
   }
 
   int fd;
-  std::mutex write_mu;
-  std::atomic<bool> dead{false};
+  std::uint64_t id;
+  Tenant* tenant = nullptr;  ///< bound by hello
+  FrameAssembler in;
+  std::vector<std::uint8_t> out;  ///< queued replies
+  std::size_t sent = 0;           ///< bytes of `out` already sent
+  std::chrono::steady_clock::time_point progress;  ///< last send progress
+  std::uint32_t owed = 0;  ///< admitted requests not answered yet
+  bool blocked = false;    ///< the last flush left bytes: wait for POLLOUT
+  /// The peer stopped sending (EOF or a malformed frame): read no more,
+  /// close once every admitted request is answered and flushed.
+  bool eof = false;
+  bool drop = false;  ///< close at the end of this loop phase
 };
 
 /// One admitted request. It owns the raw wire frame payload (moved in
@@ -117,19 +108,13 @@ struct Server::Request {
   std::span<const std::uint8_t> data;   ///< payload (encode/verify) or tx
                                         ///< (decode), aliasing `raw`
   std::vector<std::uint64_t> masks;     ///< decode only
-  std::shared_ptr<Connection> conn;
+  std::uint64_t conn = 0;               ///< id of the requesting connection
   std::chrono::steady_clock::time_point enqueued;
 };
 
-/// Per-tenant session state + admission queue. Engine members are only
-/// touched by the scheduler thread; the queue / deficit fields are
-/// guarded by Server::mu_.
+/// Per-tenant session state + admission queue, owned by the loop thread.
 struct Server::Tenant {
-  std::string name;
-  Geometry geometry;
-  Scheme scheme = Scheme::kAc;
-  int lanes = 1;
-  bool reset_per_burst = false;
+  HelloRequest spec;  ///< as its first hello named it
   const engine::KernelVariant* kernel = nullptr;
   int groups = 1;
   std::size_t bytes_per_burst = 0;
@@ -143,7 +128,7 @@ struct Server::Tenant {
   std::int64_t deficit = 0;
   bool in_active = false;
 
-  // Scheduler-thread scratch, reused across batches.
+  // Engine scratch, reused across batches.
   std::vector<std::uint8_t> scratch, tx_scratch, rx_scratch;
   std::vector<std::uint64_t> mask_scratch;
 
@@ -171,7 +156,7 @@ Server::~Server() { stop(); }
 
 void Server::start() {
   if (started_) return;
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (listen_fd_ < 0)
     throw std::system_error(errno, std::generic_category(), "serve: socket");
   sockaddr_un addr{};
@@ -179,220 +164,219 @@ void Server::start() {
   std::memcpy(addr.sun_path, options_.socket_path.c_str(),
               options_.socket_path.size() + 1);
   ::unlink(options_.socket_path.c_str());
+  const auto fail = [this](const std::string& what) {
+    const int err = errno;
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    throw std::system_error(err, std::generic_category(), what);
+  };
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::system_error(err, std::generic_category(),
-                            "serve: bind " + options_.socket_path);
-  }
-  if (::listen(listen_fd_, 64) < 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::system_error(err, std::generic_category(), "serve: listen");
-  }
+      0)
+    fail("serve: bind " + options_.socket_path);
+  if (::listen(listen_fd_, 64) < 0) fail("serve: listen");
+  if (::pipe2(wake_, O_NONBLOCK | O_CLOEXEC) < 0) fail("serve: pipe");
+  loop_thread_ = std::thread([this] { loop(); });
   started_ = true;
-  scheduler_thread_ = std::thread([this] { scheduler_loop(); });
-  accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
 void Server::request_stop() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stop_requested_) return;
-    stop_requested_ = true;
-  }
+  std::lock_guard<std::mutex> lk(mu_);
+  stop_requested_ = true;
   stop_cv_.notify_all();
 }
 
 bool Server::wait_stop_requested(std::chrono::milliseconds d) {
   std::unique_lock<std::mutex> lk(mu_);
-  return stop_cv_.wait_for(lk, d, [this] { return stop_requested_; });
+  return stop_cv_.wait_for(lk, d, [this] { return stop_requested_.load(); });
 }
 
 void Server::stop() {
   if (!started_ || stopped_) return;
+  // Admissions close (new frames get kShuttingDown); the loop runs the
+  // queues dry, flushes every connection and exits.
   request_stop();
-
-  // 1. Stop accepting: wake the blocked accept() and join it.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
+  drain_ = true;
+  (void)!::write(wake_[1], "", 1);
+  loop_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-
-  // 2. Drain: admissions are closed (readers now reject with
-  // kShuttingDown), so the scheduler finishes every queued request —
-  // responses included — and exits.
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    drain_ = true;
-  }
-  sched_cv_.notify_all();
-  if (scheduler_thread_.joinable()) scheduler_thread_.join();
-
-  // 3. Unblock and join the readers — the live ones and any that
-  // already exited and parked their handles for reaping.
-  std::vector<std::shared_ptr<Connection>> conns;
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    conns.swap(conns_);
-    readers.reserve(reader_threads_.size() + finished_readers_.size());
-    for (auto& [conn, thread] : reader_threads_)
-      readers.push_back(std::move(thread));
-    reader_threads_.clear();
-    for (auto& thread : finished_readers_) readers.push_back(std::move(thread));
-    finished_readers_.clear();
-  }
-  for (const auto& c : conns) ::shutdown(c->fd, SHUT_RDWR);
-  for (auto& t : readers)
-    if (t.joinable()) t.join();
-
+  ::close(wake_[0]);
+  ::close(wake_[1]);
   ::unlink(options_.socket_path.c_str());
   stopped_ = true;
 }
 
-void Server::accept_loop() {
+void Server::loop() {
+  using Clock = std::chrono::steady_clock;
+  std::vector<pollfd> fds;
+  std::vector<Connection*> polled;  // fds[k + 2] is polled[k]'s socket
+  const auto dropped = [](const auto& kv) { return kv.second->drop; };
+  const auto unsent = [](const auto& kv) { return !kv.second->out.empty(); };
   for (;;) {
-    reap_readers();
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const bool draining = drain_;
+    // Draining, with the queues dry: read nothing more, exit once every
+    // reply is out.
+    const bool reading = !draining || !active_.empty();
+    if (!reading && std::none_of(conns_.begin(), conns_.end(), unsent)) break;
+
+    auto now = Clock::now();
+    const bool accepting = !draining && now >= accept_resume_;
+    auto deadline = draining || accepting ? Clock::time_point::max()
+                                          : accept_resume_;
+    fds.clear();
+    polled.clear();
+    fds.push_back({wake_[0], POLLIN, 0});
+    fds.push_back({accepting ? listen_fd_ : -1, POLLIN, 0});
+    for (auto& [id, cp] : conns_) {
+      Connection& c = *cp;
+      short events = 0;
+      // A peer that stops reading its replies stops being read once
+      // they pass one frame cap, so its backlog stays bounded.
+      if (reading && !c.eof && c.out.size() < kMaxPayload) events |= POLLIN;
+      if (c.blocked) {
+        events |= POLLOUT;
+        if (options_.send_timeout.count() > 0)
+          deadline = std::min(deadline, c.progress + options_.send_timeout);
+      }
+      fds.push_back({events != 0 ? c.fd : -1, events, 0});
+      polled.push_back(&c);
+    }
+    int timeout = -1;
+    if (!active_.empty())
+      timeout = 0;  // queued work: one batch per poll
+    else if (deadline != Clock::time_point::max())
+      timeout = static_cast<int>(std::max<std::int64_t>(
+          0, std::chrono::ceil<std::chrono::milliseconds>(deadline - now)
+                 .count()));
+    if (::poll(fds.data(), fds.size(), timeout) < 0 && errno != EINTR)
+      break;
+
+    char sink[64];
+    if ((fds[0].revents & POLLIN) != 0)
+      while (::read(wake_[0], sink, sizeof(sink)) > 0) {
+      }
+    if ((fds[1].revents & POLLIN) != 0) accept_all();
+    // Every reported connection is read before any reply leaves.
+    for (std::size_t k = 0; k < polled.size(); ++k) {
+      const short re = fds[k + 2].revents;
+      Connection& c = *polled[k];
+      if ((re & (POLLOUT | POLLERR | POLLHUP)) != 0) c.blocked = false;
+      if ((fds[k + 2].events & POLLIN) != 0 &&
+          (re & (POLLIN | POLLERR | POLLHUP)) != 0)
+        read_from(c);
+      if (c.finished()) c.drop = true;
+    }
+    std::erase_if(conns_, dropped);
+
+    // One batch per poll: turns that only add to a tenant's deficit do
+    // not wait for another poll.
+    while (!active_.empty() && !run_turn()) {
+    }
+
+    now = Clock::now();
+    for (auto& [id, cp] : conns_) {
+      Connection& c = *cp;
+      if (!c.out.empty() && !c.blocked && !flush(c)) c.drop = true;
+      const bool stalled = c.blocked && options_.send_timeout.count() > 0 &&
+                           now - c.progress >= options_.send_timeout;
+      if (stalled || c.finished()) c.drop = true;
+    }
+    std::erase_if(conns_, dropped);
+  }
+  conns_.clear();
+}
+
+void Server::accept_all() {
+  for (;;) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd < 0) {
       const int err = errno;
       if (err == EINTR || err == ECONNABORTED) continue;
-      if (err == EMFILE || err == ENFILE || err == ENOBUFS ||
-          err == ENOMEM) {
-        // Transient resource exhaustion: exiting here would leave a
-        // daemon that looks healthy but never accepts again. Back off
-        // and retry until stop is requested.
-        if (wait_stop_requested(std::chrono::milliseconds(50))) return;
-        continue;
+      if (err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM) {
+        // Transient resource exhaustion: leave the listen socket out of
+        // the poll set for 50 ms rather than spin, or stop accepting for
+        // good and look healthy while never accepting again.
+        accept_resume_ =
+            std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+      } else if (err != EAGAIN && err != EWOULDBLOCK) {
+        ::close(listen_fd_);  // fatally broken: stop accepting
+        listen_fd_ = -1;
       }
-      return;  // listen socket shut down (stop()) or fatally broken
+      return;
     }
-    if (options_.send_timeout.count() > 0) {
-      timeval tv{};
-      tv.tv_sec = static_cast<time_t>(options_.send_timeout.count() / 1000);
-      tv.tv_usec =
-          static_cast<suseconds_t>(options_.send_timeout.count() % 1000) *
-          1000;
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    if (stop_requested_) {
+      ::close(fd);
+      continue;
     }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (stop_requested_) {
-        ::close(fd);
-        return;
-      }
-      auto conn = std::make_shared<Connection>(fd);
-      conns_.push_back(conn);
-      Connection* key = conn.get();
-      reader_threads_.emplace(
-          key, std::thread([this, conn]() mutable {
-            reader_loop(std::move(conn));
-          }));
-    }
+    const std::uint64_t id = next_conn_id_++;
+    conns_.emplace(id, std::make_unique<Connection>(fd, id));
     connections_.inc();
   }
 }
 
-void Server::reap_readers() {
-  std::vector<std::thread> done;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    done.swap(finished_readers_);
-  }
-  // These threads have already left reader_loop's frame-processing loop
-  // (they parked their handles as their last locked action), so each
-  // join returns almost immediately.
-  for (auto& t : done)
-    if (t.joinable()) t.join();
-}
-
-void Server::reader_loop(std::shared_ptr<Connection> conn) {
-  Tenant* tenant = nullptr;
+void Server::read_from(Connection& c) {
   Frame frame;
-  for (;;) {
-    try {
-      if (!read_frame(conn->fd, frame)) break;  // clean EOF
-    } catch (const std::exception&) {
-      break;  // malformed stream / reset: drop the connection
+  // Reading until a short read drains what the peer sent before poll
+  // reported it; the cap keeps one flooding peer from holding the loop.
+  for (int reads = 0; reads < 64; ++reads) {
+    bool filled = false;
+    const ssize_t n = c.in.read_some(c.fd, filled);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) c.drop = true;  // reset
+      return;
     }
-    try {
-      handle_frame(conn, tenant, frame);
-    } catch (const std::exception& e) {
-      // Reply with a typed error; if even that fails, drop the
-      // connection.
+    for (;;) {
       try {
-        conn->send(make_error(frame.seq, StatusCode::kBadFrame, e.what()));
-      } catch (const std::exception&) {
-        break;
-      }
-    }
-  }
-  // Self-reap: forget the connection (the fd closes once any queued
-  // requests release their references) and park this thread's handle
-  // for the accept loop / stop() to join. Without this a long-running
-  // daemon leaks one fd and one thread handle per disconnect.
-  std::lock_guard<std::mutex> lk(mu_);
-  conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
-                              [&](const std::shared_ptr<Connection>& c) {
-                                return c.get() == conn.get();
-                              }),
-               conns_.end());
-  auto it = reader_threads_.find(conn.get());
-  if (it != reader_threads_.end()) {
-    finished_readers_.push_back(std::move(it->second));
-    reader_threads_.erase(it);
-  }
-}
-
-void Server::handle_frame(const std::shared_ptr<Connection>& conn,
-                          Tenant*& tenant, Frame& frame) {
-  switch (frame.type) {
-    case FrameType::kHello: {
-      Tenant* t = hello(conn, frame);
-      if (t != nullptr) tenant = t;
-      return;
-    }
-    case FrameType::kStats: {
-      const std::string text = metrics().to_prometheus();
-      conn->send(make_frame(
-          FrameType::kStatsAck, frame.seq,
-          std::vector<std::uint8_t>(text.begin(), text.end())));
-      return;
-    }
-    case FrameType::kShutdown: {
-      conn->send(make_frame(FrameType::kShutdownAck, frame.seq));
-      request_stop();
-      return;
-    }
-    case FrameType::kEncode:
-    case FrameType::kDecode:
-    case FrameType::kVerify: {
-      if (tenant == nullptr) {
-        conn->send(make_error(frame.seq, StatusCode::kBadState,
-                              "request before hello"));
+        if (!c.in.next(frame)) break;
+      } catch (const ProtocolError&) {
+        c.eof = true;  // malformed stream: read no more
         return;
       }
-      admit(conn, *tenant, frame);
+      try {
+        handle_frame(c, frame);
+      } catch (const Refusal& e) {
+        reply(c, make_error(frame.seq, e.status, e.what()));
+      } catch (const std::exception& e) {
+        reply(c, make_error(frame.seq, StatusCode::kBadFrame, e.what()));
+      }
+    }
+    if (n == 0) c.eof = true;
+    if (!filled) return;
+  }
+}
+
+void Server::handle_frame(Connection& c, Frame& frame) {
+  switch (frame.type) {
+    case FrameType::kHello:
+      hello(c, frame);
+      return;
+    case FrameType::kStats: {
+      const std::string text = metrics().to_prometheus();
+      reply(c, make_frame(FrameType::kStatsAck, frame.seq,
+                          std::vector<std::uint8_t>(text.begin(), text.end())));
       return;
     }
+    case FrameType::kShutdown:
+      reply(c, make_frame(FrameType::kShutdownAck, frame.seq));
+      request_stop();
+      return;
+    case FrameType::kEncode:
+    case FrameType::kDecode:
+    case FrameType::kVerify:
+      if (c.tenant == nullptr)
+        throw Refusal(StatusCode::kBadState, "request before hello");
+      admit(c, *c.tenant, frame);
+      return;
     default:
-      conn->send(make_error(frame.seq, StatusCode::kBadFrame,
-                            "unexpected frame type"));
+      throw Refusal(StatusCode::kBadFrame, "unexpected frame type");
   }
 }
 
 std::unique_ptr<Server::Tenant> Server::make_tenant(
     const HelloRequest& h, const engine::KernelVariant* kernel) {
   auto t = std::make_unique<Tenant>();
-  t->name = h.tenant;
-  t->geometry = h.geometry;
-  t->scheme = h.scheme;
-  t->lanes = h.lanes;
-  t->reset_per_burst = h.reset_state_per_burst;
+  t->spec = h;
   t->kernel = kernel;
   t->groups = h.geometry.groups();
   t->bytes_per_burst =
@@ -411,7 +395,7 @@ std::unique_ptr<Server::Tenant> Server::make_tenant(
       std::make_unique<engine::StreamEncoder>(*t->encoder, h.geometry, sopt);
 
   obs::Registry& r = obs_->registry();
-  const std::string tl = label("tenant", t->name);
+  const std::string tl = label("tenant", h.tenant);
   t->req_encode =
       r.counter("dbi_serve_requests_total", tl + "," + label("op", "encode"));
   t->req_decode =
@@ -427,85 +411,50 @@ std::unique_ptr<Server::Tenant> Server::make_tenant(
   return t;
 }
 
-Server::Tenant* Server::hello(const std::shared_ptr<Connection>& conn,
-                              const Frame& frame) {
-  HelloRequest h;
-  try {
-    h = HelloRequest::parse(frame.payload);
-    h.geometry.validate();
-    if (!valid_tenant_name(h.tenant))
-      throw std::invalid_argument(
-          "tenant names are 1-64 chars of [A-Za-z0-9._-]");
-    if (h.lanes < 1)
-      throw std::invalid_argument("lanes must be >= 1");
-  } catch (const std::exception& e) {
-    conn->send(make_error(frame.seq, StatusCode::kBadFrame, e.what()));
-    return nullptr;
-  }
+void Server::hello(Connection& c, const Frame& frame) {
+  // Malformed hellos throw out of here and are answered as kBadFrame.
+  HelloRequest h = HelloRequest::parse(frame.payload);
+  h.geometry.validate();
+  if (!valid_tenant_name(h.tenant))
+    throw std::invalid_argument(
+        "tenant names are 1-64 chars of [A-Za-z0-9._-]");
+  if (h.lanes < 1) throw std::invalid_argument("lanes must be >= 1");
+  const engine::KernelVariant* kernel = &engine::resolve_kernel(h.kernel);
+  if (stop_requested_)
+    throw Refusal(StatusCode::kShuttingDown, "server is draining");
 
-  const engine::KernelVariant* kernel = nullptr;
-  try {
-    kernel = &engine::resolve_kernel(h.kernel);
-  } catch (const std::exception& e) {
-    conn->send(make_error(frame.seq, StatusCode::kBadFrame, e.what()));
-    return nullptr;
-  }
-
-  // The reply frame is built under mu_ and sent after release — a
-  // socket write can block on a slow peer and must never pin the lock
-  // that admissions and the scheduler share.
-  Frame reply;
-  Tenant* result = nullptr;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stop_requested_) {
-      reply = make_error(frame.seq, StatusCode::kShuttingDown,
-                         "server is draining");
-    } else {
-      auto it = tenants_.find(h.tenant);
-      if (it == tenants_.end()) {
-        try {
-          auto t = make_tenant(h, kernel);
-          it = tenants_.emplace(t->name, std::move(t)).first;
-          tenants_gauge_.set(static_cast<double>(tenants_.size()));
-          result = it->second.get();
-        } catch (const std::exception& e) {
-          reply = make_error(frame.seq, StatusCode::kInternal, e.what());
-        }
-      } else {
-        // Reconnect: the spec must match the live session bit for bit.
-        Tenant& t = *it->second;
-        if (t.geometry != h.geometry || t.scheme != h.scheme ||
-            t.lanes != h.lanes ||
-            t.reset_per_burst != h.reset_state_per_burst ||
-            t.kernel != kernel) {
-          reply = make_error(
-              frame.seq, StatusCode::kBadState,
-              "tenant '" + h.tenant + "' exists with a different spec");
-        } else {
-          result = it->second.get();
-        }
-      }
+  auto it = tenants_.find(h.tenant);
+  if (it == tenants_.end()) {
+    std::unique_ptr<Tenant> t;
+    try {
+      t = make_tenant(h, kernel);
+    } catch (const std::exception& e) {
+      throw Refusal(StatusCode::kInternal, e.what());
     }
+    it = tenants_.emplace(h.tenant, std::move(t)).first;
+    tenants_gauge_.set(static_cast<double>(tenants_.size()));
+  } else {
+    // Reconnect: the spec must match the live session bit for bit.
+    const HelloRequest& was = it->second->spec;
+    if (was.geometry != h.geometry || was.scheme != h.scheme ||
+        was.lanes != h.lanes ||
+        was.reset_state_per_burst != h.reset_state_per_burst ||
+        it->second->kernel != kernel)
+      throw Refusal(StatusCode::kBadState,
+                    "tenant '" + h.tenant + "' exists with a different spec");
   }
-
-  if (result != nullptr) {
-    HelloAck ack;
-    ack.build = std::string(build_version());
-    ack.max_queue_requests =
-        static_cast<std::uint32_t>(options_.max_queue_requests);
-    reply = make_frame(FrameType::kHelloAck, frame.seq, ack.to_payload());
-  }
-  conn->send(reply);
-  return result;
+  c.tenant = it->second.get();
+  const HelloAck ack{.build = std::string(build_version()),
+                     .max_queue_requests = static_cast<std::uint32_t>(
+                         options_.max_queue_requests)};
+  reply(c, make_frame(FrameType::kHelloAck, frame.seq, ack.to_payload()));
 }
 
-void Server::admit(const std::shared_ptr<Connection>& conn, Tenant& tenant,
-                   Frame& frame) {
+void Server::admit(Connection& c, Tenant& tenant, Frame& frame) {
   Request rq;
   rq.type = frame.type;
   rq.seq = frame.seq;
-  rq.conn = conn;
+  rq.conn = c.id;
   try {
     if (frame.type == FrameType::kDecode) {
       DecodeRequest d = DecodeRequest::parse(frame.payload, rq.masks);
@@ -545,101 +494,74 @@ void Server::admit(const std::shared_ptr<Connection>& conn, Tenant& tenant,
       rq.raw = std::move(frame.payload);
       rq.data = e.payload;
     }
-  } catch (const std::exception& e) {
+  } catch (const std::exception&) {
     tenant.errors.inc();
-    conn->send(make_error(frame.seq, StatusCode::kBadFrame, e.what()));
+    throw;  // answered as kBadFrame
+  }
+  if (stop_requested_)
+    throw Refusal(StatusCode::kShuttingDown, "server is draining");
+  if (tenant.queue.size() >= options_.max_queue_requests) {
+    // Backpressure: bounded queue, typed rejection, engine untouched.
+    tenant.busy.inc();
+    BusyInfo info{static_cast<std::uint32_t>(tenant.queue.size()),
+                  static_cast<std::uint32_t>(options_.max_queue_requests)};
+    reply(c, make_frame(FrameType::kBusy, frame.seq, info.to_payload(),
+                        StatusCode::kBusy));
     return;
   }
-
-  // Decide under mu_, send after release: rejection frames must not
-  // block the lock on a peer that is not reading.
+  switch (frame.type) {
+    case FrameType::kEncode: tenant.req_encode.inc(); break;
+    case FrameType::kDecode: tenant.req_decode.inc(); break;
+    default: tenant.req_verify.inc(); break;
+  }
   rq.enqueued = std::chrono::steady_clock::now();
-  Frame reject;
-  bool rejected = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stop_requested_) {
-      reject = make_error(frame.seq, StatusCode::kShuttingDown,
-                          "server is draining");
-      rejected = true;
-    } else if (tenant.queue.size() >= options_.max_queue_requests) {
-      // Backpressure: bounded queue, typed rejection, engine untouched.
-      tenant.busy.inc();
-      BusyInfo info{static_cast<std::uint32_t>(tenant.queue.size()),
-                    static_cast<std::uint32_t>(options_.max_queue_requests)};
-      reject = make_frame(FrameType::kBusy, frame.seq, info.to_payload(),
-                          StatusCode::kBusy);
-      rejected = true;
-    } else {
-      switch (frame.type) {
-        case FrameType::kEncode: tenant.req_encode.inc(); break;
-        case FrameType::kDecode: tenant.req_decode.inc(); break;
-        default: tenant.req_verify.inc(); break;
-      }
-      tenant.queue.push_back(std::move(rq));
-      tenant.queue_depth.observe(tenant.queue.size());
-      if (!tenant.in_active) {
-        tenant.in_active = true;
-        active_.push_back(&tenant);
-      }
-    }
+  tenant.queue.push_back(std::move(rq));
+  tenant.queue_depth.observe(tenant.queue.size());
+  ++c.owed;
+  if (!tenant.in_active) {
+    tenant.in_active = true;
+    active_.push_back(&tenant);
   }
-  if (rejected) {
-    conn->send(reject);
-    return;
-  }
-  sched_cv_.notify_one();
 }
 
-void Server::scheduler_loop() {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    sched_cv_.wait(lk, [this] { return drain_ || !active_.empty(); });
-    if (active_.empty()) {
-      if (drain_) return;
-      continue;
-    }
+bool Server::run_turn() {
+  // Deficit round-robin: the tenant at the head of the active list
+  // earns one quantum and dispatches queued requests while they fit
+  // its deficit and the coalescing cap.
+  Tenant* t = active_.front();
+  active_.pop_front();
+  t->in_active = false;
+  t->deficit += options_.quantum_bursts;
 
-    // Deficit round-robin: the tenant at the head of the active list
-    // earns one quantum and dispatches queued requests while they fit
-    // its deficit and the coalescing cap.
-    Tenant* t = active_.front();
-    active_.pop_front();
-    t->in_active = false;
-    t->deficit += options_.quantum_bursts;
-
-    std::vector<Request> batch;
-    std::size_t batch_bursts = 0;
-    while (!t->queue.empty()) {
-      Request& front = t->queue.front();
-      const auto cost = std::max<std::int64_t>(1, front.burst_count);
-      if (!batch.empty() &&
-          batch_bursts + static_cast<std::size_t>(cost) >
-              options_.max_batch_bursts)
-        break;
-      if (cost > t->deficit) break;
-      t->deficit -= cost;
-      batch_bursts += static_cast<std::size_t>(cost);
-      batch.push_back(std::move(front));
-      t->queue.pop_front();
-    }
-    if (!t->queue.empty()) {
-      // Work left (deficit or cap ran out): back of the round-robin
-      // ring, keeping the accumulated deficit.
-      t->in_active = true;
-      active_.push_back(t);
-    } else {
-      t->deficit = 0;  // classic DRR: no banking across idle periods
-    }
-
-    if (!batch.empty()) {
-      lk.unlock();
-      batches_.inc();
-      batch_bursts_.observe(batch_bursts);
-      process_batch(*t, batch);
-      lk.lock();
-    }
+  std::vector<Request> batch;
+  std::size_t batch_bursts = 0;
+  while (!t->queue.empty()) {
+    Request& front = t->queue.front();
+    const auto cost = std::max<std::int64_t>(1, front.burst_count);
+    if (!batch.empty() &&
+        batch_bursts + static_cast<std::size_t>(cost) >
+            options_.max_batch_bursts)
+      break;
+    if (cost > t->deficit) break;
+    t->deficit -= cost;
+    batch_bursts += static_cast<std::size_t>(cost);
+    batch.push_back(std::move(front));
+    t->queue.pop_front();
   }
+  if (!t->queue.empty()) {
+    // Work left (deficit or cap ran out): back of the round-robin
+    // ring, keeping the accumulated deficit.
+    t->in_active = true;
+    active_.push_back(t);
+  } else {
+    t->deficit = 0;  // classic DRR: no banking across idle periods
+  }
+
+  if (batch.empty()) return false;
+  batches_.inc();
+  batch_bursts_.observe(batch_bursts);
+  process_batch(*t, batch);
+  return true;
 }
 
 void Server::process_batch(Tenant& tenant, std::vector<Request>& batch) {
@@ -687,7 +609,8 @@ void Server::process_encode_run(Tenant& tenant, std::span<Request> run,
                                           total_bursts,
                                           /*collect_results=*/true);
   } catch (const std::exception& e) {
-    fail_batch(tenant, run, StatusCode::kInternal, e.what());
+    for (Request& rq : run)
+      respond(tenant, rq, make_error(rq.seq, StatusCode::kInternal, e.what()));
     return;
   }
 
@@ -708,7 +631,7 @@ void Server::process_encode_run(Tenant& tenant, std::span<Request> run,
     if ((rq.flags & EncodeRequest::kWantTx) != 0) {
       ack.tx.resize(rq.data.size());
       try {
-        tenant.decoder.apply(rq.data, ack.masks, tenant.geometry, ack.tx);
+        tenant.decoder.apply(rq.data, ack.masks, tenant.spec.geometry, ack.tx);
       } catch (const std::exception& e) {
         respond(tenant, rq, make_error(rq.seq, StatusCode::kInternal,
                                        e.what()));
@@ -728,7 +651,7 @@ void Server::process_encode_run(Tenant& tenant, std::span<Request> run,
 void Server::process_decode(Tenant& tenant, Request& rq) {
   tenant.rx_scratch.resize(rq.data.size());
   try {
-    tenant.decoder.decode(rq.data, rq.masks, tenant.geometry,
+    tenant.decoder.decode(rq.data, rq.masks, tenant.spec.geometry,
                           tenant.rx_scratch);
   } catch (const std::exception& e) {
     respond(tenant, rq, make_error(rq.seq, StatusCode::kInternal, e.what()));
@@ -760,13 +683,13 @@ void Server::process_verify(Tenant& tenant, Request& rq) {
     }
     tenant.tx_scratch.resize(rq.data.size());
     tenant.rx_scratch.resize(rq.data.size());
-    tenant.decoder.apply(rq.data, tenant.mask_scratch, tenant.geometry,
+    tenant.decoder.apply(rq.data, tenant.mask_scratch, tenant.spec.geometry,
                          tenant.tx_scratch);
     if (options_.fault_injector)
-      options_.fault_injector(tenant.name, tenant.next_burst,
+      options_.fault_injector(tenant.spec.tenant, tenant.next_burst,
                               tenant.tx_scratch, tenant.mask_scratch);
     tenant.decoder.decode(tenant.tx_scratch, tenant.mask_scratch,
-                          tenant.geometry, tenant.rx_scratch);
+                          tenant.spec.geometry, tenant.rx_scratch);
   } catch (const std::exception& e) {
     respond(tenant, rq, make_error(rq.seq, StatusCode::kInternal, e.what()));
     return;
@@ -784,29 +707,48 @@ void Server::process_verify(Tenant& tenant, Request& rq) {
 
 void Server::respond(Tenant& tenant, Request& rq, Frame&& frame) {
   tenant.latency.observe(elapsed_ns(rq.enqueued));
-  if (frame.type == FrameType::kError) tenant.errors.inc();
-  try {
-    rq.conn->send(frame);
-  } catch (const ProtocolError& e) {
+  if (frame.payload.size() > kMaxPayload)
     // An over-cap response slipped past the admission-time size check.
-    // The client is still connected and waiting, so answer with a typed
-    // error (small, always sendable) instead of silence.
-    tenant.errors.inc();
-    try {
-      rq.conn->send(make_error(rq.seq, StatusCode::kInternal, e.what()));
-    } catch (const std::exception&) {
-    }
-  } catch (const std::exception&) {
-    // Client went away before its response; the work is still done and
-    // counted. Nothing to clean up — the connection closes with the
-    // last shared_ptr.
-  }
+    // The client is still waiting, so answer with a typed error (small,
+    // always sendable) instead of silence.
+    frame = make_error(rq.seq, StatusCode::kInternal,
+                       "serve: refusing to write over-cap frame");
+  if (frame.type == FrameType::kError) tenant.errors.inc();
+  // A client that went away before its response is not answered; the
+  // work is still done and counted.
+  const auto it = conns_.find(rq.conn);
+  if (it == conns_.end()) return;
+  --it->second->owed;
+  reply(*it->second, std::move(frame));
 }
 
-void Server::fail_batch(Tenant& tenant, std::span<Request> run,
-                        StatusCode status, std::string_view message) {
-  for (Request& rq : run)
-    respond(tenant, rq, make_error(rq.seq, status, message));
+void Server::reply(Connection& c, Frame&& frame) {
+  if (c.out.empty()) c.progress = std::chrono::steady_clock::now();
+  const auto header = encode_frame_header(
+      frame.type, frame.status, frame.seq,
+      static_cast<std::uint32_t>(frame.payload.size()));
+  c.out.insert(c.out.end(), header.begin(), header.end());
+  c.out.insert(c.out.end(), frame.payload.begin(), frame.payload.end());
+}
+
+bool Server::flush(Connection& c) {
+  // MSG_NOSIGNAL: a peer that hung up yields EPIPE, not a SIGPIPE.
+  const ssize_t n = ::send(c.fd, c.out.data() + c.sent, c.out.size() - c.sent,
+                           MSG_NOSIGNAL);
+  if (n < 0) {
+    c.blocked = true;
+    return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+  }
+  c.progress = std::chrono::steady_clock::now();
+  c.sent += static_cast<std::size_t>(n);
+  c.blocked = c.sent < c.out.size();
+  if (!c.blocked) {
+    // Keep the buffer for the next batch unless one reply grew it large.
+    c.out.clear();
+    if (c.out.capacity() > (1u << 20)) c.out.shrink_to_fit();
+    c.sent = 0;
+  }
+  return true;
 }
 
 // --- daemon body ------------------------------------------------------

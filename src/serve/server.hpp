@@ -8,14 +8,16 @@
 // a stream chunked over many small requests encodes bit-identically
 // to one offline `dbitool record` pass.
 //
-// Scheduling: connection reader threads only parse and admit; all
-// engine work runs on one scheduler thread that drains the per-tenant
-// admission queues with deficit round-robin (quantum in bursts), so a
-// hot tenant cannot starve its neighbours, and coalesces consecutive
-// small encode requests of one tenant into a single engine-sized
-// StreamEncoder chunk over the shared ShardPool. Queues are bounded:
-// when a tenant's queue is full, new requests are rejected right at
-// admission with a typed kBusy frame (the engine never sees them).
+// Scheduling: one loop thread poll(2)s the listen socket, a wake pipe
+// and every connection. Each pass reads what every reported connection
+// sent (FrameAssembler), answers hello / stats / shutdown and admits
+// data requests, then runs one deficit round-robin batch (quantum in
+// bursts), so a hot tenant cannot starve its neighbours, coalescing one
+// tenant's consecutive small encodes into one StreamEncoder chunk over
+// the shared ShardPool. Only then do replies leave, one non-blocking
+// send per connection: a round trip on a connection accepted before
+// others is a barrier for everything they sent before it. Queues are
+// bounded: a full one rejects at admission with a typed kBusy frame.
 //
 // Observability reuses obs::Registry: per-tenant request / busy /
 // burst counters, queue-depth and request-latency histograms
@@ -24,11 +26,13 @@
 // of a GET /metrics endpoint.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -60,10 +64,10 @@ struct ServerOptions {
   std::int64_t quantum_bursts = 2048;
   /// Registry slab cells (per-tenant series cost ~140 cells each).
   std::size_t max_cells = 65536;
-  /// SO_SNDTIMEO on accepted sockets: a response write that cannot make
-  /// progress for this long (the client stopped reading) drops the
-  /// connection, so a slow consumer costs the scheduler at most one
-  /// timeout instead of pinning it forever. 0 disables the timeout.
+  /// No-progress limit on a connection's queued replies: when none of
+  /// them can be sent for this long (the client stopped reading), the
+  /// connection is dropped. The loop never waits on a send, so a slow
+  /// consumer never stalls its neighbours. 0 disables the limit.
   std::chrono::milliseconds send_timeout{5000};
   /// Test hook: stall this long before each scheduled batch, so soak
   /// tests can force queueing and observe backpressure deterministically.
@@ -88,7 +92,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the socket, spawns the accept and scheduler threads.
+  /// Binds the socket, spawns the loop thread.
   /// Throws std::system_error when the path cannot be bound.
   void start();
 
@@ -101,8 +105,8 @@ class Server {
   bool wait_stop_requested(std::chrono::milliseconds d);
 
   /// Graceful drain: stops admissions, finishes every already-admitted
-  /// request (responses are written), joins all threads, unlinks the
-  /// socket. Idempotent.
+  /// request, flushes each connection's replies (within send_timeout),
+  /// joins the loop thread, unlinks the socket. Idempotent.
   void stop();
 
   [[nodiscard]] bool running() const { return started_ && !stopped_; }
@@ -115,55 +119,57 @@ class Server {
   struct Request;
   struct Tenant;
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Connection> conn);
-  /// Joins reader threads whose connections have closed (they park
-  /// their own handles in finished_readers_ on exit).
-  void reap_readers();
-  void scheduler_loop();
+  void loop();
+  void accept_all();
+  /// Reads and handles what `c` sent, until its socket is drained.
+  void read_from(Connection& c);
+  /// One deficit round-robin turn over the active tenants; false when
+  /// it dispatched no batch.
+  bool run_turn();
   std::unique_ptr<Tenant> make_tenant(const HelloRequest& h,
                                       const engine::KernelVariant* kernel);
-  /// One parsed request frame from `conn`; `tenant` is the
-  /// connection's hello-bound tenant (null before hello).
-  void handle_frame(const std::shared_ptr<Connection>& conn, Tenant*& tenant,
-                    Frame& frame);
-  Tenant* hello(const std::shared_ptr<Connection>& conn, const Frame& frame);
-  void admit(const std::shared_ptr<Connection>& conn, Tenant& tenant,
-             Frame& frame);
+  void handle_frame(Connection& c, Frame& frame);
+  void hello(Connection& c, const Frame& frame);
+  void admit(Connection& c, Tenant& tenant, Frame& frame);
   void process_batch(Tenant& tenant, std::vector<Request>& batch);
   void process_encode_run(Tenant& tenant, std::span<Request> run,
                           std::size_t total_bursts);
   void process_decode(Tenant& tenant, Request& rq);
   void process_verify(Tenant& tenant, Request& rq);
   void respond(Tenant& tenant, Request& rq, Frame&& frame);
-  void fail_batch(Tenant& tenant, std::span<Request> run, StatusCode status,
-                  std::string_view message);
+  /// Queues `frame` on `c`; it leaves with the connection's next flush.
+  void reply(Connection& c, Frame&& frame);
+  /// One non-blocking send of `c`'s queued replies; false when the
+  /// socket broke.
+  bool flush(Connection& c);
 
   ServerOptions options_;
   std::unique_ptr<obs::Observer> obs_;
   std::unique_ptr<engine::ShardPool> pool_;  // null = serial engine calls
 
   int listen_fd_ = -1;
-  std::thread accept_thread_;
-  std::thread scheduler_thread_;
+  int wake_[2] = {-1, -1};  ///< pipe: stop() writes, the loop polls
+  bool started_ = false;
+  bool stopped_ = false;
 
-  mutable std::mutex mu_;  // tenants_, queues, active_, conns_, flags
-  std::condition_variable sched_cv_;  // scheduler wakeups
-  std::condition_variable stop_cv_;   // request_stop() observers
+  std::mutex mu_;                      // request_stop() observers
+  std::condition_variable stop_cv_;
+  std::atomic<bool> stop_requested_{false};  // admissions closed
+  std::atomic<bool> drain_{false};  // loop exits once queues and replies end
+
+  // Loop-thread state.
   std::unordered_map<std::string, std::unique_ptr<Tenant>> tenants_;
   std::deque<Tenant*> active_;  // tenants with queued work, RR order
-  std::vector<std::shared_ptr<Connection>> conns_;  ///< live connections only
-  std::unordered_map<Connection*, std::thread> reader_threads_;
-  std::vector<std::thread> finished_readers_;  ///< exited, awaiting join
-  bool started_ = false;
-  bool stop_requested_ = false;  // admissions closed
-  bool drain_ = false;           // scheduler exits once queues empty
-  bool stopped_ = false;
+  std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;  ///< by id
+  std::uint64_t next_conn_id_ = 0;
+  std::chrono::steady_clock::time_point accept_resume_{};  ///< EMFILE back-off
 
   // Fleet-wide metric handles.
   obs::Counter connections_, batches_;
   obs::Histogram batch_bursts_;
   obs::Gauge tenants_gauge_;
+
+  std::thread loop_thread_;  // last: it runs on every member above
 };
 
 /// dbid main body: runs a Server on `options` until SIGTERM/SIGINT or

@@ -8,15 +8,18 @@
 // above at once.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <random>
 #include <span>
@@ -101,6 +104,57 @@ TEST(Protocol, EncodeAckPayloadRoundTrip) {
   EXPECT_EQ(back.tx, ack.tx);
 }
 
+/// A frame's wire bytes: header then payload.
+std::vector<std::uint8_t> wire(const Frame& f) {
+  const auto header = encode_frame_header(
+      f.type, f.status, f.seq, static_cast<std::uint32_t>(f.payload.size()));
+  std::vector<std::uint8_t> out(header.size() + f.payload.size());
+  std::copy(f.payload.begin(), f.payload.end(),
+            std::copy(header.begin(), header.end(), out.begin()));
+  return out;
+}
+
+TEST(Protocol, AssemblerYieldsTheSameFramesAtEveryCut) {
+  // A small frame, an empty one and one whose payload spans several
+  // reads, cut once at every offset: each cut yields the same frames.
+  std::vector<std::uint8_t> stream;
+  std::vector<Frame> sent = {
+      make_frame(FrameType::kEncode, 1, std::vector<std::uint8_t>(40, 7)),
+      make_frame(FrameType::kStats, 2),
+      make_frame(FrameType::kDecode, 3, std::vector<std::uint8_t>(70000, 9))};
+  sent[2].payload[69999] = 1;
+  for (const Frame& f : sent) {
+    const auto w = wire(f);
+    stream.insert(stream.end(), w.begin(), w.end());
+  }
+  for (std::size_t cut = 0; cut <= stream.size(); cut += 1 + cut / 8) {
+    FrameAssembler in;
+    std::vector<Frame> got;
+    Frame f;
+    for (std::span<const std::uint8_t> piece :
+         {std::span(stream).first(cut), std::span(stream).subspan(cut)}) {
+      while (!piece.empty()) {
+        piece = piece.subspan(in.feed(piece));
+        while (in.next(f)) got.push_back(std::move(f));
+      }
+    }
+    ASSERT_EQ(got.size(), sent.size()) << "cut " << cut;
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+      EXPECT_EQ(got[i].type, sent[i].type);
+      EXPECT_EQ(got[i].seq, sent[i].seq);
+      EXPECT_EQ(got[i].payload, sent[i].payload) << "cut " << cut;
+    }
+  }
+}
+
+TEST(Protocol, AssemblerRejectsBadMagic) {
+  FrameAssembler in;
+  const std::uint8_t junk[16] = {0xde, 0xad, 0xbe, 0xef};
+  EXPECT_EQ(in.feed(junk), sizeof(junk));
+  Frame f;
+  EXPECT_THROW((void)in.next(f), ProtocolError);
+}
+
 // ------------------------------------------------------------- fixture
 
 std::string unique_socket(const char* tag) {
@@ -128,6 +182,32 @@ struct TestServer {
     return Client::connect(o);
   }
 };
+
+/// A connection that speaks raw frames, for tests that send what the
+/// Client never would.
+int raw_connect(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Hello on a raw connection; true when the server acked it.
+bool raw_hello(int fd, const std::string& tenant, const Geometry& g) {
+  HelloRequest h;
+  h.tenant = tenant;
+  h.geometry = g;
+  write_frame(fd, make_frame(FrameType::kHello, 1, h.to_payload()));
+  Frame ack;
+  return read_frame(fd, ack) && ack.type == FrameType::kHelloAck;
+}
 
 std::vector<std::uint8_t> random_payload(std::size_t bytes,
                                          std::uint64_t seed) {
@@ -339,24 +419,20 @@ TEST(Serve, GracefulStopAnswersEveryAdmittedRequest) {
   opt.batch_delay = std::chrono::milliseconds(2);
   auto ts = std::make_unique<TestServer>(std::move(opt));
 
+  auto barrier = Client::connect_control(ts->server.options().socket_path);
   auto client = ts->client("drainee", g);
   const auto payload = random_payload(8 * 8, 8);
   constexpr int kInFlight = 8;
   for (int i = 0; i < kInFlight; ++i)
     (void)client.submit_encode(payload, 8);
   // stop() owes answers to admitted requests only; one still unread in
-  // the socket when the readers are torn down is dropped with the
-  // connection. Wait until the reader admitted all of them, or a busy
-  // host can start the stop before it read any.
-  const auto admitted = [&] {
-    return ts->server.metrics().value("dbi_serve_requests_total",
-                                      "tenant=\"drainee\",op=\"encode\"");
-  };
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (admitted() < kInFlight && std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_EQ(admitted(), kInFlight);
+  // the socket when the drain begins is refused. A round trip on the
+  // older connection is the barrier: the loop reads everything sent
+  // before it ahead of its reply.
+  (void)barrier.stats();
+  ASSERT_EQ(ts->server.metrics().value("dbi_serve_requests_total",
+                                       "tenant=\"drainee\",op=\"encode\""),
+            kInFlight);
 
   // stop() must finish the already-admitted requests before tearing
   // down the readers: all responses (acks or typed rejections) arrive.
@@ -403,21 +479,24 @@ TEST(Serve, OverCapResponseRejectedAtAdmission) {
   EXPECT_EQ(r.outcome, Client::Outcome::kOk);
 }
 
-std::size_t open_fd_count() {
+std::size_t entry_count(const char* dir) {
   std::size_t n = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/fd")) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     (void)entry;
     ++n;
   }
   return n;
 }
 
+std::size_t open_fd_count() { return entry_count("/proc/self/fd"); }
+
 TEST(Serve, DisconnectedConnectionsAreReaped) {
   const Geometry g = Geometry::narrow(8, 8);
   ServerOptions opt;
   opt.socket_path = unique_socket("reap");
   TestServer ts(std::move(opt));
+  auto barrier = Client::connect_control(ts.server.options().socket_path);
+  (void)barrier.stats();  // accepted: its server-side fd is in the baseline
   const std::size_t baseline = open_fd_count();
 
   // Each round opens a connection (one fd on each side) and drops it;
@@ -429,14 +508,10 @@ TEST(Serve, DisconnectedConnectionsAreReaped) {
     const auto r = client.encode(payload, 8);
     ASSERT_EQ(r.outcome, Client::Outcome::kOk);
   }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  std::size_t now = open_fd_count();
-  while (now > baseline && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    now = open_fd_count();
-  }
-  EXPECT_LE(now, baseline);
+  // The older connection's round trip is answered only after the loop
+  // handled every hang-up that came before it.
+  (void)barrier.stats();
+  EXPECT_LE(open_fd_count(), baseline);
 }
 
 TEST(Serve, SlowConsumerIsDroppedWithoutStallingNeighbours) {
@@ -500,6 +575,221 @@ TEST(Serve, SlowConsumerIsDroppedWithoutStallingNeighbours) {
   } while (m > 0);
   EXPECT_LE(m, 0);
   ::close(fd);
+}
+
+TEST(Serve, StalledRepliesDropTheConnectionAfterSendTimeout) {
+  const Geometry g = Geometry::narrow(8, 8);
+  ServerOptions opt;
+  opt.socket_path = unique_socket("stalled");
+  opt.send_timeout = std::chrono::milliseconds(200);
+  opt.max_queue_requests = 1024;
+  TestServer ts(std::move(opt));
+  const auto bpb = static_cast<std::size_t>(g.bytes_per_burst());
+
+  // More acks than the socket buffer holds, and the client never reads:
+  // the queued replies make no progress, so the server hangs up, while
+  // a neighbour is served meanwhile.
+  const int fd = raw_connect(ts.server.options().socket_path);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(raw_hello(fd, "stalled", g));
+  EncodeRequest req;
+  req.flags = EncodeRequest::kWantTx;
+  req.burst_count = 64;
+  const auto payload = random_payload(64 * bpb, 13);
+  req.payload = payload;
+  const auto reqp = req.to_payload();
+  for (int i = 0; i < 512; ++i)
+    write_frame(fd, make_frame(FrameType::kEncode, 100 + i, reqp));
+
+  auto victim = ts.client("victim", g);
+  EXPECT_EQ(victim.encode(random_payload(32 * bpb, 14), 32).outcome,
+            Client::Outcome::kOk);
+
+  // Wait for the hang-up without reading (a read would be progress).
+  pollfd p{fd, POLLRDHUP, 0};
+  ASSERT_EQ(::poll(&p, 1, 10000), 1);
+  EXPECT_NE(p.revents & (POLLHUP | POLLRDHUP), 0);
+  ::close(fd);
+}
+
+std::size_t thread_count() { return entry_count("/proc/self/task"); }
+
+TEST(Serve, ThreadsDoNotGrowWithConnections) {
+  // One loop thread plus the pool's workers, whatever the connection
+  // count: no accept thread, scheduler thread or reader per connection.
+  const Geometry g = Geometry::narrow(8, 8);
+  for (const int workers : {1, 2}) {
+    const std::size_t before = thread_count();
+    ServerOptions opt;
+    opt.socket_path = unique_socket("threads");
+    opt.workers = workers;
+    TestServer ts(std::move(opt));
+    const std::size_t expect = workers >= 2 ? 1 + workers : 1;
+    EXPECT_EQ(thread_count() - before, expect) << "workers " << workers;
+    std::vector<Client> clients;
+    for (int i = 0; i < 16; ++i)
+      clients.push_back(ts.client(std::to_string(i), g));
+    EXPECT_EQ(thread_count() - before, expect) << "workers " << workers;
+  }
+}
+
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size = 0, resident = 0;
+  statm >> size >> resident;
+  return resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(Serve, BareHeadersCommitNoPayloadMemory) {
+  // A header that claims the 64 MiB cap and then stalls must not make
+  // the server allocate the claimed payload up front.
+  const Geometry g = Geometry::narrow(8, 8);
+  ServerOptions opt;
+  opt.socket_path = unique_socket("bareheader");
+  TestServer ts(std::move(opt));
+  const auto bpb = static_cast<std::size_t>(g.bytes_per_burst());
+  auto neighbour = ts.client("neighbour", g);
+  const auto payload = random_payload(16 * bpb, 15);
+  ASSERT_EQ(neighbour.encode(payload, 16).outcome, Client::Outcome::kOk);
+  const std::size_t before = resident_bytes();
+
+  int fds[2];
+  for (int& fd : fds) {
+    fd = raw_connect(ts.server.options().socket_path);
+    ASSERT_GE(fd, 0);
+    const auto header =
+        encode_frame_header(FrameType::kEncode, StatusCode::kOk, 1,
+                            kMaxPayload);
+    ASSERT_EQ(::send(fd, header.data(), header.size(), 0),
+              static_cast<ssize_t>(header.size()));
+  }
+  // The neighbour is still served. Its first round trip is already a
+  // barrier for the loop, which reads both headers before replying; the
+  // rest keep it busy long enough for a server that reads on threads of
+  // its own to have acted on the headers as well.
+  for (int i = 0; i < 512; ++i)
+    ASSERT_EQ(neighbour.encode(payload, 16).outcome, Client::Outcome::kOk);
+  const std::size_t after = resident_bytes();
+  EXPECT_LT(after, before + (8u << 20))
+      << "resident memory grew by " << (after - before) / 1024 << " KiB";
+  for (const int fd : fds) ::close(fd);
+}
+
+TEST(Serve, PipelinedLargeFramesAreAnswered) {
+  // 8 x 256 KiB of requests written before reading any ack: more than
+  // the socket buffers hold in both directions, so a server that waited
+  // on its sends would deadlock against this client's writes.
+  const Geometry g = Geometry::narrow(8, 8);
+  ServerOptions opt;
+  opt.socket_path = unique_socket("pipelined");
+  TestServer ts(std::move(opt));
+  const auto bpb = static_cast<std::size_t>(g.bytes_per_burst());
+  constexpr std::uint32_t kBursts = 32768;
+  constexpr int kFrames = 8;
+  const auto payload = random_payload(kFrames * kBursts * bpb, 16);
+  const auto masks = offline_masks(g, Scheme::kAc, payload, kFrames * kBursts);
+
+  const int fd = raw_connect(ts.server.options().socket_path);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(raw_hello(fd, "pipelined", g));
+  for (int i = 0; i < kFrames; ++i) {
+    EncodeRequest req;
+    req.flags = EncodeRequest::kWantTx;
+    req.burst_count = kBursts;
+    req.payload = std::span(payload).subspan(i * kBursts * bpb, kBursts * bpb);
+    write_frame(fd, make_frame(FrameType::kEncode, 10 + i, req.to_payload()));
+  }
+  engine::BatchDecoder decoder;
+  for (int i = 0; i < kFrames; ++i) {
+    Frame f;
+    ASSERT_TRUE(read_frame(fd, f)) << "ack " << i;
+    ASSERT_EQ(f.type, FrameType::kEncodeAck) << "ack " << i;
+    EXPECT_EQ(f.seq, static_cast<std::uint32_t>(10 + i));
+    const EncodeAck ack = EncodeAck::parse(f.payload);
+    const auto want = std::span(masks).subspan(i * kBursts, kBursts);
+    EXPECT_TRUE(std::equal(ack.masks.begin(), ack.masks.end(), want.begin(),
+                           want.end()))
+        << "ack " << i;
+    std::vector<std::uint8_t> tx(kBursts * bpb);
+    decoder.apply(std::span(payload).subspan(i * kBursts * bpb, kBursts * bpb),
+                  want, g, tx);
+    EXPECT_EQ(ack.tx, tx) << "ack " << i;
+  }
+  ::close(fd);
+}
+
+TEST(Serve, FramesWrittenOneByteAtATimeAreAnsweredBitExact) {
+  const Geometry g = Geometry::narrow(8, 8);
+  ServerOptions opt;
+  opt.socket_path = unique_socket("bytewise");
+  TestServer ts(std::move(opt));
+  const auto bpb = static_cast<std::size_t>(g.bytes_per_burst());
+  const int fd = raw_connect(ts.server.options().socket_path);
+  ASSERT_GE(fd, 0);
+  const auto trickle = [fd](const Frame& f) {
+    for (const std::uint8_t b : wire(f))
+      ASSERT_EQ(::send(fd, &b, 1, 0), 1);
+  };
+
+  HelloRequest h;
+  h.tenant = "bytewise";
+  h.geometry = g;
+  trickle(make_frame(FrameType::kHello, 1, h.to_payload()));
+  Frame f;
+  ASSERT_TRUE(read_frame(fd, f));
+  ASSERT_EQ(f.type, FrameType::kHelloAck);
+
+  constexpr std::uint32_t kBursts = 48;
+  const auto payload = random_payload(kBursts * bpb, 17);
+  EncodeRequest req;
+  req.burst_count = kBursts;
+  req.payload = payload;
+  trickle(make_frame(FrameType::kEncode, 2, req.to_payload()));
+  ASSERT_TRUE(read_frame(fd, f));
+  ASSERT_EQ(f.type, FrameType::kEncodeAck);
+  EXPECT_EQ(f.seq, 2u);
+  EXPECT_EQ(EncodeAck::parse(f.payload).masks,
+            offline_masks(g, Scheme::kAc, payload, kBursts));
+  ::close(fd);
+}
+
+TEST(Serve, BrokenConnectionsAreDroppedWhileNeighboursAreServed) {
+  const Geometry g = Geometry::narrow(8, 8);
+  ServerOptions opt;
+  opt.socket_path = unique_socket("broken");
+  TestServer ts(std::move(opt));
+  const auto bpb = static_cast<std::size_t>(g.bytes_per_burst());
+  auto neighbour = ts.client("neighbour", g);
+  const auto payload = random_payload(16 * bpb, 18);
+  const std::size_t baseline = open_fd_count();
+
+  EncodeRequest req;
+  req.burst_count = 16;
+  req.payload = payload;
+  const auto encode = wire(make_frame(FrameType::kEncode, 2, req.to_payload()));
+  const std::uint8_t junk[kFrameHeaderBytes] = {0xde, 0xad, 0xbe, 0xef};
+  const std::size_t cuts[] = {7, kFrameHeaderBytes + 40};
+  for (const std::size_t cut : cuts) {
+    // Closes mid-header, then mid-payload.
+    const int fd = raw_connect(ts.server.options().socket_path);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(raw_hello(fd, "broken", g));
+    ASSERT_EQ(::send(fd, encode.data(), cut, 0), static_cast<ssize_t>(cut));
+    ::close(fd);
+    EXPECT_EQ(neighbour.encode(payload, 16).outcome, Client::Outcome::kOk);
+  }
+  // A bad magic: the server hangs up.
+  const int fd = raw_connect(ts.server.options().socket_path);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::send(fd, junk, sizeof(junk), 0),
+            static_cast<ssize_t>(sizeof(junk)));
+  std::uint8_t byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+  ::close(fd);
+
+  // The neighbour's round trip is the barrier for every hang-up above.
+  EXPECT_EQ(neighbour.encode(payload, 16).outcome, Client::Outcome::kOk);
+  EXPECT_LE(open_fd_count(), baseline);
 }
 
 // ---------------------------------------------------------------- soak
